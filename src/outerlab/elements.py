@@ -16,6 +16,7 @@ candidate it scores already sits on the variety to machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,13 +46,17 @@ class RankTolerance:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Effort knobs for the convex-element search.
+    """Effort knobs for the convex-element search on n = 5, 6.
 
-    ``grid`` is the number of samples per chart axis of the coarse sweep;
-    the best point of every chart is refined by ``zoom_rounds`` rounds of a
-    ``zoom_grid``-per-axis local grid with shrinking span.  When no chart
-    reaches feasibility, ``starts`` random parameter points in the search
-    box are tried as extra coarse starts before giving up.
+    ``grid`` is the number of samples per chart axis of the coarse sweep,
+    which scores every shifted chart on a tensor grid over the search box
+    (``search_box``; on n = 4 it is the number of conic samples per branch).
+    The best regular point of each chart is refined by ``zoom_rounds``
+    rounds of a ``zoom_grid``-per-axis local grid, starting one coarse cell
+    wide and shrinking fourfold per round.  When no chart reaches
+    feasibility, ``starts`` random parameter points in the box, drawn from
+    ``seed`` and split evenly over the charts, are scored and refined the
+    same way before giving up.
     """
 
     starts: int = 200
@@ -243,6 +248,42 @@ def variety_residual_rel(poly: OrbitPolygon, c) -> float:
 
 # ---------------------------------------------------------------------------
 # Rational charts of the variety (n = 5, 6)
+#
+# A chart formula takes the rolled local areas D, each entry a scalar or an
+# array broadcasting against the parameters, and returns the unrolled
+# columns c_1..c_n with the mask of regular parameter values.
+
+def _chart_n5(D, sc2, c1, c2):
+    c4 = (c1 * c2 - D[0] * D[2]) / D[1]
+    ok = np.abs(c4) > 1e-12 * sc2
+    safe = np.where(ok, c4, 1.0)
+    return [c1, c2, (c1 * D[3] + D[2] * D[4]) / safe, c4,
+            (c2 * D[4] + D[3] * D[0]) / safe], ok
+
+
+def _chart_n6(D, sc2, c1, c2, c3):
+    q = -D[4] * (c1 * c2 - D[0] * D[2]) / D[1]
+    ok = np.abs(q) > 1e-12 * sc2 * sc2
+    qs = np.where(ok, q, 1.0)
+    c5 = (D[4] * c1 * D[3] + c3 * qs) / (D[4] * D[2])
+    regular = np.abs(c5) > 1e-12 * sc2
+    c4 = (qs + D[3] * D[5]) / np.where(regular, c5, 1.0)
+    c6 = D[4] * (c4 * D[0] - D[5] * c2) / qs
+    return [c1, c2, c3, c4, c5, c6], ok & regular
+
+
+_CHARTS = {5: _chart_n5, 6: _chart_n6}
+
+
+def _variety_point(poly: OrbitPolygon, params, shift: int):
+    D = np.roll(poly.delta, -shift)
+    cols, ok = _CHARTS[poly.n](
+        D, poly.scale**2, *(np.asarray(p, dtype=float) for p in params))
+    c = np.stack(np.broadcast_arrays(*cols), axis=-1)
+    if shift:
+        c = np.roll(c, shift, axis=-1)
+    return c, ok & np.all(np.isfinite(c), axis=-1)
+
 
 def variety_point_n5(poly: OrbitPolygon, c1, c2, shift: int = 0):
     """Complete (c1, c2) to a full variety point, cyclically shifted charts.
@@ -252,47 +293,14 @@ def variety_point_n5(poly: OrbitPolygon, c1, c2, shift: int = 0):
     """
     if poly.n != 5:
         raise WrongPeriod("n = 5 required")
-    D = np.roll(poly.delta, -shift)
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    tiny = 1e-12 * poly.scale**2
-    c3 = (c1 * c2 - D[0] * D[2]) / D[1]
-    ok = np.abs(c3) > tiny
-    safe = np.where(ok, c3, 1.0)
-    cvals = [
-        c1,
-        c2,
-        (c1 * D[3] + D[2] * D[4]) / safe,
-        c3,
-        (c2 * D[4] + D[3] * D[0]) / safe,
-    ]
-    c = np.stack(np.broadcast_arrays(*cvals), axis=-1)
-    if shift:
-        c = np.roll(c, shift, axis=-1)
-    return c, ok & np.all(np.isfinite(c), axis=-1)
+    return _variety_point(poly, (c1, c2), shift)
 
 
 def variety_point_n6(poly: OrbitPolygon, c1, c2, c3, shift: int = 0):
     """Complete (c1, c2, c3) to a full variety point for hexagons."""
     if poly.n != 6:
         raise WrongPeriod("n = 6 required")
-    D = np.roll(poly.delta, -shift)
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    c3 = np.asarray(c3, dtype=float)
-    sc2 = poly.scale**2
-    q = -D[4] * (c1 * c2 - D[0] * D[2]) / D[1]
-    ok = np.abs(q) > 1e-12 * sc2 * sc2
-    qs = np.where(ok, q, 1.0)
-    c5 = (D[4] * c1 * D[3] + c3 * qs) / (D[4] * D[2])
-    ok = ok & (np.abs(c5) > 1e-12 * sc2)
-    c5s = np.where(np.abs(c5) > 1e-12 * sc2, c5, 1.0)
-    c4 = (qs + D[3] * D[5]) / c5s
-    c6 = D[4] * (c4 * D[0] - D[5] * c2) / qs
-    c = np.stack(np.broadcast_arrays(c1, c2, c3, c4, c5, c6), axis=-1)
-    if shift:
-        c = np.roll(c, shift, axis=-1)
-    return c, ok & np.all(np.isfinite(c), axis=-1)
+    return _variety_point(poly, (c1, c2, c3), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +480,10 @@ def convex_element_search(
     if n == 4:
         cands = _candidates_n4(poly, budget)
     elif n == 5:
-        cands = _candidates_chart(poly, budget, dim=2)
+        cands = _candidates_chart(poly, budget)
         cands.append(-poly.dvec)
     elif n == 6:
-        cands = _candidates_chart(poly, budget, dim=3)
+        cands = _candidates_chart(poly, budget)
         cands.append(-poly.dvec)
         cands.append(poly.dvec.copy())
     else:
@@ -496,15 +504,21 @@ def convex_element_search(
     return best
 
 
+def search_box(poly: OrbitPolygon) -> tuple[np.ndarray, np.ndarray]:
+    """The box lo <= c <= d that the search samples.  Its lower side is a
+    heuristic bound, not a proved one."""
+    d = poly.dvec
+    return -3.0 * np.abs(d) - 3.0 * float(np.mean(poly.delta)), d
+
+
 def _candidates_n4(poly: OrbitPolygon, budget: SearchBudget) -> list[np.ndarray]:
     """Conic sweep c = (t, K/t, -t, -K/t) plus its degenerate branches."""
     D = poly.delta
-    d = poly.dvec
+    lo, d = search_box(poly)
     K = D[0] * D[2] - D[1] * D[3]
     sc2 = poly.scale**2
     tiny = 1e-12 * sc2
     cands = [d.copy()]
-    lo = -3.0 * np.abs(d) - 3.0 * float(np.mean(D))
     for t in np.linspace(lo[0], d[0], budget.grid):
         if abs(t) > tiny:
             cands.append(np.array([t, K / t, -t, -K / t]))
@@ -518,83 +532,95 @@ def _candidates_n4(poly: OrbitPolygon, budget: SearchBudget) -> list[np.ndarray]
     return cands
 
 
-def _chart_point(poly: OrbitPolygon, params: np.ndarray, shift: int):
-    if poly.n == 5:
-        return variety_point_n5(poly, params[..., 0], params[..., 1], shift)
-    return variety_point_n6(
-        poly, params[..., 0], params[..., 1], params[..., 2], shift
-    )
+def _grid_params(axes: np.ndarray) -> list[np.ndarray]:
+    """Broadcastable coordinates of per-chart tensor grids: ``axes[:, s, a]``
+    holds the samples of coordinate a on the s-th chart of the batch."""
+    g, S, dim = axes.shape
+    return [axes[:, :, a].T.reshape((S,) + (1,) * a + (g,) + (1,) * (dim - 1 - a))
+            for a in range(dim)]
 
 
-def _best_on_chart(
-    poly: OrbitPolygon, params: np.ndarray, shift: int
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Score a batch of chart parameters by the slack min(d - c)."""
-    c, ok = _chart_point(poly, params, shift)
-    if not np.any(ok):
-        return -np.inf, None, None
-    c = c[ok]
-    margins = np.min(poly.dvec - c, axis=-1)
-    k = int(np.argmax(margins))
-    return float(margins[k]), c[k], params[ok][k]
+class ChartSweep:
+    """The n shifted charts of one pentagon or hexagon, with the constants
+    every batch of chart parameters shares: the rolled local areas and skip
+    determinants, and the search box per chart coordinate."""
+
+    def __init__(self, poly: OrbitPolygon):
+        n = poly.n
+        self.n, self.dim, self.sc2 = n, n - 3, poly.scale**2
+        self.roll = (np.arange(n)[:, None] + np.arange(n)) % n  # row s: roll by -s
+        self.delta = poly.delta[self.roll]
+        self.dvec = poly.dvec[self.roll]
+        self.lo, self.hi = (x[self.roll[:, :self.dim]] for x in search_box(poly))
+
+    def best(self, shifts: np.ndarray, params: list[np.ndarray]):
+        """Best slack min(d - c) per chart over a batch of parameters, one
+        array per chart coordinate, each broadcasting to (len(shifts), ...).
+        Ties go to the first point in C order, as in an argmax over the
+        stacked regular points.  Returns (slack, c, params) per chart; slack
+        is -inf where no parameter value is regular."""
+        S = len(shifts)
+        ext = (self.n, S) + (1,) * (np.ndim(params[0]) - 1)
+        D, dv = (x[shifts].T.reshape(ext) for x in (self.delta, self.dvec))
+        cols, ok = _CHARTS[self.n](D, self.sc2, *params)
+        slack = dv[0] - cols[0]
+        for dk, col in zip(dv, cols):
+            ok = ok & np.isfinite(col)
+            slack = np.minimum(slack, dk - col)
+        shape = ok.shape
+        score = np.where(ok, slack, -np.inf).reshape(S, math.prod(shape[1:]))
+        k = np.argmax(score, axis=1)
+        rows = np.arange(S)
+        at = (rows,) + np.unravel_index(k, shape[1:])
+        win = np.stack([np.broadcast_to(col, shape)[at] for col in cols], axis=1)
+        c = np.empty_like(win)
+        c[rows[:, None], self.roll[shifts]] = win
+        return score[rows, k], c, win[:, :self.dim]
+
+    def sweep(self, grid: int):
+        """Coarse grid^dim sweep of every chart across the box.  Hexagon
+        grids run one chart at a time: their temporaries then stay small,
+        which measured faster than one batch of all six charts."""
+        axes = np.linspace(self.lo, self.hi, grid)
+        step = self.n if self.dim == 2 else 1
+        parts = [self.best(np.arange(s, s + step), _grid_params(axes[:, s:s + step]))
+                 for s in range(0, self.n, step)]
+        return tuple(np.concatenate(x) for x in zip(*parts))
+
+    def refine(self, start, span, budget: SearchBudget):
+        """Shrinking local grids around each regular point of a start batch
+        (one row per chart), the rounds in sequence and each over all those
+        charts at once.  Returns the candidates, each start followed by its
+        refinement, in chart order, and the best slack per refined chart."""
+        m, c, center = start
+        found = m > -np.inf
+        shifts, center, span = np.flatnonzero(found), center[found], span[found]
+        best_m, best_c = np.full(len(shifts), -np.inf), np.empty((len(shifts), self.n))
+        for _ in range(budget.zoom_rounds):
+            axes = np.linspace(center - span, center + span, budget.zoom_grid)
+            mz, cz, p = self.best(shifts, _grid_params(axes))
+            better = mz > best_m
+            best_m[better], best_c[better] = mz[better], cz[better]
+            center = np.where(better[:, None], p, center)
+            span = span / 4.0
+        cands = []
+        for c_start, c_zoom, m_zoom in zip(c[found], best_c, best_m):
+            cands.append(c_start)
+            if m_zoom > -np.inf:
+                cands.append(c_zoom)
+        return cands, np.maximum(m[found], best_m)
 
 
-def _zoom(poly: OrbitPolygon, p0: np.ndarray, span: np.ndarray, shift: int,
-          budget: SearchBudget) -> tuple[float, np.ndarray | None]:
-    """Shrinking local grids around a start; deterministic refinement."""
-    best_m, best_c = -np.inf, None
-    center = p0.copy()
-    for _ in range(budget.zoom_rounds):
-        axes = [np.linspace(center[a] - span[a], center[a] + span[a],
-                            budget.zoom_grid) for a in range(len(center))]
-        grids = np.meshgrid(*axes, indexing="ij")
-        params = np.stack(grids, axis=-1).reshape(-1, len(center))
-        m, c, p = _best_on_chart(poly, params, shift)
-        if c is not None and m > best_m:
-            best_m, best_c, center = m, c, p
-        span = span / 4.0
-    return best_m, best_c
-
-
-def _candidates_chart(
-    poly: OrbitPolygon, budget: SearchBudget, dim: int
-) -> list[np.ndarray]:
-    n = poly.n
-    d = poly.dvec
-    lo = -3.0 * np.abs(d) - 3.0 * float(np.mean(poly.delta))
-    out: list[np.ndarray] = []
-    eps = convexity_tol(poly)
-    any_feasible = False
-
-    for shift in range(n):
-        idx = [(shift + k) % n for k in range(dim)]
-        axes = [np.linspace(lo[i], d[i], budget.grid) for i in idx]
-        grids = np.meshgrid(*axes, indexing="ij")
-        params = np.stack(grids, axis=-1).reshape(-1, dim)
-        m, c, p = _best_on_chart(poly, params, shift)
-        if c is None:
-            continue
-        out.append(c)
-        cell = np.array([(d[i] - lo[i]) / (budget.grid - 1) for i in idx])
-        mz, cz = _zoom(poly, p, cell, shift, budget)
-        if cz is not None:
-            out.append(cz)
-            m = max(m, mz)
-        any_feasible = any_feasible or m >= -eps
-
-    if not any_feasible and budget.starts > 0:
+def _candidates_chart(poly: OrbitPolygon, budget: SearchBudget) -> list[np.ndarray]:
+    charts = ChartSweep(poly)
+    box = charts.hi - charts.lo
+    out, best = charts.refine(charts.sweep(budget.grid), box / (budget.grid - 1), budget)
+    if not np.any(best >= -convexity_tol(poly)) and budget.starts > 0:
         # Random extra starts across the box, refined the same way.
         rng = np.random.default_rng(budget.seed)
-        for shift in range(n):
-            idx = [(shift + k) % n for k in range(dim)]
-            low = np.array([lo[i] for i in idx])
-            high = np.array([d[i] for i in idx])
-            params = rng.uniform(low, high, size=(budget.starts // n + 1, dim))
-            m, c, p = _best_on_chart(poly, params, shift)
-            if c is None:
-                continue
-            out.append(c)
-            mz, cz = _zoom(poly, p, (high - low) / budget.grid, shift, budget)
-            if cz is not None:
-                out.append(cz)
+        size = (budget.starts // charts.n + 1, charts.dim)
+        starts = np.stack([rng.uniform(lo, hi, size=size)
+                           for lo, hi in zip(charts.lo, charts.hi)])
+        batch = charts.best(np.arange(charts.n), list(np.moveaxis(starts, -1, 0)))
+        out += charts.refine(batch, box / budget.grid, budget)[0]
     return out

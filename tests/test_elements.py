@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from outerlab.elements import (
+    ChartSweep,
     CurvatureProfile,
     SearchBudget,
+    _grid_params,
     build_matrix_C,
     classify_paradoxical,
     convex_element_search,
@@ -207,6 +209,85 @@ def test_chart_points_are_integral(sampled):
                 )
             for cc in c[ok]:
                 assert is_integral_element(poly, cc)
+
+
+def _dense_best(poly, shift, params):
+    """Reference chart scorer: stack every point, mask, argmax over the
+    regular ones.  ``params`` is (N, dim)."""
+    point = variety_point_n5 if poly.n == 5 else variety_point_n6
+    c, ok = point(poly, *params.T, shift=shift)
+    if not np.any(ok):
+        return -np.inf, None, None
+    c = c[ok]
+    margins = np.min(poly.dvec - c, axis=-1)
+    k = int(np.argmax(margins))
+    return float(margins[k]), c[k], params[ok][k]
+
+
+def _chart_axes(poly, charts, rng):
+    """Per-shift axis sets (g, n, dim): the coarse grid, a zoom-sized grid,
+    and the coarse grid plus two nodes where the chart degenerates."""
+    n, dim = poly.n, poly.n - 3
+    lo, hi = charts.lo, charts.hi
+    coarse = np.linspace(lo, hi, 21)
+    center = rng.uniform(lo, hi)
+    zoom = np.linspace(center - (hi - lo) / 20, center + (hi - lo) / 20, 9)
+    # second extra node: products overflow, so columns go non-finite
+    extra = np.full((2, n, dim), 1e200)
+    for s in range(n):
+        D = np.roll(poly.delta, -s)
+        extra[0, s, :2] = D[0], D[2]  # c1 c2 = D0 D2: the rational part is singular
+        if dim == 3:
+            # a c3 that makes c5 vanish at the first (c1, c2) grid node
+            c1, c2 = coarse[0, s, 0], coarse[0, s, 1]
+            q = -D[4] * (c1 * c2 - D[0] * D[2]) / D[1]
+            extra[0, s, 2] = -D[4] * c1 * D[3] / q
+    return {"coarse": coarse, "zoom": zoom,
+            "degenerate": np.concatenate([coarse, extra])}
+
+
+@pytest.mark.parametrize("key", [(5, 1), (5, 2), (6, 1), (6, 2)])
+def test_chart_scorer_matches_dense_reference(sampled, key):
+    # the column-wise scorer must reproduce the stacked evaluation bit for
+    # bit, ties included, on grids and on random batches, all shifts at once
+    rng = np.random.default_rng(31)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _check_chart_scorer(sampled[key][:3], rng)
+
+
+def _check_chart_scorer(polys, rng):
+    for poly in polys:
+        n, dim = poly.n, poly.n - 3
+        point = variety_point_n5 if n == 5 else variety_point_n6
+        charts = ChartSweep(poly)
+        shifts = np.arange(n)
+        batches = {}
+        for name, axes in _chart_axes(poly, charts, rng).items():
+            nodes = [np.stack(np.meshgrid(*axes[:, s].T, indexing="ij"), axis=-1)
+                     for s in shifts]
+            batches[name] = (_grid_params(axes), [x.reshape(-1, dim) for x in nodes])
+        starts = rng.uniform(charts.lo, charts.hi, size=(40, n, dim)).transpose(1, 0, 2)
+        batches["random"] = (list(np.moveaxis(starts, -1, 0)), list(starts))
+
+        for name, (params, dense) in batches.items():
+            m, c, p = charts.best(shifts, params)
+            for s in shifts:
+                want_m, want_c, want_p = _dense_best(poly, s, dense[s])
+                assert m[s] == want_m, (name, s)
+                if want_c is None:
+                    continue
+                assert np.array_equal(c[s], want_c), (name, s)
+                assert np.array_equal(p[s], want_p), (name, s)
+
+        # the degenerate nodes really are masked out
+        for s in shifts:
+            _, ok = point(poly, *batches["degenerate"][1][s].T, shift=s)
+            ok = ok.reshape((23,) * dim)
+            assert not ok[-2, -2].any()  # the singular (c1, c2) node
+            assert not ok[-1, -1].any()  # the overflowing node
+            if dim == 3:
+                assert not ok[0, 0, -2]  # c5 = 0 while q != 0
+                assert ok[0, 0, :-2].any()
 
 
 def test_is_convex_element_gate(square, sampled):

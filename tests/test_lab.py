@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from outerlab import lab
 from outerlab.elements import classify_paradoxical, make_element
 from outerlab.errors import InputError, SamplerExhausted
 from outerlab.jsonio import dumps_canonical, report_to_dict
@@ -110,3 +111,18 @@ def test_paradoxical_scan_spiked_half_hits():
     # must surface at least one paradoxical example
     scan = search_paradoxical(samples=40, seed=12)
     assert len(scan.finds) > 0
+
+
+def test_n62_paradoxical_cap_records_failure(monkeypatch):
+    # a sampler that only ever yields paradoxical hexagons must end each
+    # trial at the cap with a replay bundle instead of looping forever
+    monkeypatch.setattr(lab, "classify_paradoxical", lambda poly: True)
+    monkeypatch.setattr(lab, "MAX_PARADOXICAL_DRAWS", 3)
+    rep = verify_theorem_n62(trials=2, seed=5, controls=0)
+    capped = [b for b in rep.failure_bundles if b["label"] == "n62-paradoxical-cap"]
+    assert len(capped) == 2
+    for b in capped:
+        assert len(b["vertices"]) == 6 and b["candidate_c"] is None
+    assert "6 paradoxical samples discarded" in rep.notes
+    # two capped trials, plus the missing interior control (controls=0)
+    assert rep.failures == 3
