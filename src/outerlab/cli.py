@@ -81,7 +81,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     rec = iterate(curve, z0, steps=args.steps, tol=tol)
     payload = jsonio.record_to_dict(rec)
     if rec.period is not None:
-        poly = orbit_to_polygon(rec)
+        poly = orbit_to_polygon(rec, curve)
         payload["orbit_polygon"] = jsonio.polygon_to_dict(poly)
     _emit(payload, args.json)
     if args.svg:

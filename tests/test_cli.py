@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from outerlab import jsonio
+from outerlab import cli, jsonio
 from outerlab.cli import main
 from outerlab.dynamics import ConvexCurve
 from outerlab.geometry import derive_orbit_polygon, regular_star
@@ -52,6 +52,26 @@ def test_orbit_periodic(tmp_path, tri_curve_file):
     assert payload["closure_residual"] == 0.0
     assert payload["singular_flag"] is False
     assert len(payload["orbit_polygon"]["vertices"]) == 6
+
+
+def test_orbit_polygon_checked_against_curve(tmp_path, tri_curve_file, monkeypatch):
+    # the midpoint check runs only when the curve reaches orbit_polygon
+    seen = []
+    real = cli.orbit_to_polygon
+
+    def spy(rec, curve=None, tol=None):
+        seen.append(curve)
+        return real(rec, curve, tol)
+
+    monkeypatch.setattr(cli, "orbit_to_polygon", spy)
+    code, payload = run_json(
+        tmp_path,
+        ["orbit", tri_curve_file, "--start", "0,-1", "--steps", "60"],
+    )
+    assert code == 0
+    assert len(payload["orbit_polygon"]["vertices"]) == 6
+    assert len(seen) == 1 and isinstance(seen[0], ConvexCurve)
+    assert np.array_equal(seen[0].points, TRIANGLE_VERTICES)
 
 
 def test_orbit_svg_written(tmp_path, tri_curve_file):

@@ -5,11 +5,16 @@ The triangle period-6 orbit used here was worked out by hand: starting at
 alternating vertices close the hexagon exactly, winding around twice.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from outerlab.dynamics import (
+    SINGULAR_ABORT,
     ConvexCurve,
+    _support,
     iterate,
     orbit_polygon,
     outer_map,
@@ -23,7 +28,7 @@ from outerlab.errors import (
     SingularOrbit,
     ValidationFailed,
 )
-from outerlab.geometry import det2
+from outerlab.geometry import det2, inner2
 
 from conftest import SQUARE_VERTICES, TRIANGLE_VERTICES
 
@@ -207,3 +212,253 @@ def test_circle_orbit_stays_on_invariant_ring(circle):
     for _ in range(25):
         z = outer_map(circle, z)
         assert abs(np.hypot(*z) - radius) < 1e-4
+
+
+# Reference support: the per-vertex loop and the bisection on numpy scalars
+# that the vectorized and plain-float forms in outerlab.dynamics replace.
+# Both must give the same support point and margin, bit for bit.
+
+
+def _ref_support_polygon(curve, z):
+    v = curve.points
+    u = v - z
+    best = 0
+    for j in range(1, len(v)):
+        if u[best, 0] * u[j, 1] - u[best, 1] * u[j, 0] < 0.0:
+            best = j
+    cross = det2(u[best], u)
+    norms = np.hypot(u[:, 0], u[:, 1]) * float(np.hypot(*u[best]))
+    sines = cross / norms
+    sines[best] = np.inf
+    margin = float(np.min(np.abs(sines)))
+    if np.min(sines) < -SINGULAR_ABORT:
+        raise SingularLine("no single clockwise-most vertex; z sees a tie")
+    return v[best].copy(), margin
+
+
+def _ref_support_smooth(curve, z):
+    p = curve.points
+    t = curve.tangents
+    g = det2(p - z, t)
+    sign = np.sign(g)
+    nzi = np.nonzero(sign != 0)[0]
+    if nzi.size < 2:
+        raise SingularLine("sight function vanishes along the whole boundary")
+    s = sign[nzi]
+    flips = np.nonzero(s != np.roll(s, -1))[0]
+    if len(flips) != 2:
+        raise SingularLine("tangency condition is not a pair of simple roots")
+    centroid = np.mean(p, axis=0)
+    chosen = None
+    for f in flips:
+        k = int(nzi[f])
+        k2 = int(nzi[(f + 1) % nzi.size])
+        gap = (k2 - k) % len(p)
+        if gap > 1:
+            q = p[(k + gap // 2) % len(p)]
+        else:
+            a, b = p[k], p[k2]
+            ta, tb = t[k], t[k2]
+            ga = g[k]
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                q = (1 - mid) * a + mid * b
+                tq = (1 - mid) * ta + mid * tb
+                gm = det2(q - z, tq)
+                if (gm > 0) == (ga > 0):
+                    lo = mid
+                    ga = gm
+                else:
+                    hi = mid
+            q = (1 - 0.5 * (lo + hi)) * a + 0.5 * (lo + hi) * b
+        if det2(q - z, centroid - z) > 0:
+            chosen = q
+    if chosen is None:
+        raise SingularLine("no supporting point with the curve on the left")
+    lo, hi = np.min(p, axis=0), np.max(p, axis=0)
+    diameter = float(np.hypot(*(hi - lo)))
+    u = p - z
+    uc = chosen - z
+    sines = det2(uc, u) / (np.hypot(*uc) * np.hypot(u[:, 0], u[:, 1]))
+    ahead = inner2(u, uc) > 0
+    far = np.hypot(*(p - chosen).T) > 2.0 * diameter / len(p) * 4.0
+    mask = ahead & far
+    margin = float(np.min(np.abs(sines[mask]))) if np.any(mask) else 1.0
+    return chosen, margin
+
+
+def _ref_support(curve, z):
+    p = curve.points
+    lo, hi = np.min(p, axis=0), np.max(p, axis=0)
+    diameter = float(np.hypot(*(hi - lo)))
+    side = det2(np.roll(p, -1, axis=0) - p, z - p)
+    if np.all(side >= -1e-12 * diameter**2):
+        raise InsideCurve("the outer map needs a point strictly outside the curve")
+    if curve.kind == "polygon":
+        q, margin = _ref_support_polygon(curve, z)
+    else:
+        q, margin = _ref_support_smooth(curve, z)
+    if margin <= SINGULAR_ABORT:
+        raise SingularLine("supporting line meets the curve in more than one point")
+    return q, margin
+
+
+def _ref_distance(curve, q):
+    a = curve.points
+    b = np.roll(a, -1, axis=0)
+    ab = b - a
+    tt = np.clip(np.sum((q - a) * ab, axis=1) / np.sum(ab * ab, axis=1), 0.0, 1.0)
+    proj = a + tt[:, None] * ab
+    return float(np.min(np.hypot(*(q - proj).T)))
+
+
+def _outcome(fn, curve, z):
+    try:
+        q, margin = fn(curve, z)
+    except (InsideCurve, SingularLine) as exc:
+        return type(exc)
+    return q.tolist(), margin
+
+
+def _assert_support_matches(curve, starts):
+    """Same point and margin (==), or the same exception, at every start;
+    returns how many starts gave a regular support point."""
+    regular = 0
+    for z in starts:
+        got = _outcome(_support, curve, z)
+        assert got == _outcome(_ref_support, curve, z), z.tolist()
+        regular += isinstance(got, tuple)
+    return regular
+
+
+def _random_convex_polygon(rng):
+    k = int(rng.integers(3, 13))
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+    ring = np.column_stack([np.cos(ang), np.sin(ang)])
+    shear = np.array([[rng.uniform(0.5, 2.0), rng.uniform(-0.5, 0.5)],
+                      [0.0, rng.uniform(0.5, 2.0)]])
+    return ConvexCurve.polygon(ring @ shear.T + rng.normal(size=2))
+
+
+def _starts_around(curve, rng, count, lo=0.8, hi=4.0):
+    ang = rng.uniform(0.0, 2.0 * np.pi, count)
+    rad = 0.5 * curve.diameter * rng.uniform(lo, hi, count)
+    return curve.centroid + rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def test_support_matches_reference_on_random_polygons():
+    rng = np.random.default_rng(2024)
+    regular = total = 0
+    for _ in range(60):
+        try:
+            curve = _random_convex_polygon(rng)
+        except InputError:  # two angles too close for strict convexity
+            continue
+        starts = _starts_around(curve, rng, 20)
+        regular += _assert_support_matches(curve, starts)
+        total += len(starts)
+        # just outside an edge: inside by tolerance, singular, then regular
+        e = curve.edges
+        normal = np.column_stack([e[:, 1], -e[:, 0]]) / np.sqrt(curve.edge_len2)[:, None]
+        push = curve.diameter * 10.0 ** rng.uniform(-15.0, -3.0, (len(e), 1))
+        _assert_support_matches(curve, curve.points + 0.5 * e + push * normal)
+    assert regular > total // 2
+
+
+def test_support_matches_reference_on_lattice_polygon():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(path.read_text(encoding="utf-8"))
+    curve = ConvexCurve.polygon(ref["polygon"])
+    for entry in ref["starts"]:
+        z = np.asarray(entry["start"], dtype=float)
+        orbit = [z]
+        for _ in range(min(entry["period"], 24)):
+            q, _ = _ref_support(curve, z)
+            z = 2.0 * q - z
+            orbit.append(z)
+        assert _assert_support_matches(curve, orbit) == len(orbit)
+    rng = np.random.default_rng(7)
+    _assert_support_matches(curve, _starts_around(curve, rng, 200, 0.9, 3.0))
+
+
+def test_support_matches_reference_on_smooth_curves():
+    rng = np.random.default_rng(11)
+    circle = ConvexCurve.circle()
+    th = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    ellipse = ConvexCurve.smooth(np.column_stack([2.0 * np.cos(th), np.sin(th)]))
+    for curve in (circle, ellipse):
+        starts = _starts_around(curve, rng, 30, 1.05, 3.0)
+        assert _assert_support_matches(curve, starts) == len(starts)
+        pick = curve.points[rng.integers(0, len(curve.points), 10)]
+        inside = curve.centroid + rng.uniform(0.0, 0.95, (10, 1)) * (pick - curve.centroid)
+        assert _assert_support_matches(curve, inside) == 0
+    # The tangent x = 1 touches the unit circle exactly at the sample (1, 0):
+    # the sight function is exactly zero there, the bisection is skipped.
+    assert _assert_support_matches(circle, [np.array([1.0, -2.0])]) == 1
+    assert tangency_point(circle, [1.0, -2.0]).tolist() == [1.0, 0.0]
+
+
+def test_edge_extension_is_singular_in_both_supports():
+    rng = np.random.default_rng(5)
+    curves = [ConvexCurve.polygon(TRIANGLE_VERTICES), ConvexCurve.polygon(SQUARE_VERTICES)]
+    curves += [_random_convex_polygon(rng) for _ in range(6)]
+    for curve in curves:
+        v, e = curve.points, curve.edges
+        for k in range(len(v)):
+            # behind the edge's tail, the support line contains the edge
+            z = v[k] - rng.uniform(0.2, 3.0) * e[k]
+            with pytest.raises(SingularLine):
+                _support(curve, z)
+            with pytest.raises(SingularLine):
+                _ref_support(curve, z)
+            # beyond its head the edge's line is a secant, and the map is regular
+            z = v[(k + 1) % len(v)] + rng.uniform(0.2, 3.0) * e[k]
+            assert _assert_support_matches(curve, [z]) == 1
+
+
+def test_distance_to_boundary_array_matches_points():
+    rng = np.random.default_rng(13)
+    th = np.linspace(0.0, 2.0 * np.pi, 700, endpoint=False)
+    curves = [
+        ConvexCurve.polygon(SQUARE_VERTICES),
+        ConvexCurve.polygon(TRIANGLE_VERTICES),
+        ConvexCurve.smooth(np.column_stack([2.0 * np.cos(th), np.sin(th)])),
+    ]
+    for curve in curves:
+        q = rng.normal(scale=curve.diameter, size=(3, 7, 2))
+        got = curve.distance_to_boundary(q)
+        assert got.shape == (3, 7)
+        want = [[curve.distance_to_boundary(x) for x in row] for row in q]
+        assert isinstance(want[0][0], float)
+        assert got.tolist() == want
+        assert want == [[_ref_distance(curve, x) for x in row] for row in q]
+
+
+def test_circle_map_against_exact_rotation():
+    # Around a circle of radius 1 the exact map keeps r = |z| and turns z
+    # counterclockwise by 2 arccos(1/r).  The sampled model reflects through
+    # a chord point q with the interpolated tangent; on a circle that tangent
+    # is q turned by 90 degrees, so q.z = |q|^2 and |z| is kept exactly,
+    # while the turn is 2 arccos(|q|/r).  With |q| >= cos(pi/N) this exceeds
+    # the exact turn by at most 2 (1 - cos(pi/N)) / sqrt(r^2 - 1), which the
+    # chord midpoints reach (measured: up to 3.6e-6 at N = 2048 for these
+    # starts).  1e-12 absorbs round-off in the angle itself.
+    samples = 2048
+    circle = ConvexCurve.circle(1.0, samples=samples)
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for _ in range(6):
+        r0 = rng.uniform(1.1, 3.0)
+        a = rng.uniform(0.0, 2.0 * np.pi)
+        rec = iterate(circle, r0 * np.array([np.cos(a), np.sin(a)]), steps=40)
+        z, w = rec.points[:-1], rec.points[1:]
+        r = np.hypot(z[:, 0], z[:, 1])
+        turn = np.arctan2(det2(z, w), inner2(z, w))
+        err = turn - 2.0 * np.arccos(1.0 / r)
+        bound = 2.0 * (1.0 - np.cos(np.pi / samples)) / np.sqrt(r**2 - 1.0)
+        assert np.all(err >= -1e-12)
+        assert np.all(err <= bound + 1e-12)
+        assert np.max(np.abs(np.hypot(*rec.points.T) - r0)) < 1e-9
+        worst = max(worst, float(np.max(err)))
+    assert 1e-6 < worst < 1e-5
