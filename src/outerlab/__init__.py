@@ -19,7 +19,6 @@ from .elements import (
     CurvatureProfile,
     CyclicMatrixC,
     IntegralElement,
-    RankTolerance,
     SearchBudget,
     build_matrix_C,
     classify_paradoxical,
@@ -69,7 +68,7 @@ __all__ = [
     "OrbitPolygon", "derive_orbit_polygon", "det2", "inner2",
     "polygon_area", "regular_star", "diameter",
     "CyclicMatrixC", "IntegralElement", "CurvatureProfile",
-    "RankTolerance", "SearchBudget",
+    "SearchBudget",
     "build_matrix_C", "numerical_rank", "make_element",
     "special_element_minus", "special_element_plus",
     "is_integral_element", "is_convex_element",

@@ -17,7 +17,7 @@ import numpy as np
 from . import jsonio
 from .dynamics import iterate, orbit_polygon as orbit_to_polygon
 from .elements import (
-    RankTolerance,
+    INTEGRAL_TOL,
     SearchBudget,
     curvature_from_element,
     make_element,
@@ -110,12 +110,7 @@ def cmd_element(args: argparse.Namespace) -> int:
     else:
         raise InputError("pass --c or one of --special-minus / --special-plus")
     convex_tol = args.tol_convex * poly.scale**2
-    el = make_element(
-        poly, c,
-        rank_tol=RankTolerance(rel=args.tol_rank),
-        variety_tol=args.tol_variety,
-        convex_tol=convex_tol,
-    )
+    el = make_element(poly, c, tol=args.tol_integral, convex_tol=convex_tol)
     payload = {
         "n": poly.n,
         "winding": poly.winding,
@@ -187,10 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use c = -d")
     p.add_argument("--special-plus", action="store_true",
                    help="use c = +d (even n)")
-    p.add_argument("--tol-rank", type=float, default=1e-9,
-                   help="relative singular-value threshold")
-    p.add_argument("--tol-variety", type=float, default=1e-8,
-                   help="relative variety-residual tolerance")
+    p.add_argument("--tol-integral", type=float, default=INTEGRAL_TOL,
+                   help="integrality threshold on the scaled monodromy "
+                        "residual (default %(default)s)")
     p.add_argument("--tol-convex", type=float, default=1e-12,
                    help="convexity slack relative to scale^2")
     common(p)

@@ -35,7 +35,7 @@ SINGULAR_ABORT = 1e-10
 SINGULAR_FLAG = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexCurve:
     """A strictly convex closed curve, counterclockwise.
 
@@ -141,7 +141,7 @@ class ConvexCurve:
         return float(dist) if dist.ndim == 0 else dist
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitRecord:
     """Forward orbit data: points[k+1] = F(points[k]).
 

@@ -7,6 +7,10 @@ A coefficient vector c is an *integral element* when rank C(c) = n - 2; it is
 are exactly the candidates compatible with a convex billiard curve, equality
 c_i = d_i encoding a corner of the curve at the edge midpoint.
 
+Integrality is decided in O(n) by the 2 x 2 monodromy of the recurrence
+(``monodromy_residual``); the dense matrix, its SVD and the variety
+equations remain as reference and reporting tools.
+
 For n = 4, 5, 6 the rank condition is equivalent to explicit polynomial
 systems, and those systems admit rational charts: fixing the first two
 (n = 5) or three (n = 6) coordinates determines the rest.  The convex-element
@@ -17,7 +21,8 @@ candidate it scores already sits on the variety to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -34,14 +39,17 @@ from .errors import (
 from .geometry import OrbitPolygon
 
 RANK_REL_DEFAULT = 1e-9
-VARIETY_REL_DEFAULT = 1e-8
 
-
-@dataclass(frozen=True)
-class RankTolerance:
-    """Relative singular-value threshold for numerical rank decisions."""
-
-    rel: float = RANK_REL_DEFAULT
+# Integrality threshold on the scaled monodromy residual (monodromy_residual).
+# Round-off in the product is at most about 2 n u (u = 1.1e-16, the unit
+# round-off) after the scaling: 2.7e-15 at n = 12.  On exact elements of
+# sampler polygons at the angle and length floors (c = -d, c = +d, conic and
+# chart candidates) the scaled residual stayed at or below 1.5e-16, while
+# moving one entry of -d by 1e-3 of max|d| gave at least 1.4e-11.  The
+# threshold sits between, 37x above the round-off bound.  The unscaled
+# residual reached 1.4e-9 on exact chart candidates of those polygons, so a
+# fixed threshold on it would depend on the polygon's conditioning.
+INTEGRAL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,7 @@ class SearchBudget:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclicMatrixC:
     """The n x n band-cyclic matrix C(c) of an orbit polygon."""
 
@@ -76,13 +84,15 @@ class CyclicMatrixC:
     delta: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegralElement:
     """A coefficient vector c on an orbit polygon, with its classification.
 
-    ``rank_margin`` is the relative spectral gap at the rank n - 2 cut:
-    (sigma_{n-3} - sigma_{n-2}) / sigma_0.  Values near zero mean the rank
-    decision is ill-conditioned and the sample should be treated as suspect.
+    ``is_valid`` is the monodromy verdict of :func:`make_element`.
+    ``rank_margin`` is the relative spectral gap of C(c) at the rank n - 2
+    cut, (sigma_{n-3} - sigma_{n-2}) / sigma_0, from an SVD that runs only
+    when the attribute is first read.  Values near zero mean the rank is
+    ill-conditioned and the sample should be treated as suspect.
     """
 
     base: OrbitPolygon
@@ -91,10 +101,15 @@ class IntegralElement:
     is_convex: bool
     is_special_minus: bool
     is_special_plus: bool
-    rank_margin: float
+
+    @cached_property
+    def rank_margin(self) -> float:
+        sv = np.linalg.svd(build_matrix_C(self.base, self.c).entries, compute_uv=False)
+        n = self.base.n
+        return 0.0 if sv[0] == 0.0 else float((sv[n - 3] - sv[n - 2]) / sv[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureProfile:
     """Curvatures at the edge midpoints; np.inf marks a corner."""
 
@@ -111,15 +126,20 @@ def convexity_tol(poly: OrbitPolygon) -> float:
     return 1e-12 * poly.scale**2
 
 
+def _coefficients(poly: OrbitPolygon, c) -> np.ndarray:
+    poly.require_locally_convex()
+    c = np.asarray(c, dtype=float)
+    if c.shape != (poly.n,):
+        raise WrongPeriod(f"coefficient vector must have length {poly.n}")
+    return c
+
+
 def build_matrix_C(poly: OrbitPolygon, c) -> CyclicMatrixC:
     """Assemble C(c).  Row j holds c_j on the diagonal, delta_j to its right
     and delta_{j+1} to its left (cyclically), so that row j of C v = 0 is the
     three-term recurrence attached to edge j."""
-    poly.require_locally_convex()
+    c = _coefficients(poly, c)
     n = poly.n
-    c = np.asarray(c, dtype=float)
-    if c.shape != (n,):
-        raise WrongPeriod(f"coefficient vector must have length {n}")
     d = poly.delta
     M = np.zeros((n, n))
     j = np.arange(n)
@@ -129,29 +149,34 @@ def build_matrix_C(poly: OrbitPolygon, c) -> CyclicMatrixC:
     return CyclicMatrixC(n=n, entries=M, c=c, delta=d.copy())
 
 
-def numerical_rank(M, tol: RankTolerance | float | None = None) -> int:
-    """Singular values above rel * sigma_max count toward the rank."""
-    rel = _rank_rel(tol)
+def numerical_rank(M, tol: float = RANK_REL_DEFAULT) -> int:
+    """Singular values above tol * sigma_max count toward the rank."""
     sv = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel * sv[0]))
+    return int(np.sum(sv > tol * sv[0]))
 
 
-def _rank_rel(tol: RankTolerance | float | None) -> float:
-    if tol is None:
-        return RANK_REL_DEFAULT
-    if isinstance(tol, RankTolerance):
-        return tol.rel
-    return float(tol)
+def monodromy_residual(poly: OrbitPolygon, c) -> float:
+    """Scaled distance of the monodromy T_{n-1} ... T_0 from the identity.
 
-
-def _rank_cut_margin(M: np.ndarray, n: int) -> float:
-    """Relative spectral gap at the rank n - 2 cut."""
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0.0
-    return float((sv[n - 3] - sv[n - 2]) / sv[0])
+    Row j of C(c) v = 0 is delta_{j+1} v_{j-1} + c_j v_j + delta_j v_{j+1} = 0,
+    so (v_j, v_{j+1}) = T_j (v_{j-1}, v_j) with
+    T_j = [[0, 1], [-delta_{j+1}/delta_j, -c_j/delta_j]] (delta_j > 0 on a
+    locally convex polygon).  ker C is the space of n-periodic solutions, so
+    rank C = n - 2 exactly when the product is the identity (Morier-Genoud,
+    Ovsienko, Schwartz, Tabachnikov 2014).  Returns max|M - I| divided by
+    prod_j max(1, |row 2 of T_j|_1), which bounds the growth of round-off
+    in the product.
+    """
+    d = poly.delta.tolist()
+    a, b, e, f = 1.0, 0.0, 0.0, 1.0  # M = [[a, b], [e, f]]
+    scale = 1.0
+    for dj, dn, cj in zip(d, d[1:] + d[:1], _coefficients(poly, c).tolist()):
+        p, q = -dn / dj, -cj / dj
+        a, b, e, f = e, f, p * a + q * e, p * b + q * f
+        scale *= max(1.0, abs(p) + abs(q))
+    return max(abs(a - 1.0), abs(b), abs(e), abs(f - 1.0)) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -309,80 +334,76 @@ def variety_point_n6(poly: OrbitPolygon, c1, c2, c3, shift: int = 0):
 def make_element(
     poly: OrbitPolygon,
     c,
-    rank_tol: RankTolerance | float | None = None,
-    variety_tol: float = VARIETY_REL_DEFAULT,
+    tol: float = INTEGRAL_TOL,
     convex_tol: float | None = None,
 ) -> IntegralElement:
-    """Classify a coefficient vector: rank test, variety cross-check for
-    n in {4, 5, 6}, convexity box, special-element detection."""
-    poly.require_locally_convex()
-    M = build_matrix_C(poly, c)
+    """Classify a coefficient vector: integral when
+    ``monodromy_residual(poly, c) <= tol``, then the convexity box and
+    special-element detection.  No matrix is built; the SVD behind
+    ``rank_margin`` runs only if that attribute is read.  The element keeps
+    its own copy of c, so that a later change to the caller's array cannot
+    reach ``c`` or the margin computed from it."""
+    c = _coefficients(poly, c).copy()
     n = poly.n
-    rank = numerical_rank(M.entries, rank_tol)
-    margin = _rank_cut_margin(M.entries, n)
-    valid = rank == n - 2
-    if valid and n in (4, 5, 6):
-        valid = variety_residual_rel(poly, M.c) <= variety_tol
+    valid = monodromy_residual(poly, c) <= tol
     eps = convexity_tol(poly) if convex_tol is None else convex_tol
-    convex = valid and bool(np.all(M.c <= poly.dvec + eps))
+    convex = valid and bool(np.all(c <= poly.dvec + eps))
     special_tol = 1e-9 * poly.scale**2
-    minus = bool(np.max(np.abs(M.c + poly.dvec)) <= special_tol)
-    plus = n % 2 == 0 and bool(np.max(np.abs(M.c - poly.dvec)) <= special_tol)
+    minus = bool(np.max(np.abs(c + poly.dvec)) <= special_tol)
+    plus = n % 2 == 0 and bool(np.max(np.abs(c - poly.dvec)) <= special_tol)
     return IntegralElement(
         base=poly,
-        c=M.c,
+        c=c,
         is_valid=valid,
         is_convex=convex,
         is_special_minus=minus,
         is_special_plus=plus,
-        rank_margin=margin,
     )
 
 
-def is_integral_element(
-    poly: OrbitPolygon,
-    c,
-    rank_tol: RankTolerance | float | None = None,
-    variety_tol: float = VARIETY_REL_DEFAULT,
-) -> bool:
-    return make_element(poly, c, rank_tol, variety_tol).is_valid
+def is_integral_element(poly: OrbitPolygon, c, tol: float = INTEGRAL_TOL) -> bool:
+    return make_element(poly, c, tol).is_valid
 
 
 def is_convex_element(
     poly: OrbitPolygon,
     c,
-    rank_tol: RankTolerance | float | None = None,
-    variety_tol: float = VARIETY_REL_DEFAULT,
+    tol: float = INTEGRAL_TOL,
     convex_tol: float | None = None,
 ) -> bool:
-    el = make_element(poly, c, rank_tol, variety_tol, convex_tol)
+    el = make_element(poly, c, tol, convex_tol)
     if not el.is_valid:
         raise NotIntegralElement("coefficient vector is not an integral element")
     return el.is_convex
 
 
-def special_element_minus(
-    poly: OrbitPolygon, rank_tol: RankTolerance | float | None = None
-) -> IntegralElement:
-    """The element c = -d, certified: rank n - 2 and C r = 0 for both
+def special_element_minus(poly: OrbitPolygon, tol: float = INTEGRAL_TOL) -> IntegralElement:
+    """The element c = -d, certified: integral and C r = 0 for both
     coordinate projections of the half-edge vectors."""
     poly.require_locally_convex()
-    el = make_element(poly, -poly.dvec, rank_tol)
+    el = make_element(poly, -poly.dvec, tol)
     _certify_null(poly, el, poly.r)
     return el
 
 
-def special_element_plus(
-    poly: OrbitPolygon, rank_tol: RankTolerance | float | None = None
-) -> IntegralElement:
+def special_element_plus(poly: OrbitPolygon, tol: float = INTEGRAL_TOL) -> IntegralElement:
     """The element c = +d for even n, with alternating-signed null vectors."""
     if poly.n % 2:
         raise OddPeriod("c = +d is an integral element only for even n")
     poly.require_locally_convex()
-    el = make_element(poly, poly.dvec.copy(), rank_tol)
+    el = make_element(poly, poly.dvec, tol)
     signs = (-1.0) ** np.arange(poly.n)
     _certify_null(poly, el, signs[:, None] * poly.r)
     return el
+
+
+def _null_residual(poly: OrbitPolygon, c, vecs: np.ndarray) -> float:
+    """max |C(c) v| over the columns v of ``vecs`` (shape (n, k)), from the
+    three-term recurrence: no n x n matrix is built."""
+    c = _coefficients(poly, c)[:, None]
+    w = np.concatenate((vecs[-1:], vecs, vecs[:1]))  # w[j + 1] = v_j, cyclically
+    D = np.append(poly.delta, poly.delta[0])[:, None]  # D[j] = delta_j, D[n] = delta_0
+    return float(np.max(np.abs(D[1:] * w[:-2] + c * vecs + D[:-1] * w[2:])))
 
 
 def _certify_null(poly: OrbitPolygon, el: IntegralElement, vecs: np.ndarray):
@@ -391,9 +412,9 @@ def _certify_null(poly: OrbitPolygon, el: IntegralElement, vecs: np.ndarray):
             f"special element has rank margin {el.rank_margin:.3e}; "
             "input polygon is numerically degenerate"
         )
-    M = build_matrix_C(poly, el.c).entries
-    resid = np.max(np.abs(M @ vecs))
-    bound = 1e-10 * np.max(np.abs(M)) * max(np.max(np.abs(vecs)), 1e-300)
+    resid = _null_residual(poly, el.c, vecs)
+    scale_C = max(np.max(np.abs(el.c)), np.max(np.abs(poly.delta)))
+    bound = 1e-10 * scale_C * max(np.max(np.abs(vecs)), 1e-300)
     if resid > bound:
         raise ValidationFailed(f"null-vector residual {resid:.3e} exceeds {bound:.3e}")
 

@@ -42,7 +42,7 @@ def inner2(u, v):
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitPolygon:
     """A closed polygon with derived cyclic data.
 

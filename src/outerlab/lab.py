@@ -88,15 +88,16 @@ def sample_orbit_polygon(sampler: OrbitSampler) -> OrbitPolygon:
         if s is None:
             continue
         s = s * rng.lognormal(0.0, 0.25)
-        r = s[:, None] * U.T
-        z = np.empty((n, 2))
-        z[0] = rng.uniform(-1.0, 1.0, 2)
-        for k in range(1, n):
-            z[k] = z[k - 1] - 2.0 * r[k - 1]
-        poly = derive_orbit_polygon(z)
+        poly = derive_orbit_polygon(_vertices(rng.uniform(-1.0, 1.0, 2), s[:, None] * U.T))
         if poly.locally_convex and poly.winding == m:
             return poly
     raise SamplerExhausted(f"no ({n},{m}) polygon within {sampler.attempts} attempts")
+
+
+def _vertices(z0: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Vertices z_k = z_{k-1} - 2 r_{k-1} from z_0 and the half-edge vectors,
+    accumulated in order."""
+    return np.cumsum(np.vstack([z0, -2.0 * r[:-1]]), axis=0)
 
 
 def _positive_closure(U: np.ndarray, rng: np.random.Generator) -> Optional[np.ndarray]:
@@ -440,12 +441,7 @@ def _spiked_62(rng: np.random.Generator) -> Optional[OrbitPolygon]:
     s = _positive_closure(U, rng)
     if s is None:
         return None
-    r = s[:, None] * U.T
-    z = np.empty((6, 2))
-    z[0] = 0.0
-    for k in range(1, 6):
-        z[k] = z[k - 1] - 2.0 * r[k - 1]
-    poly = derive_orbit_polygon(z)
+    poly = derive_orbit_polygon(_vertices(np.zeros(2), s[:, None] * U.T))
     if poly.locally_convex and poly.winding == 2:
         return poly
     return None

@@ -4,12 +4,14 @@
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import outerlab
 from outerlab import cli, jsonio
 from outerlab.cli import main
 from outerlab.dynamics import ConvexCurve
@@ -242,3 +244,38 @@ def test_module_entry_point(tmp_path, square_poly_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["element"]["is_convex"] is True
+
+
+def test_element_tol_integral(tmp_path):
+    # one entry of -d moved by 1e-6 of max|d|: off the variety at the
+    # default threshold, accepted once the threshold is huge
+    path = tmp_path / "star.json"
+    assert main(["sample", "5", "2", "--seed", "7", "--json", str(path)]) == 0
+    poly = jsonio.polygon_from_dict(json.loads(path.read_text()))
+    c = -poly.dvec
+    c[2] += 1e-6 * np.max(np.abs(c))
+    arg = "--c=" + ",".join(repr(float(v)) for v in c)
+    code, payload = run_json(tmp_path, ["element", str(path), arg])
+    assert code == 0 and payload["element"]["is_valid"] is False
+    code, payload = run_json(tmp_path, ["element", str(path), arg, "--tol-integral", "1"])
+    assert code == 0 and payload["element"]["is_valid"] is True
+    # the flags of the SVD classification are gone
+    with pytest.raises(SystemExit) as exc:
+        main(["element", str(path), arg, "--tol-rank", "1e-9"])
+    assert exc.value.code == 2
+
+
+def test_python_m_outerlab(square_poly_file):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(outerlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "outerlab", "element", square_poly_file,
+         "--special-minus"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["element"]["is_valid"] is True
+    proc = subprocess.run([sys.executable, "-m", "outerlab", "verify", "n7"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from outerlab.elements import (
+    INTEGRAL_TOL,
     ChartSweep,
     CurvatureProfile,
     SearchBudget,
+    _candidates_chart,
+    _candidates_n4,
     _grid_params,
+    _null_residual,
     build_matrix_C,
     classify_paradoxical,
     convex_element_search,
@@ -18,6 +22,7 @@ from outerlab.elements import (
     is_convex_element,
     is_integral_element,
     make_element,
+    monodromy_residual,
     numerical_rank,
     paradox_margin,
     special_element_minus,
@@ -29,6 +34,7 @@ from outerlab.elements import (
     variety_point_n6,
     variety_residual_rel,
 )
+from outerlab.dynamics import ConvexCurve, iterate
 from outerlab.errors import (
     NotConvexElement,
     NotIntegralElement,
@@ -40,7 +46,7 @@ from outerlab.errors import (
     WrongPeriodOrWinding,
 )
 from outerlab.geometry import derive_orbit_polygon
-from outerlab.lab import OrbitSampler, sample_orbit_polygon
+from outerlab.lab import ANGLE_MARGIN, LENGTH_FLOOR, OrbitSampler, sample_orbit_polygon
 
 
 def test_matrix_layout_square(square):
@@ -430,3 +436,136 @@ def test_search_is_deterministic(sampled):
     b = convex_element_search(poly, budget)
     assert a is not None and b is not None
     assert np.array_equal(a.c, b.c)
+
+
+# ---------------------------------------------------------------------------
+# Monodromy integrality test against the SVD reference
+
+PAIRS_3_12 = [(n, m) for n in range(3, 13) for m in range(1, (n - 1) // 2 + 1)]
+
+# The verdicts are compared outside this band of the reference distance
+# (see _reference).  The two tests measure different things: near the
+# variety, the ratio of the scaled monodromy residual to the reference
+# distance spans ten decades over these cases (5e-18 to 1.4e-8), and the
+# verdicts disagree at reference distances from 1.2e-5 to 280.  The band
+# leaves a factor of about 4 on each side.  It is fixed here, not derived
+# from the threshold under test, so a threshold moved 100x either way meets
+# decided cases that it gets wrong.
+REFERENCE_BAND = (3e-6, 1e3)
+
+
+def _reference(poly, c):
+    """The classification that the monodromy test replaced: rank n - 2 at
+    the relative singular-value threshold 1e-9 and, on n = 4, 5, 6, the
+    variety residual at most 1e-8.  Returns (verdict, distance), where the
+    distance is the larger of the two measures over its threshold, so the
+    verdict turns near distance 1."""
+    n = poly.n
+    M = build_matrix_C(poly, c).entries
+    sv = np.linalg.svd(M, compute_uv=False)
+    valid = numerical_rank(M, 1e-9) == n - 2
+    dist = sv[n - 2] / sv[0] / 1e-9
+    if n in (4, 5, 6):
+        var = variety_residual_rel(poly, c)
+        valid = valid and var <= 1e-8
+        dist = max(dist, var / 1e-8)
+    return valid, dist
+
+
+def _skinny_pool(n, m, draws=60):
+    """The first draw of a sampler and its draws closest to the angle floor
+    and to the length floor."""
+    sampler = OrbitSampler(n, m, seed=4000 + 10 * n + m)
+    polys = [sample_orbit_polygon(sampler) for _ in range(draws)]
+    turn = [min(x.min(), 1.0 - x.max()) for x in (p.exterior / np.pi for p in polys)]
+    length = [p.s.min() / p.s.max() for p in polys]
+    return polys[0], polys[int(np.argmin(turn))], polys[int(np.argmin(length))]
+
+
+def _oracle_cases():
+    """(poly, c) pairs: exact elements, conic and chart candidates, and -d
+    with one entry moved by 1e-2, 1e-3, 1e-6 and a decade sweep down to
+    1e-13 of max|d|."""
+    small = SearchBudget(grid=9, zoom_rounds=2, zoom_grid=5, starts=0)
+    eps = sorted({1e-2, 1e-3, 1e-6, *10.0 ** -np.arange(4, 14)}, reverse=True)
+    floors = [np.inf, np.inf]
+    for n, m in PAIRS_3_12:
+        for poly in _skinny_pool(n, m):
+            x = poly.exterior / np.pi
+            floors[0] = min(floors[0], min(x.min(), 1.0 - x.max()) / ANGLE_MARGIN)
+            floors[1] = min(floors[1], poly.s.min() / poly.s.max() / LENGTH_FLOOR)
+            d = poly.dvec
+            yield poly, -d
+            if n % 2 == 0:
+                yield poly, d.copy()
+            if n == 4:
+                yield from ((poly, c) for c in _candidates_n4(poly, small))
+            if n in (5, 6):
+                yield from ((poly, c) for c in _candidates_chart(poly, small))
+            for j in range(n):
+                for e in eps:
+                    c = -d.copy()
+                    c[j] += e * np.max(np.abs(d))
+                    yield poly, c
+    # the pool reaches within a small factor of both sampler floors
+    assert floors[0] < 3.0 and floors[1] < 3.0, floors
+
+
+def test_monodromy_verdict_matches_svd_reference():
+    lo, hi = REFERENCE_BAND
+    near = {True: 0, False: 0}
+    cases = 0
+    for poly, c in _oracle_cases():
+        want, dist = _reference(poly, c)
+        if lo < dist < hi:
+            continue
+        cases += 1
+        r = monodromy_residual(poly, c)
+        assert make_element(poly, c).is_valid == want, (poly.n, poly.winding, c, dist, r)
+        # count the cases decided within 100x of the threshold, on either side
+        if INTEGRAL_TOL / 100 < r <= 100 * INTEGRAL_TOL:
+            near[want] += 1
+    assert cases > 2500
+    # a threshold moved 100x either way meets decided cases it gets wrong
+    assert near[True] > 0 and near[False] > 0, near
+
+
+def test_null_residual_matches_dense_product(sampled):
+    rng = np.random.default_rng(5)
+    for (n, m), polys in sampled.items():
+        poly = polys[0]
+        c = rng.normal(size=n) * poly.scale**2
+        vecs = rng.normal(size=(n, 3))
+        dense = np.max(np.abs(build_matrix_C(poly, c).entries @ vecs))
+        assert np.isclose(_null_residual(poly, c, vecs), dense, rtol=1e-12, atol=0.0)
+        # on the special elements both are round-off of the same size
+        want = np.max(np.abs(build_matrix_C(poly, -poly.dvec).entries @ poly.r))
+        got = _null_residual(poly, -poly.dvec, poly.r)
+        assert got <= 1e-10 * poly.scale**3 and want <= 1e-10 * poly.scale**3
+
+
+def test_array_dataclasses_compare_by_identity(square):
+    # ndarray fields make field-wise == ambiguous; these classes compare and
+    # hash by identity instead
+    curve = ConvexCurve.circle(samples=8)
+    el = make_element(square, square.dvec.copy())
+    objects = [
+        (curve, ConvexCurve.circle(samples=8)),
+        (square, derive_orbit_polygon(square.vertices)),
+        (el, make_element(square, square.dvec.copy())),
+        (build_matrix_C(square, np.zeros(4)), build_matrix_C(square, np.zeros(4))),
+        (CurvatureProfile(kappa=np.ones(4)), CurvatureProfile(kappa=np.ones(4))),
+        (iterate(curve, np.array([2.0, 0.0]), steps=3), iterate(curve, np.array([2.0, 0.0]), steps=3)),
+    ]
+    for a, b in objects:
+        assert a == a and not (a == b) and a != b
+        assert len({a, b, a}) == 2
+
+
+def test_element_owns_its_coefficients(sampled):
+    poly = sampled[(6, 2)][0]
+    c = -poly.dvec
+    el = make_element(poly, c)
+    c[0] += poly.scale**2  # the caller reuses its array
+    assert np.array_equal(el.c, -poly.dvec)
+    assert el.is_valid and el.rank_margin > 1e-6

@@ -126,3 +126,16 @@ def test_n62_paradoxical_cap_records_failure(monkeypatch):
     assert "6 paradoxical samples discarded" in rep.notes
     # two capped trials, plus the missing interior control (controls=0)
     assert rep.failures == 3
+
+
+def test_vertex_builder_matches_sequential_loop():
+    # the cumulative sum reproduces z_k = z_{k-1} - 2 r_{k-1} bit for bit
+    rng = np.random.default_rng(12)
+    for n in range(3, 13):
+        for z0 in (rng.uniform(-1.0, 1.0, 2), np.zeros(2)):
+            r = rng.normal(size=(n, 2)) * rng.lognormal(0.0, 2.0, (n, 1))
+            want = np.empty((n, 2))
+            want[0] = z0
+            for k in range(1, n):
+                want[k] = want[k - 1] - 2.0 * r[k - 1]
+            assert np.array_equal(lab._vertices(z0, r), want)
