@@ -193,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a theorem verifier")
     p.add_argument("theorem", help="one of: n3, n4, n52, n62")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility and ignored: the trials "
+                        "are searched in one batch on one thread")
     common(p)
     p.set_defaults(fn=cmd_verify)
 

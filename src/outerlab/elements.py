@@ -21,9 +21,9 @@ candidate it scores already sits on the variety to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -477,6 +477,13 @@ def classify_paradoxical(poly: OrbitPolygon) -> bool:
 # ---------------------------------------------------------------------------
 # Convex-element search
 
+# Points that one scorer call may evaluate: one hexagon chart on the default
+# 21^3 coarse grid, the largest call that a single-polygon search needs.
+# Batched stages are split at that size, so the scorer's temporaries, and with
+# them peak memory, stay as small as for one polygon.
+MAX_CHART_POINTS = 21**3
+
+
 def convex_element_search(
     poly: OrbitPolygon, budget: SearchBudget | None = None
 ) -> Optional[IntegralElement]:
@@ -489,40 +496,63 @@ def convex_element_search(
     shrinking local grids.  The element maximizing that slack is returned, so a
     strictly interior element is preferred over the ever-present corner
     element c = d of even n.  A None for odd n is evidence of absence, not
-    proof; verifiers aggregate over many samples.
+    proof; verifiers aggregate over many samples.  This is the one-polygon
+    case of :func:`convex_element_search_batch`.
     """
-    poly.require_locally_convex()
-    if budget is None:
-        budget = SearchBudget()
-    n = poly.n
-    if n == 3:
-        el = make_element(poly, np.roll(poly.delta, 1))
-        return el if (el.is_valid and el.is_convex) else None
-    if n == 4:
-        cands = _candidates_n4(poly, budget)
-    elif n == 5:
-        cands = _candidates_chart(poly, budget)
-        cands.append(-poly.dvec)
-    elif n == 6:
-        cands = _candidates_chart(poly, budget)
-        cands.append(-poly.dvec)
-        cands.append(poly.dvec.copy())
-    else:
-        raise UnsupportedPeriod("search implemented for n in {3, 4, 5, 6}")
+    return convex_element_search_batch([poly], None if budget is None else [budget])[0]
 
+
+def convex_element_search_batch(
+    polys: Sequence[OrbitPolygon], budgets: Sequence[SearchBudget] | None = None
+) -> list[Optional[IntegralElement]]:
+    """:func:`convex_element_search` of each polygon with its budget (default
+    ``SearchBudget()``), the polygons searched together.  Pentagons, and
+    hexagons, whose budgets differ at most in ``seed`` share every chart
+    scorer call, in chunks of at most MAX_CHART_POINTS points.  Each result
+    equals the polygon's own search bit for bit: every chart value is an
+    elementwise function of its own row, ties go to the first point of a row,
+    and the random starts run, from the polygon's own seed, only for the
+    polygons whose charts refined to no feasible point."""
+    if budgets is None:
+        budgets = [SearchBudget()] * len(polys)
+    groups: dict[tuple, list[int]] = {}
+    for i, (poly, budget) in enumerate(zip(polys, budgets, strict=True)):
+        poly.require_locally_convex()
+        if poly.n not in (3, 4, 5, 6):
+            raise UnsupportedPeriod("search implemented for n in {3, 4, 5, 6}")
+        groups.setdefault((poly.n, replace(budget, seed=0)), []).append(i)
+
+    found: list[Optional[IntegralElement]] = [None] * len(polys)
+    for (n, _), idx in groups.items():
+        group = [polys[i] for i in idx]
+        if n == 3:
+            els = [make_element(p, np.roll(p.delta, 1)) for p in group]
+            els = [el if (el.is_valid and el.is_convex) else None for el in els]
+        else:
+            if n == 4:
+                cands = [np.array(_candidates_n4(p, budgets[i])) for p, i in zip(group, idx)]
+            else:
+                cands = _candidates_chart(group, [budgets[i] for i in idx])
+                cands = [np.vstack([c, -p.dvec, p.dvec] if n == 6 else [c, -p.dvec])
+                         for p, c in zip(group, cands)]
+            els = [_most_convex(p, c) for p, c in zip(group, cands)]
+        for i, el in zip(idx, els):
+            found[i] = el
+    return found
+
+
+def _most_convex(poly: OrbitPolygon, cands: np.ndarray) -> Optional[IntegralElement]:
+    """The convex integral element of largest slack min(d - c) among the
+    candidate rows, ties to the first row; None when no row is one."""
+    margins = np.min(poly.dvec - cands, axis=1)
     eps = convexity_tol(poly)
-    best: Optional[IntegralElement] = None
-    best_margin = -np.inf
-    order = sorted(cands, key=lambda c: -float(np.min(poly.dvec - c)))
-    for c in order:
-        margin = float(np.min(poly.dvec - c))
-        if margin < -eps or margin <= best_margin:
-            continue
-        el = make_element(poly, c)
+    for k in np.argsort(-margins, kind="stable"):
+        if margins[k] < -eps:
+            break
+        el = make_element(poly, cands[k])
         if el.is_valid and el.is_convex:
-            best = el
-            best_margin = margin
-    return best
+            return el
+    return None
 
 
 def search_box(poly: OrbitPolygon) -> tuple[np.ndarray, np.ndarray]:
@@ -562,28 +592,38 @@ def _grid_params(axes: np.ndarray) -> list[np.ndarray]:
 
 
 class ChartSweep:
-    """The n shifted charts of one pentagon or hexagon, with the constants
-    every batch of chart parameters shares: the rolled local areas and skip
-    determinants, and the search box per chart coordinate."""
+    """The n shifted charts of one or more pentagons, or of hexagons.  Row
+    p n + s is chart s of polygon p; it carries that chart's rolled local
+    areas and skip determinants, its search box per chart coordinate and the
+    polygon's scale^2."""
 
-    def __init__(self, poly: OrbitPolygon):
-        n = poly.n
-        self.n, self.dim, self.sc2 = n, n - 3, poly.scale**2
-        self.roll = (np.arange(n)[:, None] + np.arange(n)) % n  # row s: roll by -s
-        self.delta = poly.delta[self.roll]
-        self.dvec = poly.dvec[self.roll]
-        self.lo, self.hi = (x[self.roll[:, :self.dim]] for x in search_box(poly))
+    def __init__(self, *polys: OrbitPolygon):
+        n = polys[0].n
+        self.n, self.dim = n, n - 3
+        roll = (np.arange(n)[:, None] + np.arange(n)) % n  # row s: roll by -s
+        self.roll = np.tile(roll, (len(polys), 1))
 
-    def best(self, shifts: np.ndarray, params: list[np.ndarray]):
-        """Best slack min(d - c) per chart over a batch of parameters, one
-        array per chart coordinate, each broadcasting to (len(shifts), ...).
+        def rolled(vectors, k=n):
+            """Row p n + s: vectors[p] rolled by -s, its first k entries."""
+            return np.stack(vectors)[:, roll[:, :k]].reshape(-1, k)
+
+        self.delta = rolled([p.delta for p in polys])
+        self.dvec = rolled([p.dvec for p in polys])
+        self.sc2 = np.repeat([p.scale**2 for p in polys], n)
+        boxes = [search_box(p) for p in polys]
+        self.lo = rolled([lo for lo, _ in boxes], self.dim)
+        self.hi = rolled([hi for _, hi in boxes], self.dim)
+
+    def best(self, rows: np.ndarray, params: list[np.ndarray]):
+        """Best slack min(d - c) per row over a batch of parameters, one
+        array per chart coordinate, each broadcasting to (len(rows), ...).
         Ties go to the first point in C order, as in an argmax over the
-        stacked regular points.  Returns (slack, c, params) per chart; slack
+        stacked regular points.  Returns (slack, c, params) per row; slack
         is -inf where no parameter value is regular."""
-        S = len(shifts)
+        S = len(rows)
         ext = (self.n, S) + (1,) * (np.ndim(params[0]) - 1)
-        D, dv = (x[shifts].T.reshape(ext) for x in (self.delta, self.dvec))
-        cols, ok = _CHARTS[self.n](D, self.sc2, *params)
+        D, dv = (x[rows].T.reshape(ext) for x in (self.delta, self.dvec))
+        cols, ok = _CHARTS[self.n](D, self.sc2[rows].reshape(ext[1:]), *params)
         slack = dv[0] - cols[0]
         for dk, col in zip(dv, cols):
             ok = ok & np.isfinite(col)
@@ -591,57 +631,90 @@ class ChartSweep:
         shape = ok.shape
         score = np.where(ok, slack, -np.inf).reshape(S, math.prod(shape[1:]))
         k = np.argmax(score, axis=1)
-        rows = np.arange(S)
-        at = (rows,) + np.unravel_index(k, shape[1:])
-        win = np.stack([np.broadcast_to(col, shape)[at] for col in cols], axis=1)
+        at = np.unravel_index(k, shape[1:])
+        first = np.arange(S)
+        # Each column at the winners, read at 0 along the axes it is
+        # broadcast over.
+        win = np.stack([col[(first,) + tuple(i if size > 1 else 0
+                                             for i, size in zip(at, col.shape[1:]))]
+                        for col in cols], axis=1)
         c = np.empty_like(win)
-        c[rows[:, None], self.roll[shifts]] = win
-        return score[rows, k], c, win[:, :self.dim]
+        c[first[:, None], self.roll[rows]] = win
+        return score[first, k], c, win[:, :self.dim]
 
-    def sweep(self, grid: int):
-        """Coarse grid^dim sweep of every chart across the box.  Hexagon
-        grids run one chart at a time: their temporaries then stay small,
-        which measured faster than one batch of all six charts."""
-        axes = np.linspace(self.lo, self.hi, grid)
-        step = self.n if self.dim == 2 else 1
-        parts = [self.best(np.arange(s, s + step), _grid_params(axes[:, s:s + step]))
-                 for s in range(0, self.n, step)]
+    def scan(self, rows: np.ndarray, params: list[np.ndarray]):
+        """:meth:`best` over any number of rows, in calls of at most
+        MAX_CHART_POINTS points; ``params[a]`` has one entry per row along
+        its first axis.  No rows still make one call, for the result shapes."""
+        points = math.prod(np.broadcast_shapes(*(p.shape[1:] for p in params)))
+        step = max(1, MAX_CHART_POINTS // points)
+        parts = [self.best(rows[i:i + step], [p[i:i + step] for p in params])
+                 for i in range(0, max(len(rows), 1), step)]
         return tuple(np.concatenate(x) for x in zip(*parts))
 
-    def refine(self, start, span, budget: SearchBudget):
+    def sweep(self, grid: int):
+        """Coarse grid^dim sweep of every row's chart across its box."""
+        axes = np.linspace(self.lo, self.hi, grid)
+        return self.scan(np.arange(len(self.lo)), _grid_params(axes))
+
+    def refine(self, rows: np.ndarray, start, span: np.ndarray, budget: SearchBudget):
         """Shrinking local grids around each regular point of a start batch
-        (one row per chart), the rounds in sequence and each over all those
-        charts at once.  Returns the candidates, each start followed by its
-        refinement, in chart order, and the best slack per refined chart."""
+        (one entry per row of ``rows``), the rounds in sequence and each over
+        all those rows at once.  Returns, per row, the start's and the
+        refinement's coefficients (rows x 2 x n), which of the two are
+        regular points, and the better of their slacks."""
         m, c, center = start
         found = m > -np.inf
-        shifts, center, span = np.flatnonzero(found), center[found], span[found]
-        best_m, best_c = np.full(len(shifts), -np.inf), np.empty((len(shifts), self.n))
+        idx = np.flatnonzero(found)
+        center, span = center[idx], span[idx]
+        best_m, best_c = np.full(len(idx), -np.inf), np.empty((len(idx), self.n))
         for _ in range(budget.zoom_rounds):
             axes = np.linspace(center - span, center + span, budget.zoom_grid)
-            mz, cz, p = self.best(shifts, _grid_params(axes))
+            mz, cz, p = self.scan(rows[idx], _grid_params(axes))
             better = mz > best_m
             best_m[better], best_c[better] = mz[better], cz[better]
             center = np.where(better[:, None], p, center)
             span = span / 4.0
-        cands = []
-        for c_start, c_zoom, m_zoom in zip(c[found], best_c, best_m):
-            cands.append(c_start)
-            if m_zoom > -np.inf:
-                cands.append(c_zoom)
-        return cands, np.maximum(m[found], best_m)
+        zoom_m, zoom_c = np.full(len(rows), -np.inf), np.empty_like(c)
+        zoom_m[idx], zoom_c[idx] = best_m, best_c
+        return (np.stack([c, zoom_c], axis=1), np.stack([found, zoom_m > -np.inf], axis=1),
+                np.maximum(m, zoom_m))
 
 
-def _candidates_chart(poly: OrbitPolygon, budget: SearchBudget) -> list[np.ndarray]:
-    charts = ChartSweep(poly)
+def _candidates_chart(polys: list[OrbitPolygon],
+                      budgets: list[SearchBudget]) -> list[np.ndarray]:
+    """Chart candidates of pentagons, or of hexagons, whose budgets differ at
+    most in seed: per polygon, each regular start followed by its refinement
+    in chart order, the coarse sweep's first and then the random starts'."""
+    budget = budgets[0]
+    charts = ChartSweep(*polys)
+    n, dim = charts.n, charts.dim
     box = charts.hi - charts.lo
-    out, best = charts.refine(charts.sweep(budget.grid), box / (budget.grid - 1), budget)
-    if not np.any(best >= -convexity_tol(poly)) and budget.starts > 0:
-        # Random extra starts across the box, refined the same way.
-        rng = np.random.default_rng(budget.seed)
-        size = (budget.starts // charts.n + 1, charts.dim)
-        starts = np.stack([rng.uniform(lo, hi, size=size)
-                           for lo, hi in zip(charts.lo, charts.hi)])
-        batch = charts.best(np.arange(charts.n), list(np.moveaxis(starts, -1, 0)))
-        out += charts.refine(batch, box / budget.grid, budget)[0]
+    rows = np.arange(len(box))
+    c, keep, best = charts.refine(rows, charts.sweep(budget.grid),
+                                  box / (budget.grid - 1), budget)
+    out = _per_polygon(c, keep, n)
+    tol = np.array([convexity_tol(p) for p in polys])
+    stuck = ~np.any(best.reshape(-1, n) >= -tol[:, None], axis=1)
+    extra = np.flatnonzero(stuck & (budget.starts > 0))
+    if len(extra):
+        # Random extra starts across the box, split evenly over the charts
+        # and drawn chart after chart, refined the same way.
+        size = (n, budget.starts // n + 1, dim)
+        lo, hi = (x.reshape(-1, n, 1, dim) for x in (charts.lo, charts.hi))
+        starts = np.concatenate([
+            np.random.default_rng(budgets[p].seed).uniform(lo[p], hi[p], size)
+            for p in extra])
+        rows = (n * extra[:, None] + np.arange(n)).ravel()
+        batch = charts.scan(rows, list(np.moveaxis(starts, -1, 0)))
+        c, keep, _ = charts.refine(rows, batch, box[rows] / budget.grid, budget)
+        for p, more in zip(extra, _per_polygon(c, keep, n)):
+            out[p] = np.concatenate([out[p], more])
     return out
+
+
+def _per_polygon(c: np.ndarray, keep: np.ndarray, n: int) -> list[np.ndarray]:
+    """Split refine() output into the kept candidates of each polygon, each
+    start before its refinement, in chart order."""
+    c, keep = c.reshape(-1, 2 * n, n), keep.reshape(-1, 2 * n)
+    return [cp[kp] for cp, kp in zip(c, keep)]

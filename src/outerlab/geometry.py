@@ -14,6 +14,7 @@ Index convention: all arrays are 0-based and cyclic, aligned so that entry
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -78,9 +79,10 @@ class OrbitPolygon:
     def n(self) -> int:
         return len(self.vertices)
 
-    @property
+    @cached_property
     def scale(self) -> float:
-        """Length scale of the polygon: the largest half-edge length."""
+        """Length scale of the polygon: the largest half-edge length (computed
+        once: the polygon is frozen and its arrays are read-only)."""
         return float(np.max(self.s))
 
     def require_locally_convex(self) -> "OrbitPolygon":

@@ -8,12 +8,15 @@ statements for n = 3, 4, (5,2), (6,2) over many samples and report margins;
 a failure is stored with a replay bundle instead of being hidden.
 
 All verifier trials are pure functions of per-trial seeds spawned from the
-master seed, so reports are byte-identical regardless of thread count.
+master seed.  The (5,2) and (6,2) verifiers run in three phases: every
+trial draws its polygon and search budget from its own generator, one
+batched convex-element search covers all trials and controls, and then each
+trial is checked.  The ``threads`` argument is kept for compatibility and
+has no effect: reports are the same bytes for every value.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -24,6 +27,7 @@ from .elements import (
     SearchBudget,
     classify_paradoxical,
     convex_element_search,
+    convex_element_search_batch,
     make_element,
     paradox_margin,
     variety_point_n5,
@@ -119,12 +123,8 @@ def _spawned_rngs(seed: int, count: int) -> list[np.random.Generator]:
 
 
 def _run_trials(fn: Callable[[int, np.random.Generator], dict],
-                trials: int, seed: int, threads: int) -> list[dict]:
-    rngs = _spawned_rngs(seed, trials)
-    if threads <= 1:
-        return [fn(k, rngs[k]) for k in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials), rngs))
+                trials: int, seed: int) -> list[dict]:
+    return [fn(k, rng) for k, rng in enumerate(_spawned_rngs(seed, trials))]
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,17 @@ def _sampler_for(n: int, m: int, rng: np.random.Generator) -> OrbitSampler:
 
 def _budget_for(rng: np.random.Generator) -> SearchBudget:
     return SearchBudget(seed=int(rng.integers(0, 2**63 - 1)))
+
+
+def _draw(n: int, m: int, rng: np.random.Generator) -> tuple[OrbitPolygon, SearchBudget]:
+    """A trial's polygon and then its search budget, from its generator."""
+    poly = sample_orbit_polygon(_sampler_for(n, m, rng))
+    return poly, _budget_for(rng)
+
+
+def _search(drawn: list[tuple[OrbitPolygon, SearchBudget]]) -> list:
+    """One batched convex-element search over (polygon, budget) pairs."""
+    return convex_element_search_batch([p for p, _ in drawn], [b for _, b in drawn])
 
 
 MAX_BUNDLES = 10
@@ -204,7 +215,7 @@ def verify_theorem_n3(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             out["bundles"] = [_bundle(poly, cstar, "n3-element-check")]
         return out
 
-    results = _run_trials(trial, trials, seed, threads)
+    results = _run_trials(trial, trials, seed)
     return _collect(
         results, "n3", seed, trials,
         "unique element equals the half area on every triangle and is never "
@@ -250,7 +261,7 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             out["bundles"] = [_bundle(poly, el.c, "n4-off-d-element")]
         return out
 
-    results = _run_trials(trial, trials, seed, threads)
+    results = _run_trials(trial, trials, seed)
     return _collect(
         results, "n4", seed, trials,
         "every convex element found by the conic sweep coincides with d "
@@ -263,9 +274,12 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
 # ---------------------------------------------------------------------------
 # Theorem (5, 2): no convex element exists on star pentagons.
 
-def _probe_margin_n5(poly: OrbitPolygon, grid: int = 15) -> float:
-    """Best convexity slack min(d - c) over chart probes of the variety."""
-    return float(np.max(ChartSweep(poly).sweep(grid)[0]))
+def _probe_margins_n5(polys: list[OrbitPolygon], grid: int = 15) -> np.ndarray:
+    """Best convexity slack min(d - c) over chart probes of the variety, per
+    pentagon."""
+    if not polys:
+        return np.empty(0)
+    return np.max(ChartSweep(*polys).sweep(grid)[0].reshape(len(polys), -1), axis=1)
 
 
 def _identity_residual_n5(poly: OrbitPolygon, c: np.ndarray) -> float:
@@ -280,40 +294,41 @@ def _identity_residual_n5(poly: OrbitPolygon, c: np.ndarray) -> float:
 
 def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                        threads: int = 1, controls: int = 100) -> VerifierReport:
-    def trial(_k: int, rng: np.random.Generator) -> dict:
-        poly = sample_orbit_polygon(_sampler_for(5, 2, rng))
+    stars = [_draw(5, 2, rng) for rng in _spawned_rngs(seed, trials)]
+    convex = [_draw(5, 1, rng) for rng in _spawned_rngs(seed + 1, controls)]
+    found = _search(stars + convex)
+    margins = _probe_margins_n5([poly for poly, _ in stars])
+
+    def trial(poly: OrbitPolygon, el, probe: float) -> dict:
         failures = 0
         bundles = []
         if not np.all(poly.dvec < 0):
             failures += 1
             bundles.append(_bundle(poly, None, "n52-nonneg-d"))
-        found = convex_element_search(poly, _budget_for(rng))
-        if found is not None:
+        if el is not None:
             failures += 1
-            bundles.append(_bundle(poly, found.c, "n52-convex-element"))
+            bundles.append(_bundle(poly, el.c, "n52-convex-element"))
         # Sign-contradiction identity on a few variety probes.
         d = poly.dvec
         probes, ok = variety_point_n5(poly, d[0], d[1])
         if bool(ok) and _identity_residual_n5(poly, probes) > 1e-8:
             failures += 1
             bundles.append(_bundle(poly, probes, "n52-identity"))
-        margin = _probe_margin_n5(poly) / poly.scale**2
-        out = {"failures": failures, "margin": margin}
+        out = {"failures": failures, "margin": float(probe) / poly.scale**2}
         if bundles:
             out["bundles"] = bundles
         return out
 
-    def control(_k: int, rng: np.random.Generator) -> dict:
-        poly = sample_orbit_polygon(_sampler_for(5, 1, rng))
-        found = convex_element_search(poly, _budget_for(rng))
-        ok = found is not None
+    def control(poly: OrbitPolygon, el) -> dict:
+        ok = el is not None
         out = {"failures": 0 if ok else 1, "margin": -np.inf}
         if not ok:
             out["bundles"] = [_bundle(poly, None, "n51-control-miss")]
         return out
 
-    results = _run_trials(trial, trials, seed, threads)
-    results += _run_trials(control, controls, seed + 1, threads)
+    results = [trial(poly, el, probe)
+               for (poly, _), el, probe in zip(stars, found, margins)]
+    results += [control(poly, el) for (poly, _), el in zip(convex, found[trials:])]
     return _collect(
         results, "n52", seed, trials,
         f"no convex element on any (5,2) sample and all d_i < 0; margin is "
@@ -339,20 +354,28 @@ def _identity_residual_n6(poly: OrbitPolygon, c: np.ndarray) -> float:
 
 def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                        threads: int = 1, controls: int = 100) -> VerifierReport:
-    def trial(_k: int, rng: np.random.Generator) -> dict:
+    def draw(rng: np.random.Generator):
+        """A non-paradoxical (6,2) polygon and its budget, or the last
+        paradoxical draw and None at the cap; with the discard count."""
         sampler = _sampler_for(6, 2, rng)
-        discarded = 0
-        for _ in range(MAX_PARADOXICAL_DRAWS):
+        for discarded in range(MAX_PARADOXICAL_DRAWS):
             poly = sample_orbit_polygon(sampler)
             if not classify_paradoxical(poly):
-                break
-            discarded += 1
-        else:
-            return {"failures": 1, "margin": 0.0, "discarded": discarded,
-                    "bundles": [_bundle(poly, None, "n62-paradoxical-cap")]}
+                return poly, _budget_for(rng), discarded
+        return poly, None, MAX_PARADOXICAL_DRAWS
+
+    stars = [draw(rng) for rng in _spawned_rngs(seed, trials)]
+    convex = [_draw(6, 1, rng) for rng in _spawned_rngs(seed + 1, controls)]
+    searched = [(poly, budget) for poly, budget, _ in stars if budget is not None]
+    found = iter(_search(searched + convex))
+
+    def capped(poly: OrbitPolygon, discarded: int) -> dict:
+        return {"failures": 1, "margin": 0.0, "discarded": discarded,
+                "bundles": [_bundle(poly, None, "n62-paradoxical-cap")]}
+
+    def trial(poly: OrbitPolygon, el, discarded: int) -> dict:
         failures = 0
         bundles = []
-        el = convex_element_search(poly, _budget_for(rng))
         sc2 = poly.scale**2
         if el is None:
             failures += 1
@@ -372,17 +395,18 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             out["bundles"] = bundles
         return out
 
-    def control(_k: int, rng: np.random.Generator) -> dict:
-        poly = sample_orbit_polygon(_sampler_for(6, 1, rng))
-        el = convex_element_search(poly, _budget_for(rng))
+    def control(poly: OrbitPolygon, el) -> dict:
         if el is None:
             return {"failures": 1, "margin": 0.0,
                     "bundles": [_bundle(poly, None, "n61-control-miss")]}
         dev = float(np.max(np.abs(el.c - poly.dvec)) / poly.scale**2)
         return {"failures": 0, "margin": 0.0, "control_dev": dev}
 
-    results = _run_trials(trial, trials, seed, threads)
-    control_results = _run_trials(control, controls, seed + 1, threads)
+    # The searched trials take the first results, in order; the controls the rest.
+    results = [capped(poly, discarded) if budget is None
+               else trial(poly, next(found), discarded)
+               for poly, budget, discarded in stars]
+    control_results = [control(poly, next(found)) for poly, _ in convex]
     devs = [r.get("control_dev", 0.0) for r in control_results]
     interior_hits = sum(1 for v in devs if v > 1e-3)
     if interior_hits == 0:
@@ -457,7 +481,7 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
     """
     rng = np.random.default_rng(seed)
     sampler = _sampler_for(6, 2, rng)
-    finds: list[ParadoxicalFind] = []
+    hits: list[tuple[OrbitPolygon, SearchBudget, float]] = []
     best = -np.inf
     spiked_hits = 0
     for k in range(samples):
@@ -475,12 +499,15 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
         if margin > 0.0:
             if k % 2 == 1:
                 spiked_hits += 1
-            el = convex_element_search(poly, _budget_for(rng))
-            finds.append(ParadoxicalFind(polygon=poly, margin=margin, element=el))
+            hits.append((poly, _budget_for(rng), margin))
+    # The search draws nothing from rng, so it runs once, after the scan.
+    found = _search([(poly, budget) for poly, budget, _ in hits])
+    finds = tuple(ParadoxicalFind(polygon=poly, margin=margin, element=el)
+                  for (poly, _, margin), el in zip(hits, found))
     return ParadoxicalScan(
         samples=samples,
         best_margin=float(best),
-        finds=tuple(finds),
+        finds=finds,
         notes=(f"{len(finds)} paradoxical polygons ({spiked_hits} from spiked "
                "angles); existence for a convex curve remains open, results "
                "are descriptive only"),

@@ -234,14 +234,19 @@ def test_stdout_when_no_json_path(capsys, square_poly_file):
     assert payload["element"]["is_valid"] is True
 
 
+def _run_module(*argv):
+    """Run ``python -m <argv>`` with this checkout's package importable, also
+    when it is imported from the source tree rather than installed."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(outerlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point(tmp_path, square_poly_file):
     # the package runs as a subprocess tool; exit code travels through
-    proc = subprocess.run(
-        [sys.executable, "-m", "outerlab.cli", "element", square_poly_file,
-         "--special-minus"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_module("outerlab.cli", "element", square_poly_file, "--special-minus")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["element"]["is_convex"] is True
 
@@ -266,16 +271,8 @@ def test_element_tol_integral(tmp_path):
 
 
 def test_python_m_outerlab(square_poly_file):
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(outerlab.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "outerlab", "element", square_poly_file,
-         "--special-minus"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _run_module("outerlab", "element", square_poly_file, "--special-minus")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["element"]["is_valid"] is True
-    proc = subprocess.run([sys.executable, "-m", "outerlab", "verify", "n7"],
-                          capture_output=True, text=True, env=env)
+    proc = _run_module("outerlab", "verify", "n7")
     assert proc.returncode == 2

@@ -1,11 +1,14 @@
 """Rank tests, variety equations, charts, curvature transfer, search."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from outerlab.elements import (
     INTEGRAL_TOL,
+    MAX_CHART_POINTS,
     ChartSweep,
     CurvatureProfile,
     SearchBudget,
@@ -16,6 +19,7 @@ from outerlab.elements import (
     build_matrix_C,
     classify_paradoxical,
     convex_element_search,
+    convex_element_search_batch,
     convexity_tol,
     curvature_from_element,
     element_from_curvature,
@@ -438,6 +442,56 @@ def test_search_is_deterministic(sampled):
     assert np.array_equal(a.c, b.c)
 
 
+def _batch_cases():
+    """(polygon, budget) pairs mixing (5,1), (5,2), (6,1) and (6,2) in a
+    shuffled order.  Every (5,2) takes the random-start branch (it has no
+    convex element); no other kind does.  Every eighth pair has a smaller
+    budget, so the batch splits into budget groups.  The default-budget
+    (5,2) outnumber the pentagons of one random-start scorer call, and each
+    other stage, hexagon zooms included, spans several calls too."""
+    kinds = {(5, 1): 24, (5, 2): 56, (6, 1): 4, (6, 2): 4}
+    polys = []
+    for (n, m), count in kinds.items():
+        sampler = OrbitSampler(n, m, seed=700 + 10 * n + m)
+        polys += [sample_orbit_polygon(sampler) for _ in range(count)]
+    order = np.random.default_rng(70).permutation(len(polys))
+    return [(polys[k], SearchBudget(seed=int(k)) if j % 8 else
+             SearchBudget(grid=9, zoom_rounds=2, zoom_grid=5, starts=30, seed=int(k)))
+            for j, k in enumerate(order)]
+
+
+def _digest(els):
+    h = hashlib.sha256()
+    for el in els:
+        h.update(b"none" if el is None else el.c.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the single-polygon results on _batch_cases(), computed with the
+# per-polygon search that preceded the batched one, before it was changed
+# (numpy 2.4, x86-64 Linux).  It pins what each polygon alone returns, so a
+# change that moves both paths alike (ties to the last maximum, random starts
+# for every polygon) fails here as well.
+BATCH_CASES_SHA256 = "3962400ebd6f5bf5200a9ffaad3ba522a301a9c327668917c95a16016f7bbfe6"
+
+
+def test_batched_search_matches_single_searches():
+    cases = _batch_cases()
+    pentagon_starts = sum(p.n == 5 and p.winding == 2 and b.grid == 21 for p, b in cases)
+    assert pentagon_starts * 5 > MAX_CHART_POINTS // (SearchBudget().starts // 5 + 1)
+    single = [convex_element_search(p, b) for p, b in cases]
+    assert _digest(single) == BATCH_CASES_SHA256
+    batched = convex_element_search_batch([p for p, _ in cases], [b for _, b in cases])
+    assert len(batched) == len(cases)
+    for (poly, _), want, got in zip(cases, single, batched):
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert got.base is poly
+            assert np.array_equal(got.c, want.c)
+    assert {el is None for el in batched} == {True, False}
+    assert convex_element_search_batch([]) == []
+
+
 # ---------------------------------------------------------------------------
 # Monodromy integrality test against the SVD reference
 
@@ -501,7 +555,7 @@ def _oracle_cases():
             if n == 4:
                 yield from ((poly, c) for c in _candidates_n4(poly, small))
             if n in (5, 6):
-                yield from ((poly, c) for c in _candidates_chart(poly, small))
+                yield from ((poly, c) for c in _candidates_chart([poly], [small])[0])
             for j in range(n):
                 for e in eps:
                     c = -d.copy()

@@ -1,9 +1,11 @@
 """Sampler guarantees, verifier bookkeeping, thread determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from outerlab import lab
+from outerlab import cli, lab
 from outerlab.elements import classify_paradoxical, make_element
 from outerlab.errors import InputError, SamplerExhausted
 from outerlab.jsonio import dumps_canonical, report_to_dict
@@ -83,6 +85,23 @@ def test_verifier_thread_determinism(theorem, kwargs):
     assert dumps_canonical(report_to_dict(single)) == dumps_canonical(
         report_to_dict(multi)
     )
+
+
+# sha256 of the three reports below, concatenated, computed before the
+# verifiers batched their searches, with the per-trial code they replaced
+# (numpy 2.4, x86-64 Linux).  The batched verifiers must give the same bytes.
+GOLDEN_REPORTS_SHA256 = "07b3a175b8489772f62ab5a75e25c0605a93e45b01a3eaae5fa7fbd507276f51"
+
+
+def test_verifier_reports_match_golden_bytes(capsys):
+    n52 = verify_theorem_n52(trials=20, controls=10, seed=7)
+    n62 = verify_theorem_n62(trials=10, controls=10, seed=7)
+    capsys.readouterr()
+    assert cli.main(["search-paradoxical", "--trials", "40", "--seed", "7"]) == 0
+    text = (dumps_canonical(report_to_dict(n52)) + dumps_canonical(report_to_dict(n62))
+            + capsys.readouterr().out)
+    assert '"element": {' in text  # the scan's finds carry searched elements
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256
 
 
 def test_verifier_report_fields():
