@@ -9,6 +9,7 @@ scarcity of convex integral elements.
 from .geometry import (
     OrbitPolygon,
     derive_orbit_polygon,
+    derive_orbit_polygons,
     det2,
     diameter,
     inner2,
@@ -54,6 +55,7 @@ from .lab import (
     ParadoxicalScan,
     VerifierReport,
     sample_orbit_polygon,
+    sample_orbit_polygons,
     search_paradoxical,
     verify_theorem_n3,
     verify_theorem_n4,
@@ -65,7 +67,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "OrbitPolygon", "derive_orbit_polygon", "det2", "inner2",
+    "OrbitPolygon", "derive_orbit_polygon", "derive_orbit_polygons", "det2", "inner2",
     "polygon_area", "regular_star", "diameter",
     "CyclicMatrixC", "IntegralElement", "CurvatureProfile",
     "SearchBudget",
@@ -79,7 +81,7 @@ __all__ = [
     "ConvexCurve", "OrbitRecord",
     "tangency_point", "outer_map", "iterate", "orbit_polygon",
     "OrbitSampler", "VerifierReport", "ParadoxicalFind", "ParadoxicalScan",
-    "sample_orbit_polygon", "search_paradoxical",
+    "sample_orbit_polygon", "sample_orbit_polygons", "search_paradoxical",
     "verify_theorem_n3", "verify_theorem_n4",
     "verify_theorem_n52", "verify_theorem_n62",
     "DEFAULT_SEED", "errors",

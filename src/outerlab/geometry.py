@@ -99,69 +99,64 @@ class OrbitPolygon:
         return self.locally_convex and 0 < 2 * self.winding < self.n
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def derive_orbit_polygon(
     vertices: Sequence, convexity_tol: float | None = None
 ) -> OrbitPolygon:
-    """Build the full derived bundle for a closed polygon.
+    """The derived bundle of one closed polygon: the one-polygon case of
+    :func:`derive_orbit_polygons`."""
+    return derive_orbit_polygons([vertices], convexity_tol)[0]
 
-    ``convexity_tol`` is the area floor below which the polygon is flagged
-    as not locally convex; default 1e-12 * (max half-edge length)^2.
 
-    Raises DegeneratePolygon when consecutive vertices coincide or the
-    turning angles do not sum to an integer multiple of 2 pi.
+def derive_orbit_polygons(
+    vertices: Sequence, convexity_tol: float | None = None
+) -> list[OrbitPolygon]:
+    """Build the full derived bundle for each polygon of a (k, n, 2) stack.
+
+    ``convexity_tol`` is the area floor below which a polygon is flagged as
+    not locally convex; default 1e-12 * (its max half-edge length)^2.
+
+    Raises DegeneratePolygon when consecutive vertices of any polygon
+    coincide or its turning angles do not sum to an integer multiple of 2 pi.
     """
-    z = np.asarray(vertices, dtype=float)
-    if z.ndim != 2 or z.shape[1] != 2 or len(z) < 3:
+    z = np.array(vertices, dtype=float)
+    if z.ndim != 3 or z.shape[2] != 2 or z.shape[1] < 3:
         raise DegeneratePolygon("need at least 3 plane points")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise DegeneratePolygon("vertices must be finite")
 
-    n = len(z)
-    zn = np.roll(z, -1, axis=0)
+    n = z.shape[1]
+    # Negative indices wrap: entry i of nxt is i + 1 and of prv i - 1, mod n.
+    nxt, prv = np.arange(1 - n, 1), np.arange(-1, n - 1)
+    zn = z[:, nxt]
     r = (z - zn) / 2.0
     rbar = (z + zn) / 2.0
-    s = np.hypot(r[:, 0], r[:, 1])
-    smax = float(np.max(s))
-    if smax == 0.0 or np.any(s <= 1e-15 * smax):
+    s = np.hypot(r[..., 0], r[..., 1])
+    smax = s.max(axis=1)
+    if (s <= 1e-15 * smax[:, None]).any():
         raise DegeneratePolygon("repeated consecutive vertices")
 
-    rp = np.roll(r, 1, axis=0)   # r_{i-1}
-    rn = np.roll(r, -1, axis=0)  # r_{i+1}
+    rp = r[:, prv]
     delta = det2(rp, r)
-    dvec = det2(rp, rn)
+    dvec = det2(rp, r[:, nxt])
 
     # Signed turning from r_{i-1} to r_i; interior angle is its complement.
     exterior = np.arctan2(delta, inner2(rp, r))
     alpha = np.pi - exterior
 
-    turns = float(np.sum(exterior)) / (2.0 * np.pi)
-    m = int(round(turns))
-    if abs(turns - m) >= WINDING_TOL:
-        raise DegeneratePolygon(
-            f"turning angles sum to {turns:.12f} revolutions, not an integer"
-        )
+    turns = exterior.sum(axis=1) / (2.0 * np.pi)
+    winding = np.rint(turns)
+    if (off := abs(turns - winding) >= WINDING_TOL).any():
+        raise DegeneratePolygon(f"turning angles sum to {turns[off][0]:.12f} "
+                                "revolutions, not an integer")
 
-    if convexity_tol is None:
-        convexity_tol = 1e-12 * smax * smax
-    locally_convex = bool(np.all(delta > convexity_tol))
+    tol = 1e-12 * smax * smax if convexity_tol is None else convexity_tol
+    convex = (delta.T > tol).all(axis=0)
 
-    return OrbitPolygon(
-        vertices=_freeze(z.copy()),
-        r=_freeze(r),
-        rbar=_freeze(rbar),
-        s=_freeze(s),
-        delta=_freeze(delta),
-        dvec=_freeze(dvec),
-        alpha=_freeze(alpha),
-        exterior=_freeze(exterior),
-        winding=m,
-        locally_convex=locally_convex,
-    )
+    arrays = (z, r, rbar, s, delta, dvec, alpha, exterior)
+    for a in arrays:
+        a.setflags(write=False)
+    return [OrbitPolygon(*rows, winding=int(m), locally_convex=bool(c))
+            for *rows, m, c in zip(*arrays, winding, convex)]
 
 
 def polygon_area(vertices: Sequence) -> float:

@@ -8,17 +8,20 @@ statements for n = 3, 4, (5,2), (6,2) over many samples and report margins;
 a failure is stored with a replay bundle instead of being hidden.
 
 All verifier trials are pure functions of per-trial seeds spawned from the
-master seed.  The (5,2) and (6,2) verifiers run in three phases: every
-trial draws its polygon and search budget from its own generator, one
-batched convex-element search covers all trials and controls, and then each
-trial is checked.  The ``threads`` argument is kept for compatibility and
-has no effect: reports are the same bytes for every value.
+master seed.  Every verifier first draws the polygons of all its trials in
+one lock-step batch (:func:`sample_orbit_polygons`), each trial from its own
+generator, and then each trial's search budget.  The (5,2) and (6,2)
+verifiers then run one batched convex-element search over all trials and
+controls, and check each trial.  The paradoxical scan shares one generator
+between its draws, so it samples one polygon at a time.  The ``threads``
+argument is kept for compatibility and has no effect: reports are the same
+bytes for every value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .elements import (
     variety_point_n6,
 )
 from .errors import InputError, SamplerExhausted
-from .geometry import OrbitPolygon, derive_orbit_polygon, polygon_area
+from .geometry import OrbitPolygon, derive_orbit_polygon, derive_orbit_polygons, polygon_area
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 1000
@@ -45,86 +48,128 @@ ANGLE_MARGIN = 1e-3
 LENGTH_FLOOR = 5e-3
 
 
+def _require_non_negative(**values: int) -> None:
+    for name, value in values.items():
+        if value < 0:
+            raise InputError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass
 class OrbitSampler:
-    """Draws locally convex (n, m) orbit polygons, 0 < 2m < n.
+    """Draws locally convex (n, m) orbit polygons, 0 < 2m < n, from one
+    generator seeded by ``seed`` (see :func:`sample_orbit_polygons`)."""
+
+    n: int
+    m: int
+    seed: int = DEFAULT_SEED
+    attempts: int = 10_000
+    rng: np.random.Generator = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not 0 < 2 * self.m < self.n:
+            raise InputError(f"need 0 < 2m < n, got (n, m) = ({self.n}, {self.m})")
+        _require_non_negative(seed=self.seed)
+        self.rng = np.random.default_rng(self.seed)
+
+
+def sample_orbit_polygon(sampler: OrbitSampler) -> OrbitPolygon:
+    """The sampler's next polygon: the one-generator case of
+    :func:`sample_orbit_polygons`."""
+    return sample_orbit_polygons(sampler.n, sampler.m, [sampler.rng], sampler.attempts)[0]
+
+
+def sample_orbit_polygons(n: int, m: int, rngs: list[np.random.Generator],
+                          attempts: int = 10_000) -> list[OrbitPolygon]:
+    """One locally convex (n, m) orbit polygon per generator.
 
     Turning angles delta_i are a projected-Gaussian perturbation of the
     regular star's angle vector (the flat Dirichlet dies for 2m near n), the
     spread redrawn per attempt; directions are their cumulative sums; edge
     lengths come from projecting positive weights onto the closure null
     space, rejected unless strictly positive.
+
+    The trials' attempt loops run in lock-step: the arithmetic runs once per
+    round for the trials still drawing.  Each trial draws from its own
+    generator in the order of a lone sampler, so its polygon does not depend
+    on the batch.  SamplerExhausted after ``attempts`` rounds.
     """
-
-    n: int
-    m: int
-    seed: int = DEFAULT_SEED
-    attempts: int = 10_000
-    _rng: Optional[np.random.Generator] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if not 0 < 2 * self.m < self.n:
-            raise InputError(f"need 0 < 2m < n, got (n, m) = ({self.n}, {self.m})")
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        return self._rng
-
-
-def sample_orbit_polygon(sampler: OrbitSampler) -> OrbitPolygon:
-    n, m, rng = sampler.n, sampler.m, sampler.rng
+    if not 0 < 2 * m < n:
+        raise InputError(f"need 0 < 2m < n, got (n, m) = ({n}, {m})")
     xbar = 2.0 * m / n
     head = min(xbar, 1.0 - xbar)
-    for attempt in range(sampler.attempts):
-        hi = 0.65 if attempt < sampler.attempts // 2 else 0.35
-        spread = rng.uniform(0.15, hi)
-        g = rng.normal(0.0, 1.0, n)
-        g -= g.mean()
-        x = xbar + spread * head * g
-        if x.min() <= ANGLE_MARGIN or x.max() >= 1.0 - ANGLE_MARGIN:
-            continue
-        delta = np.pi * x
-        phi = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(delta)
-        U = np.stack([np.cos(phi), np.sin(phi)])
-        s = _positive_closure(U, rng)
-        if s is None:
-            continue
-        s = s * rng.lognormal(0.0, 0.25)
-        poly = derive_orbit_polygon(_vertices(rng.uniform(-1.0, 1.0, 2), s[:, None] * U.T))
-        if poly.locally_convex and poly.winding == m:
-            return poly
-    raise SamplerExhausted(f"no ({n},{m}) polygon within {sampler.attempts} attempts")
+    polys, todo = {}, list(range(len(rngs)))
+    for attempt in range(attempts):
+        if not todo:
+            break
+        hi = 0.65 if attempt < attempts // 2 else 0.35
+        gens = [rngs[k] for k in todo]
+        spread = np.array([r.uniform(0.15, hi) for r in gens])
+        g = np.array([r.normal(0.0, 1.0, n) for r in gens])
+        # g.sum / n is the bits of g.mean, without its Python-level wrapper.
+        x = xbar + (spread * head)[:, None] * (g - g.sum(axis=1, keepdims=True) / n)
+        clear = ((x > ANGLE_MARGIN) & (x < 1.0 - ANGLE_MARGIN)).all(axis=1)
+        polys.update(zip(todo, _build(m, np.pi * x, clear, gens)))
+        todo = [k for k in todo if isinstance(polys[k], str)]
+    if todo:
+        raise SamplerExhausted(f"no ({n},{m}) polygon within {attempts} attempts")
+    return [polys[k] for k in range(len(rngs))]
+
+
+def _build(m: int, delta: np.ndarray, clear: np.ndarray, rngs: list, placed=True) -> list:
+    """A closed polygon per row of turning angles ``delta`` (k, n), or why
+    it was rejected: "angle wall" (row not ``clear``; draws nothing),
+    "non-positive closure", or "convexity or winding" (winding not ``m``).
+    A row draws a phase and closure weights, then, when ``placed``, a
+    length scale and a first vertex; else the first vertex is the origin."""
+    # A clear row keeps the closure reason unless it closes into a polygon.
+    built: list = ["non-positive closure" if c else "angle wall" for c in clear]
+    rows = clear.nonzero()[0]
+    if not rows.size:
+        return built
+    phase = np.array([rngs[i].uniform(0.0, 2.0 * np.pi) for i in rows])
+    phi = phase[:, None] + delta[rows].cumsum(axis=1)
+    U = np.empty((len(rows), 2, phi.shape[1]))
+    np.cos(phi, out=U[:, 0])
+    np.sin(phi, out=U[:, 1])
+    s = _positive_closure(U, [rngs[i] for i in rows])
+    failed = np.isnan(s[:, 0])
+    if failed.any():
+        rows, s, U = rows[~failed], s[~failed], U[~failed]
+    z0 = np.zeros((len(rows), 2))
+    for j, i in enumerate(rows if placed else ()):
+        s[j] *= rngs[i].lognormal(0.0, 0.25)
+        z0[j] = rngs[i].uniform(-1.0, 1.0, 2)
+    polys = derive_orbit_polygons(_vertices(z0, s[..., None] * U.transpose(0, 2, 1)))
+    for i, poly in zip(rows, polys):
+        built[i] = poly if poly.locally_convex and poly.winding == m else "convexity or winding"
+    return built
 
 
 def _vertices(z0: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Vertices z_k = z_{k-1} - 2 r_{k-1} from z_0 and the half-edge vectors,
-    accumulated in order."""
-    return np.cumsum(np.vstack([z0, -2.0 * r[:-1]]), axis=0)
+    accumulated in order; stacks of both broadcast."""
+    return np.concatenate([z0[..., None, :], -2.0 * r[..., :-1, :]], axis=-2).cumsum(axis=-2)
 
 
-def _positive_closure(U: np.ndarray, rng: np.random.Generator) -> Optional[np.ndarray]:
-    """Strictly positive lengths with U s = 0: exact null-space projection of
-    random positive weights, sign-flipped when fully negative."""
-    gram = U @ U.T
-    for _ in range(4):
-        w = rng.lognormal(0.0, 0.4, U.shape[1])
-        s = w - U.T @ np.linalg.solve(gram, U @ w)
-        if np.all(s < 0):
-            s = -s
-        if s.min() > LENGTH_FLOOR * np.abs(s).max():
-            return s
-    return None
+def _positive_closure(U: np.ndarray, rngs: list, tries: int = 4) -> np.ndarray:
+    """Strictly positive lengths s with U s = 0, per (2, n) matrix of the
+    stack ``U``: exact null-space projection of random positive weights,
+    sign-flipped when fully negative; a row that fails draws again, and is
+    NaN after ``tries`` failures."""
+    w = np.array([g.lognormal(0.0, 0.4, U.shape[2]) for g in rngs])
+    Ut = U.transpose(0, 2, 1)
+    s = w - (Ut @ np.linalg.solve(U @ Ut, U @ w[..., None]))[..., 0]
+    np.negative(s, out=s, where=(s < 0).all(axis=1, keepdims=True))
+    bad = s.min(axis=1) <= LENGTH_FLOOR * abs(s).max(axis=1)
+    if bad.any():
+        s[bad] = np.nan if tries == 1 else _positive_closure(
+            U[bad], [g for g, b in zip(rngs, bad) if b], tries - 1)
+    return s
 
 
-def _spawned_rngs(seed: int, count: int) -> list[np.random.Generator]:
+def _spawned_rngs(seed: int, count: int, name: str = "trials") -> list[np.random.Generator]:
+    _require_non_negative(seed=seed, **{name: count})
     return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(count)]
-
-
-def _run_trials(fn: Callable[[int, np.random.Generator], dict],
-                trials: int, seed: int) -> list[dict]:
-    return [fn(k, rng) for k, rng in enumerate(_spawned_rngs(seed, trials))]
 
 
 @dataclass(frozen=True)
@@ -140,20 +185,13 @@ class VerifierReport:
     failure_bundles: tuple[dict, ...] = ()
 
 
-def _sampler_for(n: int, m: int, rng: np.random.Generator) -> OrbitSampler:
-    s = OrbitSampler(n=n, m=m, seed=0)
-    s._rng = rng
-    return s
-
-
 def _budget_for(rng: np.random.Generator) -> SearchBudget:
     return SearchBudget(seed=int(rng.integers(0, 2**63 - 1)))
 
 
-def _draw(n: int, m: int, rng: np.random.Generator) -> tuple[OrbitPolygon, SearchBudget]:
-    """A trial's polygon and then its search budget, from its generator."""
-    poly = sample_orbit_polygon(_sampler_for(n, m, rng))
-    return poly, _budget_for(rng)
+def _draw(n: int, m: int, rngs: list) -> list[tuple[OrbitPolygon, SearchBudget]]:
+    """Each trial's polygon and then its search budget, from its generator."""
+    return [(poly, _budget_for(rng)) for poly, rng in zip(sample_orbit_polygons(n, m, rngs), rngs)]
 
 
 def _search(drawn: list[tuple[OrbitPolygon, SearchBudget]]) -> list:
@@ -199,8 +237,7 @@ def _bundle(poly: OrbitPolygon, c, label: str) -> dict:
 
 def verify_theorem_n3(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                       threads: int = 1) -> VerifierReport:
-    def trial(_k: int, rng: np.random.Generator) -> dict:
-        poly = sample_orbit_polygon(_sampler_for(3, 1, rng))
+    def trial(poly: OrbitPolygon) -> dict:
         cstar = np.roll(poly.delta, 1)
         el = make_element(poly, cstar)
         half_area = 0.5 * polygon_area(poly.vertices)
@@ -215,7 +252,7 @@ def verify_theorem_n3(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             out["bundles"] = [_bundle(poly, cstar, "n3-element-check")]
         return out
 
-    results = _run_trials(trial, trials, seed)
+    results = [trial(poly) for poly in sample_orbit_polygons(3, 1, _spawned_rngs(seed, trials))]
     return _collect(
         results, "n3", seed, trials,
         "unique element equals the half area on every triangle and is never "
@@ -244,11 +281,12 @@ def _random_trapezoid(rng: np.random.Generator) -> OrbitPolygon:
 
 def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                       threads: int = 1) -> VerifierReport:
-    def trial(k: int, rng: np.random.Generator) -> dict:
-        if k % 5 == 4:
-            poly = _random_trapezoid(rng)  # exercise the degenerate conic
-        else:
-            poly = sample_orbit_polygon(_sampler_for(4, 1, rng))
+    rngs = _spawned_rngs(seed, trials)
+    sampled = iter(sample_orbit_polygons(4, 1, [g for k, g in enumerate(rngs) if k % 5 != 4]))
+    # Every fifth trial is a trapezoid, to exercise the degenerate conic.
+    polys = [_random_trapezoid(g) if k % 5 == 4 else next(sampled) for k, g in enumerate(rngs)]
+
+    def trial(poly: OrbitPolygon, rng: np.random.Generator) -> dict:
         el = convex_element_search(poly, _budget_for(rng))
         sc2 = poly.scale**2
         if el is None:
@@ -261,7 +299,7 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             out["bundles"] = [_bundle(poly, el.c, "n4-off-d-element")]
         return out
 
-    results = _run_trials(trial, trials, seed)
+    results = [trial(poly, rng) for poly, rng in zip(polys, rngs)]
     return _collect(
         results, "n4", seed, trials,
         "every convex element found by the conic sweep coincides with d "
@@ -294,8 +332,8 @@ def _identity_residual_n5(poly: OrbitPolygon, c: np.ndarray) -> float:
 
 def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                        threads: int = 1, controls: int = 100) -> VerifierReport:
-    stars = [_draw(5, 2, rng) for rng in _spawned_rngs(seed, trials)]
-    convex = [_draw(5, 1, rng) for rng in _spawned_rngs(seed + 1, controls)]
+    stars = _draw(5, 2, _spawned_rngs(seed, trials))
+    convex = _draw(5, 1, _spawned_rngs(seed + 1, controls, "controls"))
     found = _search(stars + convex)
     margins = _probe_margins_n5([poly for poly, _ in stars])
 
@@ -354,18 +392,20 @@ def _identity_residual_n6(poly: OrbitPolygon, c: np.ndarray) -> float:
 
 def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                        threads: int = 1, controls: int = 100) -> VerifierReport:
-    def draw(rng: np.random.Generator):
-        """A non-paradoxical (6,2) polygon and its budget, or the last
-        paradoxical draw and None at the cap; with the discard count."""
-        sampler = _sampler_for(6, 2, rng)
-        for discarded in range(MAX_PARADOXICAL_DRAWS):
-            poly = sample_orbit_polygon(sampler)
-            if not classify_paradoxical(poly):
-                return poly, _budget_for(rng), discarded
-        return poly, None, MAX_PARADOXICAL_DRAWS
-
-    stars = [draw(rng) for rng in _spawned_rngs(seed, trials)]
-    convex = [_draw(6, 1, rng) for rng in _spawned_rngs(seed + 1, controls)]
+    # Trials whose polygon is paradoxical draw again, all in one batch per
+    # round; at the cap a trial keeps its last paradoxical draw and no budget.
+    rngs = _spawned_rngs(seed, trials)
+    polys, discarded, todo = {}, [0] * trials, list(range(trials))
+    for _ in range(MAX_PARADOXICAL_DRAWS):
+        polys.update(zip(todo, sample_orbit_polygons(6, 2, [rngs[k] for k in todo])))
+        todo = [k for k in todo if classify_paradoxical(polys[k])]
+        for k in todo:
+            discarded[k] += 1
+        if not todo:
+            break
+    stars = [(polys[k], None if lost == MAX_PARADOXICAL_DRAWS else _budget_for(rngs[k]), lost)
+             for k, lost in enumerate(discarded)]
+    convex = _draw(6, 1, _spawned_rngs(seed + 1, controls, "controls"))
     searched = [(poly, budget) for poly, budget, _ in stars if budget is not None]
     found = iter(_search(searched + convex))
 
@@ -457,18 +497,9 @@ def _spiked_62(rng: np.random.Generator) -> Optional[OrbitPolygon]:
     if rest <= 0.1:
         return None
     a[3:] = rng.dirichlet(np.ones(3)) * rest
-    if np.any(a <= ANGLE_MARGIN) or np.any(a >= np.pi - ANGLE_MARGIN):
-        return None
-    delta = np.pi - a
-    phi = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(delta)
-    U = np.stack([np.cos(phi), np.sin(phi)])
-    s = _positive_closure(U, rng)
-    if s is None:
-        return None
-    poly = derive_orbit_polygon(_vertices(np.zeros(2), s[:, None] * U.T))
-    if poly.locally_convex and poly.winding == 2:
-        return poly
-    return None
+    clear = ANGLE_MARGIN < np.min(a) and np.max(a) < np.pi - ANGLE_MARGIN
+    poly = _build(2, (np.pi - a)[None], np.array([clear]), [rng], placed=False)[0]
+    return None if isinstance(poly, str) else poly
 
 
 def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> ParadoxicalScan:
@@ -479,8 +510,8 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
     existence for an actual convex curve is an open question, so neither an
     empty nor a non-empty find list is a failure.
     """
-    rng = np.random.default_rng(seed)
-    sampler = _sampler_for(6, 2, rng)
+    _require_non_negative(samples=samples)
+    sampler = OrbitSampler(6, 2, seed)
     hits: list[tuple[OrbitPolygon, SearchBudget, float]] = []
     best = -np.inf
     spiked_hits = 0
@@ -491,7 +522,7 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
             except SamplerExhausted:
                 continue
         else:
-            poly = _spiked_62(rng)
+            poly = _spiked_62(sampler.rng)
             if poly is None:
                 continue
         margin = paradox_margin(poly)
@@ -499,7 +530,7 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
         if margin > 0.0:
             if k % 2 == 1:
                 spiked_hits += 1
-            hits.append((poly, _budget_for(rng), margin))
+            hits.append((poly, _budget_for(sampler.rng), margin))
     # The search draws nothing from rng, so it runs once, after the scan.
     found = _search([(poly, budget) for poly, budget, _ in hits])
     finds = tuple(ParadoxicalFind(polygon=poly, margin=margin, element=el)

@@ -1,0 +1,147 @@
+"""Reference copies of the sequential sampler and polygon derive.
+
+The package draws polygons in lock-step batches (``lab.sample_orbit_polygons``)
+and derives them as stacks (``geometry.derive_orbit_polygons``).  These are
+the one-polygon-at-a-time versions the batches replaced, kept as they were
+so that tests can require the same bits and the same draws from each
+generator.  The only addition: ``rejected``, when given, counts the reasons
+the sequential loop rejected an attempt, and the closure's failed tries.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Optional
+
+import numpy as np
+
+from outerlab.errors import DegeneratePolygon, SamplerExhausted
+from outerlab.geometry import WINDING_TOL, OrbitPolygon, det2, inner2
+from outerlab.lab import ANGLE_MARGIN, LENGTH_FLOOR
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def derive_orbit_polygon(vertices, convexity_tol: float | None = None) -> OrbitPolygon:
+    z = np.asarray(vertices, dtype=float)
+    if z.ndim != 2 or z.shape[1] != 2 or len(z) < 3:
+        raise DegeneratePolygon("need at least 3 plane points")
+    if not np.all(np.isfinite(z)):
+        raise DegeneratePolygon("vertices must be finite")
+
+    zn = np.roll(z, -1, axis=0)
+    r = (z - zn) / 2.0
+    rbar = (z + zn) / 2.0
+    s = np.hypot(r[:, 0], r[:, 1])
+    smax = float(np.max(s))
+    if smax == 0.0 or np.any(s <= 1e-15 * smax):
+        raise DegeneratePolygon("repeated consecutive vertices")
+
+    rp = np.roll(r, 1, axis=0)   # r_{i-1}
+    rn = np.roll(r, -1, axis=0)  # r_{i+1}
+    delta = det2(rp, r)
+    dvec = det2(rp, rn)
+
+    exterior = np.arctan2(delta, inner2(rp, r))
+    alpha = np.pi - exterior
+
+    turns = float(np.sum(exterior)) / (2.0 * np.pi)
+    m = int(round(turns))
+    if abs(turns - m) >= WINDING_TOL:
+        raise DegeneratePolygon(
+            f"turning angles sum to {turns:.12f} revolutions, not an integer"
+        )
+
+    if convexity_tol is None:
+        convexity_tol = 1e-12 * smax * smax
+    locally_convex = bool(np.all(delta > convexity_tol))
+
+    return OrbitPolygon(
+        vertices=_freeze(z.copy()),
+        r=_freeze(r),
+        rbar=_freeze(rbar),
+        s=_freeze(s),
+        delta=_freeze(delta),
+        dvec=_freeze(dvec),
+        alpha=_freeze(alpha),
+        exterior=_freeze(exterior),
+        winding=m,
+        locally_convex=locally_convex,
+    )
+
+
+def vertices(z0: np.ndarray, r: np.ndarray) -> np.ndarray:
+    return np.cumsum(np.vstack([z0, -2.0 * r[:-1]]), axis=0)
+
+
+def positive_closure(U: np.ndarray, rng: np.random.Generator,
+                     rejected: Optional[Counter] = None) -> Optional[np.ndarray]:
+    gram = U @ U.T
+    for _ in range(4):
+        w = rng.lognormal(0.0, 0.4, U.shape[1])
+        s = w - U.T @ np.linalg.solve(gram, U @ w)
+        if np.all(s < 0):
+            s = -s
+        if s.min() > LENGTH_FLOOR * np.abs(s).max():
+            return s
+        if rejected is not None:
+            rejected["closure retry"] += 1
+    return None
+
+
+def sample_orbit_polygon(n: int, m: int, rng: np.random.Generator,
+                         attempts: int = 10_000,
+                         rejected: Optional[Counter] = None) -> OrbitPolygon:
+    rejected = Counter() if rejected is None else rejected
+    xbar = 2.0 * m / n
+    head = min(xbar, 1.0 - xbar)
+    for attempt in range(attempts):
+        hi = 0.65 if attempt < attempts // 2 else 0.35
+        spread = rng.uniform(0.15, hi)
+        g = rng.normal(0.0, 1.0, n)
+        g -= g.mean()
+        x = xbar + spread * head * g
+        if x.min() <= ANGLE_MARGIN or x.max() >= 1.0 - ANGLE_MARGIN:
+            rejected["angle wall"] += 1
+            continue
+        delta = np.pi * x
+        phi = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(delta)
+        U = np.stack([np.cos(phi), np.sin(phi)])
+        s = positive_closure(U, rng, rejected)
+        if s is None:
+            rejected["non-positive closure"] += 1
+            continue
+        s = s * rng.lognormal(0.0, 0.25)
+        poly = derive_orbit_polygon(vertices(rng.uniform(-1.0, 1.0, 2), s[:, None] * U.T))
+        if poly.locally_convex and poly.winding == m:
+            return poly
+        rejected["convexity or winding"] += 1
+    raise SamplerExhausted(f"no ({n},{m}) polygon within {attempts} attempts")
+
+
+def spiked_62(rng: np.random.Generator) -> Optional[OrbitPolygon]:
+    e1 = rng.uniform(0.02, 0.5)
+    g0, g2 = rng.uniform(0.05, 0.6, 2)
+    a = np.empty(6)
+    a[1] = np.pi - e1
+    a[0] = e1 + g0
+    a[2] = e1 + g2
+    rest = 2.0 * np.pi - a[0] - a[1] - a[2]
+    if rest <= 0.1:
+        return None
+    a[3:] = rng.dirichlet(np.ones(3)) * rest
+    if np.any(a <= ANGLE_MARGIN) or np.any(a >= np.pi - ANGLE_MARGIN):
+        return None
+    delta = np.pi - a
+    phi = rng.uniform(0.0, 2.0 * np.pi) + np.cumsum(delta)
+    U = np.stack([np.cos(phi), np.sin(phi)])
+    s = positive_closure(U, rng)
+    if s is None:
+        return None
+    poly = derive_orbit_polygon(vertices(np.zeros(2), s[:, None] * U.T))
+    if poly.locally_convex and poly.winding == 2:
+        return poly
+    return None

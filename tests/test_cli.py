@@ -216,6 +216,17 @@ def test_sample_rejects_bad_pair(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "n52", "--trials", "-3"],
+    ["verify", "n52", "--seed", "-1"],
+    ["sample", "5", "2", "--seed", "-1"],
+    ["search-paradoxical", "--trials", "-2"],
+])
+def test_negative_count_or_seed_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "must be non-negative" in capsys.readouterr().err
+
+
 def test_search_paradoxical_payload(tmp_path):
     code, payload = run_json(
         tmp_path, ["search-paradoxical", "--trials", "30", "--seed", "4"]

@@ -7,12 +7,15 @@ from hypothesis import given, settings, strategies as st
 from outerlab.errors import DegeneratePolygon, NotLocallyConvex
 from outerlab.geometry import (
     derive_orbit_polygon,
+    derive_orbit_polygons,
     det2,
     diameter,
     inner2,
     polygon_area,
     regular_star,
 )
+
+import reference
 
 SQRT3 = np.sqrt(3.0)
 
@@ -182,3 +185,43 @@ def test_arrays_are_frozen(triangle):
 def test_diameter():
     pts = [[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]
     assert diameter(pts) == 5.0
+
+
+FIELDS = ("vertices", "r", "rbar", "s", "delta", "dvec", "alpha", "exterior")
+
+
+def assert_same_polygon(a, b):
+    for name in FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.winding, a.locally_convex) == (b.winding, b.locally_convex)
+
+
+def test_stack_matches_sequential_derive():
+    # the derive of a (k, n, 2) stack is the sequential derive (kept in
+    # tests/reference.py) of each polygon, bit for bit: stars, convex and
+    # clockwise polygons, and noisy ones that are not locally convex
+    rng = np.random.default_rng(21)
+    for n in range(3, 13):
+        stack = []
+        for m in range(1, (n + 1) // 2):
+            if np.gcd(n, m) == 1:
+                star = regular_star(n, m, radius=rng.uniform(0.1, 10.0), phase=rng.uniform(0, 7))
+                stack += [star, star[::-1], star + 0.05 * rng.normal(size=(n, 2))]
+        stack = np.array(stack)
+        for tol in (None, 1e-3):
+            derived = derive_orbit_polygons(stack, tol)
+            assert len(derived) == len(stack)
+            for poly, z in zip(derived, stack):
+                assert_same_polygon(poly, reference.derive_orbit_polygon(z, tol))
+                assert_same_polygon(derive_orbit_polygon(z, tol), poly)
+                assert not poly.vertices.flags.writeable and not poly.dvec.flags.writeable
+    assert derive_orbit_polygons(np.empty((0, 5, 2))) == []
+
+
+def test_stack_with_one_degenerate_polygon_raises():
+    stack = np.array([regular_star(5, 2), regular_star(5, 1), regular_star(5, 2)])
+    stack[1, 3] = stack[1, 2]  # a repeated consecutive vertex
+    with pytest.raises(DegeneratePolygon, match="repeated"):
+        derive_orbit_polygons(stack)
+    with pytest.raises(DegeneratePolygon):
+        derive_orbit_polygons(stack[0])  # one polygon is not a stack

@@ -1,6 +1,7 @@
 """Sampler guarantees, verifier bookkeeping, thread determinism."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from outerlab.lab import (
     verify_theorem_n52,
     verify_theorem_n62,
 )
+
+import reference
 
 VALID_PAIRS = [(n, m) for n in range(3, 10) for m in range(1, n) if 0 < 2 * m < n]
 
@@ -158,3 +161,181 @@ def test_vertex_builder_matches_sequential_loop():
             for k in range(1, n):
                 want[k] = want[k - 1] - 2.0 * r[k - 1]
             assert np.array_equal(lab._vertices(z0, r), want)
+
+
+
+# ---------------------------------------------------------------------------
+# The lock-step batch against the sequential sampler it replaced (kept in
+# tests/reference.py): the same bits, and the same draws from each generator.
+
+FIELDS = ("vertices", "r", "rbar", "s", "delta", "dvec", "alpha", "exterior")
+ALL_PAIRS = [(n, m) for n in range(3, 13) for m in range(1, n) if 0 < 2 * m < n]
+
+
+def assert_same_polygon(a, b):
+    for name in FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a.winding, a.locally_convex) == (b.winding, b.locally_convex)
+
+
+def generators(seed, count):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
+@pytest.mark.parametrize("n,m", ALL_PAIRS)
+def test_batch_matches_sequential_sampler(n, m):
+    rejected = Counter()
+    for seed in (0, 7, 1729):
+        batch_rngs, seq_rngs = generators(seed, 6), generators(seed, 6)
+        batch = lab.sample_orbit_polygons(n, m, batch_rngs)
+        for poly, rng in zip(batch, seq_rngs):
+            assert_same_polygon(poly, reference.sample_orbit_polygon(n, m, rng, rejected=rejected))
+        # each trial drew exactly what the sequential loop drew
+        assert ([g.integers(2**62) for g in batch_rngs]
+                == [g.integers(2**62) for g in seq_rngs])
+
+
+def test_batch_resumes_after_each_rejection():
+    # one (8,2) batch whose trials the sequential loop rejected at the angle
+    # walls, retried inside the closure, and rejected for want of a positive
+    # closure (all four tries failed), mixed with trials it accepted at once
+    found = {"angle wall": [], "closure retry": [], "non-positive closure": []}
+    clean = []
+    for seed in range(1500):
+        rejected = Counter()
+        reference.sample_orbit_polygon(8, 2, np.random.default_rng(seed), rejected=rejected)
+        for reason, seeds in found.items():
+            if rejected[reason] and len(seeds) < 2:
+                seeds.append(seed)
+        if not rejected and len(clean) < 3:
+            clean.append(seed)
+    assert all(len(seeds) == 2 for seeds in found.values())
+    seeds = [clean[0], *found["non-positive closure"], clean[1], *found["angle wall"],
+             *found["closure retry"], clean[2]]
+    batch = lab.sample_orbit_polygons(8, 2, [np.random.default_rng(s) for s in seeds])
+    for poly, s in zip(batch, seeds):
+        assert_same_polygon(poly, reference.sample_orbit_polygon(8, 2, np.random.default_rng(s)))
+
+
+def test_builder_reports_each_rejection():
+    n, m = 5, 2
+    rows = np.array([
+        np.full(n, 4 * np.pi / 5),  # the regular (5,2) star: accepted
+        np.full(n, 4 * np.pi / 5),  # not clear of the angle walls
+        np.full(n, 0.1),            # directions in a half-plane: no positive closure
+        np.full(n, 2 * np.pi / 5),  # a convex pentagon: winding 1, not 2
+    ])
+    clear = np.array([True, False, True, True])
+    rngs, again = generators(3, 4), generators(3, 4)
+    built = lab._build(m, rows, clear, rngs)
+    assert built[1:] == ["angle wall", "non-positive closure", "convexity or winding"]
+    # the accepted row went through the sequential closure, scale and placement
+    phi = again[0].uniform(0.0, 2.0 * np.pi) + np.cumsum(rows[0])
+    U = np.stack([np.cos(phi), np.sin(phi)])
+    s = reference.positive_closure(U, again[0]) * again[0].lognormal(0.0, 0.25)
+    z = reference.vertices(again[0].uniform(-1.0, 1.0, 2), s[:, None] * U.T)
+    assert_same_polygon(built[0], reference.derive_orbit_polygon(z))
+    # a row off the walls drew nothing
+    assert rngs[1].integers(2**62) == again[1].integers(2**62)
+
+
+def test_spiked_hexagons_match_sequential():
+    for seed in range(300):
+        a = lab._spiked_62(np.random.default_rng(seed))
+        b = reference.spiked_62(np.random.default_rng(seed))
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert_same_polygon(a, b)
+
+
+def test_batch_exhaustion_in_one_trial():
+    # with two attempts, one trial of the batch is rejected on both
+    ok, fail = [], []
+    for seed in range(1100):
+        try:
+            reference.sample_orbit_polygon(12, 3, np.random.default_rng(seed), attempts=2)
+            ok.append(seed)
+        except SamplerExhausted:
+            fail.append(seed)
+    assert fail
+    seeds = ok[:3] + fail[:1] + ok[3:5]
+    with pytest.raises(SamplerExhausted):
+        lab.sample_orbit_polygons(12, 3, [np.random.default_rng(s) for s in seeds], attempts=2)
+    # without the failing trial the same batch goes through
+    rest = [np.random.default_rng(s) for s in ok[:5]]
+    assert len(lab.sample_orbit_polygons(12, 3, rest, attempts=2)) == 5
+
+
+def test_batch_edge_cases():
+    assert lab.sample_orbit_polygons(5, 2, []) == []
+    with pytest.raises(InputError):
+        lab.sample_orbit_polygons(6, 3, generators(0, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_theorem_n3(trials=-1),
+    lambda: verify_theorem_n4(trials=2, seed=-1),
+    lambda: verify_theorem_n52(trials=2, controls=-1),
+    lambda: verify_theorem_n62(trials=-2),
+    lambda: search_paradoxical(samples=-2),
+    lambda: search_paradoxical(samples=2, seed=-5),
+    lambda: OrbitSampler(5, 2, seed=-1),
+])
+def test_negative_counts_and_seeds_are_input_errors(call):
+    with pytest.raises(InputError):
+        call()
+
+
+# The number of searched and of classified polygons that the four verifiers
+# draw at seed 7, and a sha256 over them, computed with the sequential sampler
+# the batch replaced.  Searches are stubbed out (they draw nothing), and the
+# (6,2) verifier sees a quarter of its draws as paradoxical, so that its
+# trials redraw over several rounds.
+DRAWN_POLYGONS_SHA256 = "210 39 3f226d5d93b1e5e1b24ce1fb91ecf44f984855fc085316c7d90d57f923477125"
+
+
+def _polygon_digest(poly) -> bytes:
+    h = hashlib.sha256()
+    for name in FIELDS:
+        h.update(np.ascontiguousarray(getattr(poly, name)).tobytes())
+    h.update(f"{poly.winding},{poly.locally_convex}".encode())
+    return h.digest()
+
+
+def drawn_polygons_sha256(monkeypatch) -> str:
+    searched, classified = [], []
+    real_make, real_paradoxical = lab.make_element, lab.classify_paradoxical
+
+    def make(poly, c, *args, **kwargs):
+        searched.append(poly)
+        return real_make(poly, c, *args, **kwargs)
+
+    def search(poly, budget):
+        searched.append(poly)
+
+    def search_batch(polys, budgets):
+        searched.extend(polys)
+        return [None] * len(polys)
+
+    def paradoxical(poly):
+        classified.append(poly)
+        return real_paradoxical(poly) or poly.vertices[0, 0] > 0.5
+
+    monkeypatch.setattr(lab, "make_element", make)
+    monkeypatch.setattr(lab, "convex_element_search", search)
+    monkeypatch.setattr(lab, "convex_element_search_batch", search_batch)
+    monkeypatch.setattr(lab, "classify_paradoxical", paradoxical)
+    verify_theorem_n3(trials=40, seed=7)
+    verify_theorem_n4(trials=40, seed=7)
+    verify_theorem_n52(trials=40, controls=10, seed=7)
+    verify_theorem_n62(trials=30, controls=10, seed=7)
+    # searched polygons in trial order; the (6,2) draws as a set, since the
+    # batch classifies them round by round rather than trial by trial
+    h = hashlib.sha256()
+    for digest in [_polygon_digest(p) for p in searched] + sorted(map(_polygon_digest, classified)):
+        h.update(digest)
+    return f"{len(searched)} {len(classified)} {h.hexdigest()}"
+
+
+def test_verifiers_draw_the_sequential_polygons(monkeypatch):
+    assert drawn_polygons_sha256(monkeypatch) == DRAWN_POLYGONS_SHA256
