@@ -116,6 +116,28 @@ def test_orbit_bad_point_syntax_exit_2(tri_curve_file):
     assert main(["orbit", tri_curve_file, "--start", "nope", "--steps", "5"]) == 2
 
 
+def test_orbit_infinite_start_exit_2(tmp_path, tri_curve_file, capsys):
+    code, payload = run_json(tmp_path, ["orbit", tri_curve_file, "--start", "inf,0"])
+    assert code == 2 and payload is None
+    assert "finite" in capsys.readouterr().err
+
+
+def test_orbit_nan_start_exit_2(tmp_path, tri_curve_file, capsys):
+    code, payload = run_json(tmp_path, ["orbit", tri_curve_file, "--start", "nan,1"])
+    assert code == 2 and payload is None
+    assert "finite" in capsys.readouterr().err
+
+
+def test_orbit_curve_with_zero_tangents_exit_2(tmp_path, capsys):
+    th = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    pts = np.column_stack([np.cos(th), np.sin(th)])
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"kind": "smooth", "points": pts.tolist(),
+                                "tangents": np.zeros_like(pts).tolist()}))
+    assert main(["orbit", str(path), "--start", "2,0"]) == 2
+    assert "tangents" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["orbit", "/does/not/exist.json", "--start", "2,2"]) == 2
     capsys.readouterr()

@@ -6,11 +6,13 @@ alternating vertices close the hexagon exactly, winding around twice.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from outerlab import dynamics
 from outerlab.dynamics import (
     SINGULAR_ABORT,
     ConvexCurve,
@@ -184,6 +186,32 @@ def test_period_certification_needs_return(sq_curve):
 def test_iterate_input_validation(sq_curve):
     with pytest.raises(InputError):
         iterate(sq_curve, [3.0, 0.0], steps=0)
+
+
+def test_nonfinite_start_rejected(sq_curve, circle):
+    for curve in (sq_curve, circle):
+        for z in ([np.inf, 0.0], [np.nan, 1.0], [0.0, -np.inf]):
+            with pytest.raises(InputError, match="finite"):
+                iterate(curve, z, steps=3)
+            with pytest.raises(InputError, match="finite"):
+                outer_map(curve, z)
+            with pytest.raises(InputError, match="finite"):
+                tangency_point(curve, z)
+
+
+def test_smooth_curve_rejects_bad_tangents():
+    th = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    pts = np.column_stack([np.cos(th), np.sin(th)])
+    tan = np.column_stack([-np.sin(th), np.cos(th)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any 0/0
+        with pytest.raises(InputError, match="tangents"):
+            ConvexCurve.smooth(pts, np.zeros_like(pts))
+        for value in (0.0, np.nan, np.inf):
+            bad = tan.copy()
+            bad[5] = value
+            with pytest.raises(InputError, match="tangents"):
+                ConvexCurve.smooth(pts, bad)
 
 
 def test_orbit_polygon_midpoint_gate(tri_curve, sq_curve):
@@ -397,6 +425,106 @@ def test_support_matches_reference_on_smooth_curves():
     # the sight function is exactly zero there, the bisection is skipped.
     assert _assert_support_matches(circle, [np.array([1.0, -2.0])]) == 1
     assert tangency_point(circle, [1.0, -2.0]).tolist() == [1.0, 0.0]
+
+
+def _ellipse(samples=1024):
+    th = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    return ConvexCurve.smooth(np.column_stack([2.0 * np.cos(th), np.sin(th)]))
+
+
+def _count_bisections(monkeypatch):
+    calls = []
+    real = dynamics._bisect_crossing
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_bisect_crossing", spy)
+    return calls
+
+
+def test_support_matches_reference_near_smooth_curves(monkeypatch):
+    # Within 1e-7..1e-3 diameters of the curve both roots can sit on chords
+    # that reach the z -> centroid line; the guard then bisects both.
+    calls = _count_bisections(monkeypatch)
+    rng = np.random.default_rng(19)
+    bisections = set()
+    for curve in (ConvexCurve.circle(), _ellipse()):
+        e = curve.edges
+        normal = np.column_stack([e[:, 1], -e[:, 0]]) / np.sqrt(curve.edge_len2)[:, None]
+        k = rng.integers(0, len(e), 150)
+        push = curve.diameter * 10.0 ** rng.uniform(-7.0, -3.0, (150, 1))
+        starts = curve.points[k] + rng.uniform(0.0, 1.0, (150, 1)) * e[k] + push * normal[k]
+        for z in starts:
+            before = len(calls)
+            if _assert_support_matches(curve, [z]):
+                bisections.add(len(calls) - before)
+    assert bisections == {1, 2}
+
+
+def test_support_matches_reference_on_a_coarse_circle():
+    rng = np.random.default_rng(23)
+    curve = ConvexCurve.circle(samples=16)
+    starts = _starts_around(curve, rng, 200, 1.05, 6.0)
+    assert _assert_support_matches(curve, starts) == len(starts)
+    near = _starts_around(curve, rng, 100, 0.95, 1.05)
+    _assert_support_matches(curve, near)
+
+
+def _circle_with_exact_axes(samples):
+    """The sampled unit circle with its axis samples and their tangents
+    exact: a start on an axis tangent sees the sight function exactly 0."""
+    circle = ConvexCurve.circle(samples=samples)
+    pts, tan = circle.points.copy(), circle.tangents.copy()
+    pts[np.abs(pts) < 1e-15] = 0.0
+    tan[np.abs(tan) < 1e-15] = 0.0
+    return ConvexCurve.smooth(pts, tan)
+
+
+def test_support_at_an_exact_sample_tangency(monkeypatch):
+    calls = _count_bisections(monkeypatch)
+    for samples in (16, 64, 2048):
+        curve = _circle_with_exact_axes(samples)
+        for s in (0.5, 2.0, 3.0, 40.0):
+            touch = {(1.0, -s): [1.0, 0.0], (s, 1.0): [0.0, 1.0],
+                     (-1.0, s): [-1.0, 0.0], (-s, -1.0): [0.0, -1.0]}
+            for z, q in touch.items():
+                z = np.array(z)
+                # the chosen root is the zero sample itself; the other
+                # bracket lies wholly on the wrong side and is skipped
+                assert _assert_support_matches(curve, [z]) == 1
+                assert tangency_point(curve, z).tolist() == q
+                # mirrored through q, the zero sample is the other root
+                assert _assert_support_matches(curve, [2.0 * np.array(q) - z]) == 1
+    # one bisection per pair of calls: the mirrored start's chosen root
+    assert len(calls) == 3 * 4 * 4
+
+
+def test_guard_bisects_a_bracket_that_touches_the_centroid_line(monkeypatch):
+    # Just off the curve on an axis, the axis sample shared by both brackets
+    # lies within round-off of the z -> centroid line: neither bracket may
+    # be skipped, whatever the sign of the det at that sample.
+    calls = _count_bisections(monkeypatch)
+    curve = _circle_with_exact_axes(2048)
+    for delta in (1e-7, 1e-6, 3e-6):
+        for eta in (1e-20, 0.0, -1e-20):
+            r = 1.0 + delta
+            for z in ([r, eta], [-r, eta], [eta, r], [eta, -r]):
+                del calls[:]
+                assert _assert_support_matches(curve, [np.array(z)]) == 1
+                assert len(calls) == 2, z
+
+
+def test_one_bisection_per_regular_step(monkeypatch):
+    calls = _count_bisections(monkeypatch)
+    rng = np.random.default_rng(29)
+    for curve in (ConvexCurve.circle(), _ellipse()):
+        for z0 in _starts_around(curve, rng, 15, 1.1, 3.0):
+            del calls[:]
+            rec = iterate(curve, z0, steps=8)
+            assert len(rec.points) == 9 and len(calls) == 8
+            assert _assert_support_matches(curve, rec.points[:-1]) == 8
 
 
 def test_edge_extension_is_singular_in_both_supports():
