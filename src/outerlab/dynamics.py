@@ -28,7 +28,7 @@ from .errors import (
     SingularOrbit,
     ValidationFailed,
 )
-from .geometry import OrbitPolygon, derive_orbit_polygon, det2
+from .geometry import OrbitPolygon, derive_orbit_polygon, det2, inner2
 
 # Normalized-sine thresholds on supporting-line ties.
 SINGULAR_ABORT = 1e-10
@@ -56,9 +56,15 @@ class ConvexCurve:
         if not np.all(np.isfinite(p)):
             raise InputError("curve points must be finite")
         e = np.roll(p, -1, axis=0) - p
-        cross = det2(e, np.roll(e, -1, axis=0))
+        e_next = np.roll(e, -1, axis=0)
+        cross = det2(e, e_next)
         if np.any(cross <= 0):
             raise InputError("curve must be strictly convex and counterclockwise")
+        # Each turn lies in (0, pi), so the total turning is a whole number
+        # of revolutions up to round-off: a star polygon or a boundary
+        # sampled twice round turns at least twice.
+        if np.arctan2(cross, inner2(e, e_next)).sum() > 3.0 * np.pi:
+            raise InputError("curve must wind exactly once around its interior")
         object.__setattr__(self, "points", p)
         if self.kind == "smooth" and self.tangents is None:
             t = np.roll(p, -1, axis=0) - np.roll(p, 1, axis=0)
@@ -119,6 +125,11 @@ class ConvexCurve:
         return -1e-12 * self.diameter**2
 
     @cached_property
+    def point_list(self) -> tuple[tuple[float, float], ...]:
+        """points as Python float pairs."""
+        return tuple(map(tuple, self.points.tolist()))
+
+    @cached_property
     def columns(self) -> tuple[np.ndarray, ...]:
         """Contiguous x and y columns of points, edges and (smooth) tangents.
 
@@ -169,26 +180,25 @@ class OrbitRecord:
 
 
 def _support_polygon(
-    curve: ConvexCurve, z: np.ndarray, side: np.ndarray
-) -> tuple[np.ndarray, float]:
+    curve: ConvexCurve, ux: np.ndarray, uy: np.ndarray, side: np.ndarray
+) -> tuple[tuple[float, float], float]:
     # The support vertex closes the chain of edges that face z: the edge
     # before it faces z (side < 0), its own edge does not.
     faces = side < 0.0
-    turn = (faces[np.arange(-1, len(faces) - 1)] & ~faces).nonzero()[0]
-    if len(turn) != 1:
+    turn = (faces[:-1] > faces[1:]).nonzero()[0]
+    wrap = bool(faces[-1] and not faces[0])
+    if len(turn) + wrap != 1:
         raise SingularLine("no single clockwise-most vertex; z sees a tie")
-    best = int(turn[0])
-    v = curve.points
-    u = v - z
+    best = 0 if wrap else int(turn[0]) + 1
     # Certify and measure the tie margin against every other vertex.
-    cross = det2(u[best], u)
-    norms = np.hypot(u[:, 0], u[:, 1]) * float(np.hypot(*u[best]))
-    sines = cross / norms
+    bx, by = float(ux[best]), float(uy[best])
+    hyp = np.hypot(ux, uy)
+    sines = (bx * uy - by * ux) / (hyp * hyp[best])
     sines[best] = np.inf
     margin = float(np.abs(sines).min())
     if sines.min() < -SINGULAR_ABORT:
         raise SingularLine("no single clockwise-most vertex; z sees a tie")
-    return v[best].copy(), margin
+    return curve.point_list[best], margin
 
 
 def _bisect_crossing(a, b, ta, tb, zx: float, zy: float, ga: float) -> tuple[float, float]:
@@ -222,12 +232,12 @@ def _bisect_crossing(a, b, ta, tb, zx: float, zy: float, ga: float) -> tuple[flo
     return (1 - mid) * ax + mid * bx, (1 - mid) * ay + mid * by
 
 
-def _support_smooth(curve: ConvexCurve, z: np.ndarray) -> tuple[np.ndarray, float]:
+def _support_smooth(
+    curve: ConvexCurve, zx: float, zy: float, ux: np.ndarray, uy: np.ndarray
+) -> tuple[tuple[float, float], float]:
     p, t = curve.points, curve.tangents
     px, py, _, _, tx, ty = curve.columns
     n = len(p)
-    zx, zy = float(z[0]), float(z[1])
-    ux, uy = px - zx, py - zy
     g = ux * ty - uy * tx
     pos = g > 0
     nzi = None
@@ -288,20 +298,30 @@ def _support_smooth(curve: ConvexCurve, z: np.ndarray) -> tuple[np.ndarray, floa
         vx, vy = ux[use], uy[use]
         sines = (ucx * vy - ucy * vx) / (np.hypot(ucx, ucy) * np.hypot(vx, vy))
         margin = float(np.min(np.abs(sines)))
-    return np.array(chosen), margin
+    return chosen, margin
+
+
+def _support_xy(curve: ConvexCurve, zx: float, zy: float) -> tuple[float, float, float]:
+    """Support point (qx, qy) of the plane point (zx, zy), and its margin."""
+    px, py, ex, ey = curve.columns[:4]
+    ux, uy = px - zx, py - zy
+    # The bits of curve.sides: IEEE subtraction and multiplication are
+    # exact under sign flips.
+    side = ey * ux - ex * uy
+    if side.min() >= curve.inside_tol:
+        raise InsideCurve("the outer map needs a point strictly outside the curve")
+    if curve.kind == "polygon":
+        (qx, qy), margin = _support_polygon(curve, ux, uy, side)
+    else:
+        (qx, qy), margin = _support_smooth(curve, zx, zy, ux, uy)
+    if margin <= SINGULAR_ABORT:
+        raise SingularLine("supporting line meets the curve in more than one point")
+    return qx, qy, margin
 
 
 def _support(curve: ConvexCurve, z: np.ndarray) -> tuple[np.ndarray, float]:
-    side = curve.sides(z)
-    if (side >= curve.inside_tol).all():
-        raise InsideCurve("the outer map needs a point strictly outside the curve")
-    if curve.kind == "polygon":
-        p, margin = _support_polygon(curve, z, side)
-    else:
-        p, margin = _support_smooth(curve, z)
-    if margin <= SINGULAR_ABORT:
-        raise SingularLine("supporting line meets the curve in more than one point")
-    return p, margin
+    qx, qy, margin = _support_xy(curve, float(z[0]), float(z[1]))
+    return np.array([qx, qy]), margin
 
 
 def _plane_point(z) -> np.ndarray:
@@ -330,7 +350,8 @@ def iterate(
     """Iterate the outer map, certifying the smallest period found.
 
     A period candidate k (|z_k - z0| < tol) is certified by one more map
-    application: F(z_k) must land within 2 tol of z_1.  The singular flag is
+    application: F(z_k) must land within 2 tol of z_1; tol (default
+    1e-9 * diameter) must be finite and positive.  The singular flag is
     set when any supporting line came within a normalized sine of 1e-8 of a
     second boundary contact; closer than 1e-10 aborts with SingularOrbit.
 
@@ -346,30 +367,37 @@ def iterate(
     z0 = _plane_point(z0)
     if tol is None:
         tol = 1e-9 * curve.diameter
-    pts = [z0]
+    if not 0.0 < tol < np.inf:
+        raise InputError("period tolerance must be finite and > 0")
+    x0, y0 = zx, zy = z0.tolist()
+    pts = [(zx, zy)]
     flagged = False
     period = None
     closure = np.inf
-    z = z0
     for k in range(1, steps + 1):
         try:
-            p, margin = _support(curve, z)
+            qx, qy, margin = _support_xy(curve, zx, zy)
         except SingularLine as exc:
             raise SingularOrbit(k - 1, str(exc)) from exc
         if margin < SINGULAR_FLAG:
             flagged = True
-        z = 2.0 * p - z
-        pts.append(z)
-        resid = float(np.hypot(*(z - z0)))
+        zx, zy = 2.0 * qx - zx, 2.0 * qy - zy
+        pts.append((zx, zy))
         # Period 2 is impossible: the two tangent lines from an exterior
-        # point are distinct, so the smallest admissible period is 3.
-        if resid < tol and k >= 3:
+        # point are distinct, so the smallest admissible period is 3.  A
+        # rounded hypot is never below max(|dx|, |dy|), so it is taken
+        # only when both are below tol.
+        dx, dy = zx - x0, zy - y0
+        if k < 3 or abs(dx) >= tol or abs(dy) >= tol:
+            continue
+        resid = float(np.hypot(dx, dy))
+        if resid < tol:
             try:
-                p2, _ = _support(curve, z)
+                qx, qy, _ = _support_xy(curve, zx, zy)
             except SingularLine as exc:
                 raise SingularOrbit(k, str(exc)) from exc
-            znext = 2.0 * p2 - z
-            if np.hypot(*(znext - pts[1])) < 2.0 * tol:
+            x1, y1 = pts[1]
+            if np.hypot(2.0 * qx - zx - x1, 2.0 * qy - zy - y1) < 2.0 * tol:
                 period = k
                 closure = resid
                 break

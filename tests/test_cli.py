@@ -138,6 +138,27 @@ def test_orbit_curve_with_zero_tangents_exit_2(tmp_path, capsys):
     assert "tangents" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_orbit_bad_period_tolerance_exit_2(tmp_path, tol, capsys):
+    # an infinite tol would certify a false period; NaN, zero or a negative
+    # tol could never certify one
+    path = tmp_path / "unit_square.json"
+    path.write_text(json.dumps({"kind": "polygon",
+                                "points": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    code, payload = run_json(tmp_path, ["orbit", str(path), "--start", "2.3,0.7",
+                                        "--steps", "20", f"--tol-period={tol}"])
+    assert code == 2 and payload is None
+    assert "tolerance" in capsys.readouterr().err
+
+
+def test_orbit_star_polygon_curve_exit_2(tmp_path, capsys):
+    # every turn of the pentagram is to the left, but it winds twice
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps({"kind": "polygon", "points": regular_star(5, 2).tolist()}))
+    assert main(["orbit", str(path), "--start", "2,0.1", "--steps", "20"]) == 2
+    assert "wind" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["orbit", "/does/not/exist.json", "--start", "2,2"]) == 2
     capsys.readouterr()

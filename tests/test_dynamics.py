@@ -15,6 +15,7 @@ import pytest
 from outerlab import dynamics
 from outerlab.dynamics import (
     SINGULAR_ABORT,
+    SINGULAR_FLAG,
     ConvexCurve,
     _support,
     iterate,
@@ -23,6 +24,7 @@ from outerlab.dynamics import (
     tangency_point,
 )
 from outerlab.errors import (
+    DegeneratePolygon,
     InputError,
     InsideCurve,
     NotPeriodic,
@@ -30,7 +32,7 @@ from outerlab.errors import (
     SingularOrbit,
     ValidationFailed,
 )
-from outerlab.geometry import det2, inner2
+from outerlab.geometry import derive_orbit_polygon, det2, inner2, regular_star
 
 from conftest import SQUARE_VERTICES, TRIANGLE_VERTICES
 
@@ -69,6 +71,21 @@ def test_curve_validation_rejects_nonconvex():
         ConvexCurve.polygon([[0.0, 0.0], [2.0, 1.0], [0.0, 0.5], [-2.0, 1.0]])
     with pytest.raises(InputError):
         ConvexCurve.polygon([[0.0, 0.0], [1.0, 0.0]])
+
+
+def test_curve_validation_rejects_multiple_windings():
+    # Every turn of a star polygon is to the left, but the boundary goes
+    # round more than once.
+    for n, m in ((5, 2), (7, 2), (7, 3)):
+        with pytest.raises(InputError, match="wind"):
+            ConvexCurve.polygon(regular_star(n, m))
+    assert ConvexCurve.polygon(regular_star(7, 1)).diameter > 0
+    th = np.linspace(0.0, 4.0 * np.pi, 63, endpoint=False)
+    twice = np.column_stack([2.0 * np.cos(th), np.sin(th)])
+    with pytest.raises(InputError, match="wind"):
+        ConvexCurve.smooth(twice)
+    with pytest.raises(InputError, match="wind"):
+        ConvexCurve.smooth(twice, np.column_stack([-2.0 * np.sin(th), np.cos(th)]))
 
 
 def test_curve_basic_queries(sq_curve):
@@ -186,6 +203,11 @@ def test_period_certification_needs_return(sq_curve):
 def test_iterate_input_validation(sq_curve):
     with pytest.raises(InputError):
         iterate(sq_curve, [3.0, 0.0], steps=0)
+    # An infinite tol would certify any return as a period; NaN, zero or a
+    # negative tol could never certify one.
+    for tol in (np.inf, np.nan, 0.0, -1.0, -np.inf):
+        with pytest.raises(InputError, match="tolerance"):
+            iterate(sq_curve, [2.3, 0.7], steps=20, tol=tol)
 
 
 def test_nonfinite_start_rejected(sq_curve, circle):
@@ -375,6 +397,87 @@ def _starts_around(curve, rng, count, lo=0.8, hi=4.0):
     return curve.centroid + rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
 
 
+def _ref_iterate(curve, z0, steps):
+    """The loop on numpy pairs that iterate's plain-float loop replaces,
+    stepping with _ref_support: (points, period, winding, closure residual,
+    singular flag), or ("SingularOrbit", step)."""
+    z0 = np.asarray(z0, dtype=float)
+    tol = 1e-9 * curve.diameter
+    pts, period, closure, flagged = [z0], None, np.inf, False
+    z = z0
+    for k in range(1, steps + 1):
+        try:
+            p, margin = _ref_support(curve, z)
+        except SingularLine:
+            return "SingularOrbit", k - 1
+        flagged = flagged or margin < SINGULAR_FLAG
+        z = 2.0 * p - z
+        pts.append(z)
+        resid = float(np.hypot(*(z - z0)))
+        if resid < tol and k >= 3:
+            try:
+                p2, _ = _ref_support(curve, z)
+            except SingularLine:
+                return "SingularOrbit", k
+            if np.hypot(*(2.0 * p2 - z - pts[1])) < 2.0 * tol:
+                period, closure = k, resid
+                break
+    winding = None
+    if period is not None:
+        try:
+            winding = derive_orbit_polygon(np.asarray(pts[:period])).winding
+        except DegeneratePolygon:
+            pass
+    return np.asarray(pts), period, winding, closure, flagged
+
+
+def _assert_record_matches(curve, z0, steps):
+    """iterate gives the reference loop's record, bit for bit, or aborts at
+    the same step; returns the reference outcome."""
+    want = _ref_iterate(curve, z0, steps)
+    try:
+        rec = iterate(curve, z0, steps)
+    except SingularOrbit as exc:
+        assert want == ("SingularOrbit", exc.step), z0
+        return want
+    pts, period, winding, closure, flagged = want
+    assert np.array_equal(rec.points, pts), z0
+    assert (rec.period, rec.winding, rec.closure_residual, rec.singular_flag) == (
+        period, winding, closure, flagged), z0
+    return want
+
+
+def test_iterate_matches_reference_on_lattice_orbits():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(path.read_text(encoding="utf-8"))
+    curve = ConvexCurve.polygon(ref["polygon"])
+    for entry in ref["starts"]:
+        want = _assert_record_matches(curve, entry["start"], 1000)
+        assert want[1:3] == (entry["period"], entry["winding"])
+
+
+def test_iterate_matches_reference_on_random_polygons():
+    rng = np.random.default_rng(31)
+    outcomes = []
+    for _ in range(30):
+        try:
+            curve = _random_convex_polygon(rng)
+        except InputError:
+            continue
+        # Behind the tail of an edge the support line holds the whole edge:
+        # the orbit aborts there, and just off that line the step is flagged.
+        e = curve.edges[0]
+        tail = curve.points[0] - 1.5 * e
+        off = 3e-9 * curve.diameter * np.array([-e[1], e[0]]) / np.hypot(*e)
+        starts = [*_starts_around(curve, rng, 4, 1.2, 6.0), tail, tail + off]
+        outcomes += [_assert_record_matches(curve, z0, 200) for z0 in starts]
+    singular = [w for w in outcomes if isinstance(w[0], str)]
+    regular = [w for w in outcomes if not isinstance(w[0], str)]
+    assert len(singular) >= 25
+    assert 0 < sum(w[1] is not None for w in regular) < len(regular)
+    assert 0 < sum(w[4] for w in regular) < len(regular)
+
+
 def test_support_matches_reference_on_random_polygons():
     rng = np.random.default_rng(2024)
     regular = total = 0
@@ -408,6 +511,13 @@ def test_support_matches_reference_on_lattice_polygon():
         assert _assert_support_matches(curve, orbit) == len(orbit)
     rng = np.random.default_rng(7)
     _assert_support_matches(curve, _starts_around(curve, rng, 200, 0.9, 3.0))
+
+
+def test_support_matches_reference_on_a_regular_200_gon():
+    curve = ConvexCurve.polygon(regular_star(200, 1, radius=3.0, phase=0.1))
+    rng = np.random.default_rng(37)
+    starts = _starts_around(curve, rng, 300, 0.9, 4.0)
+    assert _assert_support_matches(curve, starts) > 200
 
 
 def test_support_matches_reference_on_smooth_curves():
