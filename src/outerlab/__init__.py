@@ -20,7 +20,6 @@ from .elements import (
     CurvatureProfile,
     CyclicMatrixC,
     IntegralElement,
-    SearchBudget,
     build_matrix_C,
     classify_paradoxical,
     convex_element_search,
@@ -70,7 +69,6 @@ __all__ = [
     "OrbitPolygon", "derive_orbit_polygon", "derive_orbit_polygons", "det2", "inner2",
     "polygon_area", "regular_star", "diameter",
     "CyclicMatrixC", "IntegralElement", "CurvatureProfile",
-    "SearchBudget",
     "build_matrix_C", "numerical_rank", "make_element",
     "special_element_minus", "special_element_plus",
     "is_integral_element", "is_convex_element",

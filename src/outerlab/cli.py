@@ -18,7 +18,6 @@ from . import jsonio
 from .dynamics import iterate, orbit_polygon as orbit_to_polygon
 from .elements import (
     INTEGRAL_TOL,
-    SearchBudget,
     curvature_from_element,
     make_element,
     variety_equations_n4,

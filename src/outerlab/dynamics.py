@@ -417,20 +417,18 @@ def iterate(
     )
 
 
-def orbit_polygon(
-    rec: OrbitRecord, curve: ConvexCurve | None = None, tol: float | None = None
-) -> OrbitPolygon:
+def orbit_polygon(rec: OrbitRecord, curve: ConvexCurve | None = None) -> OrbitPolygon:
     """The certified periodic orbit as an orbit polygon.
 
     When the curve is supplied, every edge midpoint is checked to lie on the
-    boundary (within tol, default 1e-10 * diameter) and local convexity is
-    enforced; these hold by construction for genuine orbits.
+    boundary (within 1e-10 * diameter) and local convexity is enforced; these
+    hold by construction for genuine orbits.
     """
     if rec.period is None:
         raise NotPeriodic("record carries no certified period")
     poly = derive_orbit_polygon(rec.points[: rec.period])
     if curve is not None:
-        t = 1e-10 * curve.diameter if tol is None else tol
+        t = 1e-10 * curve.diameter
         worst = float(np.max(curve.distance_to_boundary(poly.rbar)))
         if worst > t:
             raise ValidationFailed(

@@ -21,7 +21,7 @@ candidate it scores already sits on the variety to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -51,27 +51,19 @@ RANK_REL_DEFAULT = 1e-9
 # fixed threshold on it would depend on the polygon's conditioning.
 INTEGRAL_TOL = 1e-13
 
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Effort knobs for the convex-element search on n = 5, 6.
-
-    ``grid`` is the number of samples per chart axis of the coarse sweep,
-    which scores every shifted chart on a tensor grid over the search box
-    (``search_box``; on n = 4 it is the number of conic samples per branch).
-    The best regular point of each chart is refined by ``zoom_rounds``
-    rounds of a ``zoom_grid``-per-axis local grid, starting one coarse cell
-    wide and shrinking fourfold per round.  When no chart reaches
-    feasibility, ``starts`` random parameter points in the box, drawn from
-    ``seed`` and split evenly over the charts, are scored and refined the
-    same way before giving up.
-    """
-
-    starts: int = 200
-    grid: int = 21
-    zoom_rounds: int = 3
-    zoom_grid: int = 9
-    seed: int = 0
+# Effort of the convex-element search on n = 4, 5, 6.  GRID is the number of
+# samples per chart axis of the coarse sweep, which scores every shifted
+# chart on a tensor grid over the search box (search_box; on n = 4 it is the
+# number of conic samples per branch).  The best regular point of each chart
+# is refined by ZOOM_ROUNDS rounds of a ZOOM_GRID-per-axis local grid,
+# starting one coarse cell wide and shrinking fourfold per round.  When no
+# chart reaches feasibility, STARTS random parameter points in the box, drawn
+# from the polygon's search seed and split evenly over the charts, are scored
+# and refined the same way before giving up.
+GRID = 21
+ZOOM_ROUNDS = 3
+ZOOM_GRID = 9
+STARTS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,16 +469,14 @@ def classify_paradoxical(poly: OrbitPolygon) -> bool:
 # ---------------------------------------------------------------------------
 # Convex-element search
 
-# Points that one scorer call may evaluate: one hexagon chart on the default
-# 21^3 coarse grid, the largest call that a single-polygon search needs.
-# Batched stages are split at that size, so the scorer's temporaries, and with
-# them peak memory, stay as small as for one polygon.
-MAX_CHART_POINTS = 21**3
+# Points that one scorer call may evaluate: one hexagon chart on the coarse
+# grid, the largest call that a single-polygon search needs.  Batched stages
+# are split at that size, so the scorer's temporaries, and with them peak
+# memory, stay as small as for one polygon.
+MAX_CHART_POINTS = GRID**3
 
 
-def convex_element_search(
-    poly: OrbitPolygon, budget: SearchBudget | None = None
-) -> Optional[IntegralElement]:
+def convex_element_search(poly: OrbitPolygon, seed: int = 0) -> Optional[IntegralElement]:
     """Look for a convex integral element; None when none is found.
 
     Strategy per n: n = 3 has a single closed-form element; n = 4 sweeps the
@@ -496,43 +486,43 @@ def convex_element_search(
     shrinking local grids.  The element maximizing that slack is returned, so a
     strictly interior element is preferred over the ever-present corner
     element c = d of even n.  A None for odd n is evidence of absence, not
-    proof; verifiers aggregate over many samples.  This is the one-polygon
-    case of :func:`convex_element_search_batch`.
+    proof; verifiers aggregate over many samples.  ``seed`` draws the random
+    starts (see STARTS).  This is the one-polygon case of
+    :func:`convex_element_search_batch`.
     """
-    return convex_element_search_batch([poly], None if budget is None else [budget])[0]
+    return convex_element_search_batch([poly], [seed])[0]
 
 
 def convex_element_search_batch(
-    polys: Sequence[OrbitPolygon], budgets: Sequence[SearchBudget] | None = None
+    polys: Sequence[OrbitPolygon], seeds: Sequence[int] | None = None
 ) -> list[Optional[IntegralElement]]:
-    """:func:`convex_element_search` of each polygon with its budget (default
-    ``SearchBudget()``), the polygons searched together.  Pentagons, and
-    hexagons, whose budgets differ at most in ``seed`` share every chart
-    scorer call, in chunks of at most MAX_CHART_POINTS points.  Each result
-    equals the polygon's own search bit for bit: every chart value is an
-    elementwise function of its own row, ties go to the first point of a row,
-    and the random starts run, from the polygon's own seed, only for the
-    polygons whose charts refined to no feasible point."""
-    if budgets is None:
-        budgets = [SearchBudget()] * len(polys)
-    groups: dict[tuple, list[int]] = {}
-    for i, (poly, budget) in enumerate(zip(polys, budgets, strict=True)):
+    """:func:`convex_element_search` of each polygon with its seed (default
+    0), the polygons searched together.  All pentagons, and all hexagons,
+    share every chart scorer call, in chunks of at most MAX_CHART_POINTS
+    points.  Each result equals the polygon's own search bit for bit: every
+    chart value is an elementwise function of its own row, ties go to the
+    first point of a row, and the random starts run, from the polygon's own
+    seed, only for the polygons whose charts refined to no feasible point."""
+    if seeds is None:
+        seeds = [0] * len(polys)
+    groups: dict[int, list[int]] = {}
+    for i, (poly, _) in enumerate(zip(polys, seeds, strict=True)):
         poly.require_locally_convex()
         if poly.n not in (3, 4, 5, 6):
             raise UnsupportedPeriod("search implemented for n in {3, 4, 5, 6}")
-        groups.setdefault((poly.n, replace(budget, seed=0)), []).append(i)
+        groups.setdefault(poly.n, []).append(i)
 
     found: list[Optional[IntegralElement]] = [None] * len(polys)
-    for (n, _), idx in groups.items():
+    for n, idx in groups.items():
         group = [polys[i] for i in idx]
         if n == 3:
             els = [make_element(p, np.roll(p.delta, 1)) for p in group]
             els = [el if (el.is_valid and el.is_convex) else None for el in els]
         else:
             if n == 4:
-                cands = [np.array(_candidates_n4(p, budgets[i])) for p, i in zip(group, idx)]
+                cands = [np.array(_candidates_n4(p)) for p in group]
             else:
-                cands = _candidates_chart(group, [budgets[i] for i in idx])
+                cands = _candidates_chart(group, [seeds[i] for i in idx])
                 cands = [np.vstack([c, -p.dvec, p.dvec] if n == 6 else [c, -p.dvec])
                          for p, c in zip(group, cands)]
             els = [_most_convex(p, c) for p, c in zip(group, cands)]
@@ -562,7 +552,7 @@ def search_box(poly: OrbitPolygon) -> tuple[np.ndarray, np.ndarray]:
     return -3.0 * np.abs(d) - 3.0 * float(np.mean(poly.delta)), d
 
 
-def _candidates_n4(poly: OrbitPolygon, budget: SearchBudget) -> list[np.ndarray]:
+def _candidates_n4(poly: OrbitPolygon) -> list[np.ndarray]:
     """Conic sweep c = (t, K/t, -t, -K/t) plus its degenerate branches."""
     D = poly.delta
     lo, d = search_box(poly)
@@ -570,10 +560,10 @@ def _candidates_n4(poly: OrbitPolygon, budget: SearchBudget) -> list[np.ndarray]
     sc2 = poly.scale**2
     tiny = 1e-12 * sc2
     cands = [d.copy()]
-    for t in np.linspace(lo[0], d[0], budget.grid):
+    for t in np.linspace(lo[0], d[0], GRID):
         if abs(t) > tiny:
             cands.append(np.array([t, K / t, -t, -K / t]))
-    for t in np.linspace(lo[1], d[1], budget.grid):
+    for t in np.linspace(lo[1], d[1], GRID):
         if abs(t) > tiny:
             cands.append(np.array([K / t, t, -K / t, -t]))
     if abs(K) <= tiny * sc2:
@@ -657,7 +647,7 @@ class ChartSweep:
         axes = np.linspace(self.lo, self.hi, grid)
         return self.scan(np.arange(len(self.lo)), _grid_params(axes))
 
-    def refine(self, rows: np.ndarray, start, span: np.ndarray, budget: SearchBudget):
+    def refine(self, rows: np.ndarray, start, span: np.ndarray):
         """Shrinking local grids around each regular point of a start batch
         (one entry per row of ``rows``), the rounds in sequence and each over
         all those rows at once.  Returns, per row, the start's and the
@@ -668,8 +658,8 @@ class ChartSweep:
         idx = np.flatnonzero(found)
         center, span = center[idx], span[idx]
         best_m, best_c = np.full(len(idx), -np.inf), np.empty((len(idx), self.n))
-        for _ in range(budget.zoom_rounds):
-            axes = np.linspace(center - span, center + span, budget.zoom_grid)
+        for _ in range(ZOOM_ROUNDS):
+            axes = np.linspace(center - span, center + span, ZOOM_GRID)
             mz, cz, p = self.scan(rows[idx], _grid_params(axes))
             better = mz > best_m
             best_m[better], best_c[better] = mz[better], cz[better]
@@ -681,33 +671,30 @@ class ChartSweep:
                 np.maximum(m, zoom_m))
 
 
-def _candidates_chart(polys: list[OrbitPolygon],
-                      budgets: list[SearchBudget]) -> list[np.ndarray]:
-    """Chart candidates of pentagons, or of hexagons, whose budgets differ at
-    most in seed: per polygon, each regular start followed by its refinement
-    in chart order, the coarse sweep's first and then the random starts'."""
-    budget = budgets[0]
+def _candidates_chart(polys: list[OrbitPolygon], seeds: list[int]) -> list[np.ndarray]:
+    """Chart candidates of pentagons, or of hexagons, each with its search
+    seed: per polygon, each regular start followed by its refinement in chart
+    order, the coarse sweep's first and then the random starts'."""
     charts = ChartSweep(*polys)
     n, dim = charts.n, charts.dim
     box = charts.hi - charts.lo
     rows = np.arange(len(box))
-    c, keep, best = charts.refine(rows, charts.sweep(budget.grid),
-                                  box / (budget.grid - 1), budget)
+    c, keep, best = charts.refine(rows, charts.sweep(GRID), box / (GRID - 1))
     out = _per_polygon(c, keep, n)
     tol = np.array([convexity_tol(p) for p in polys])
     stuck = ~np.any(best.reshape(-1, n) >= -tol[:, None], axis=1)
-    extra = np.flatnonzero(stuck & (budget.starts > 0))
+    extra = np.flatnonzero(stuck)
     if len(extra):
         # Random extra starts across the box, split evenly over the charts
         # and drawn chart after chart, refined the same way.
-        size = (n, budget.starts // n + 1, dim)
+        size = (n, STARTS // n + 1, dim)
         lo, hi = (x.reshape(-1, n, 1, dim) for x in (charts.lo, charts.hi))
         starts = np.concatenate([
-            np.random.default_rng(budgets[p].seed).uniform(lo[p], hi[p], size)
+            np.random.default_rng(seeds[p]).uniform(lo[p], hi[p], size)
             for p in extra])
         rows = (n * extra[:, None] + np.arange(n)).ravel()
         batch = charts.scan(rows, list(np.moveaxis(starts, -1, 0)))
-        c, keep, _ = charts.refine(rows, batch, box[rows] / budget.grid, budget)
+        c, keep, _ = charts.refine(rows, batch, box[rows] / GRID)
         for p, more in zip(extra, _per_polygon(c, keep, n)):
             out[p] = np.concatenate([out[p], more])
     return out

@@ -10,7 +10,7 @@ a failure is stored with a replay bundle instead of being hidden.
 All verifier trials are pure functions of per-trial seeds spawned from the
 master seed.  Every verifier first draws the polygons of all its trials in
 one lock-step batch (:func:`sample_orbit_polygons`), each trial from its own
-generator, and then each trial's search budget.  The (5,2) and (6,2)
+generator, and then each trial's search seed.  The (5,2) and (6,2)
 verifiers then run one batched convex-element search over all trials and
 controls, and check each trial.  The paradoxical scan shares one generator
 between its draws, so it samples one polygon at a time.  The ``threads``
@@ -27,7 +27,6 @@ import numpy as np
 
 from .elements import (
     ChartSweep,
-    SearchBudget,
     classify_paradoxical,
     convex_element_search,
     convex_element_search_batch,
@@ -185,18 +184,18 @@ class VerifierReport:
     failure_bundles: tuple[dict, ...] = ()
 
 
-def _budget_for(rng: np.random.Generator) -> SearchBudget:
-    return SearchBudget(seed=int(rng.integers(0, 2**63 - 1)))
+def _seed_for(rng: np.random.Generator) -> int:
+    return int(rng.integers(0, 2**63 - 1))
 
 
-def _draw(n: int, m: int, rngs: list) -> list[tuple[OrbitPolygon, SearchBudget]]:
-    """Each trial's polygon and then its search budget, from its generator."""
-    return [(poly, _budget_for(rng)) for poly, rng in zip(sample_orbit_polygons(n, m, rngs), rngs)]
+def _draw(n: int, m: int, rngs: list) -> list[tuple[OrbitPolygon, int]]:
+    """Each trial's polygon and then its search seed, from its generator."""
+    return [(poly, _seed_for(rng)) for poly, rng in zip(sample_orbit_polygons(n, m, rngs), rngs)]
 
 
-def _search(drawn: list[tuple[OrbitPolygon, SearchBudget]]) -> list:
-    """One batched convex-element search over (polygon, budget) pairs."""
-    return convex_element_search_batch([p for p, _ in drawn], [b for _, b in drawn])
+def _search(drawn: list[tuple[OrbitPolygon, int]]) -> list:
+    """One batched convex-element search over (polygon, seed) pairs."""
+    return convex_element_search_batch([p for p, _ in drawn], [s for _, s in drawn])
 
 
 MAX_BUNDLES = 10
@@ -207,12 +206,12 @@ MAX_PARADOXICAL_DRAWS = 1000
 
 
 def _collect(results: list[dict], theorem: str, seed: int, samples: int,
-             notes: str, margin_reduce) -> VerifierReport:
+             notes: str) -> VerifierReport:
     failures = sum(r["failures"] for r in results)
     bundles = []
     for r in results:
         bundles.extend(r.get("bundles", ()))
-    worst = margin_reduce([r["margin"] for r in results]) if results else 0.0
+    worst = max(r["margin"] for r in results) if results else 0.0
     return VerifierReport(
         theorem=theorem,
         samples=samples,
@@ -257,7 +256,6 @@ def verify_theorem_n3(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
         results, "n3", seed, trials,
         "unique element equals the half area on every triangle and is never "
         "convex; margin is the worst relative deviation from the half area",
-        max,
     )
 
 
@@ -287,7 +285,7 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     polys = [_random_trapezoid(g) if k % 5 == 4 else next(sampled) for k, g in enumerate(rngs)]
 
     def trial(poly: OrbitPolygon, rng: np.random.Generator) -> dict:
-        el = convex_element_search(poly, _budget_for(rng))
+        el = convex_element_search(poly, _seed_for(rng))
         sc2 = poly.scale**2
         if el is None:
             return {"failures": 1, "margin": np.inf,
@@ -305,7 +303,6 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
         "every convex element found by the conic sweep coincides with d "
         "(margin = worst |c - d| / scale^2); every fifth sample is a "
         "trapezoid to exercise the degenerate branch",
-        max,
     )
 
 
@@ -373,7 +370,6 @@ def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
         f"the best convexity slack min(d - c)/scale^2 seen on variety probes "
         f"(negative = infeasible); {controls} convex-pentagon controls must "
         f"each produce an element",
-        max,
     )
 
 
@@ -393,7 +389,7 @@ def _identity_residual_n6(poly: OrbitPolygon, c: np.ndarray) -> float:
 def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                        threads: int = 1, controls: int = 100) -> VerifierReport:
     # Trials whose polygon is paradoxical draw again, all in one batch per
-    # round; at the cap a trial keeps its last paradoxical draw and no budget.
+    # round; at the cap a trial keeps its last paradoxical draw and no seed.
     rngs = _spawned_rngs(seed, trials)
     polys, discarded, todo = {}, [0] * trials, list(range(trials))
     for _ in range(MAX_PARADOXICAL_DRAWS):
@@ -403,10 +399,10 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             discarded[k] += 1
         if not todo:
             break
-    stars = [(polys[k], None if lost == MAX_PARADOXICAL_DRAWS else _budget_for(rngs[k]), lost)
+    stars = [(polys[k], None if lost == MAX_PARADOXICAL_DRAWS else _seed_for(rngs[k]), lost)
              for k, lost in enumerate(discarded)]
     convex = _draw(6, 1, _spawned_rngs(seed + 1, controls, "controls"))
-    searched = [(poly, budget) for poly, budget, _ in stars if budget is not None]
+    searched = [(poly, search_seed) for poly, search_seed, _ in stars if search_seed is not None]
     found = iter(_search(searched + convex))
 
     def capped(poly: OrbitPolygon, discarded: int) -> dict:
@@ -443,9 +439,9 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
         return {"failures": 0, "margin": 0.0, "control_dev": dev}
 
     # The searched trials take the first results, in order; the controls the rest.
-    results = [capped(poly, discarded) if budget is None
+    results = [capped(poly, discarded) if search_seed is None
                else trial(poly, next(found), discarded)
-               for poly, budget, discarded in stars]
+               for poly, search_seed, discarded in stars]
     control_results = [control(poly, next(found)) for poly, _ in convex]
     devs = [r.get("control_dev", 0.0) for r in control_results]
     interior_hits = sum(1 for v in devs if v > 1e-3)
@@ -462,7 +458,6 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
         f"(margin = worst |c - d|/scale^2); {discarded} paradoxical samples "
         f"discarded; {interior_hits}/{controls} convex-hexagon controls gave "
         f"an interior element (|c - d| > 1e-3 scale^2)",
-        max,
     )
 
 
@@ -512,7 +507,7 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
     """
     _require_non_negative(samples=samples)
     sampler = OrbitSampler(6, 2, seed)
-    hits: list[tuple[OrbitPolygon, SearchBudget, float]] = []
+    hits: list[tuple[OrbitPolygon, int, float]] = []
     best = -np.inf
     spiked_hits = 0
     for k in range(samples):
@@ -530,9 +525,9 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
         if margin > 0.0:
             if k % 2 == 1:
                 spiked_hits += 1
-            hits.append((poly, _budget_for(sampler.rng), margin))
+            hits.append((poly, _seed_for(sampler.rng), margin))
     # The search draws nothing from rng, so it runs once, after the scan.
-    found = _search([(poly, budget) for poly, budget, _ in hits])
+    found = _search([(poly, search_seed) for poly, search_seed, _ in hits])
     finds = tuple(ParadoxicalFind(polygon=poly, margin=margin, element=el)
                   for (poly, _, margin), el in zip(hits, found))
     return ParadoxicalScan(

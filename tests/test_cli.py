@@ -61,9 +61,9 @@ def test_orbit_polygon_checked_against_curve(tmp_path, tri_curve_file, monkeypat
     seen = []
     real = cli.orbit_to_polygon
 
-    def spy(rec, curve=None, tol=None):
+    def spy(rec, curve=None):
         seen.append(curve)
-        return real(rec, curve, tol)
+        return real(rec, curve)
 
     monkeypatch.setattr(cli, "orbit_to_polygon", spy)
     code, payload = run_json(

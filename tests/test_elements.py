@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import outerlab
 from outerlab.elements import (
     INTEGRAL_TOL,
     MAX_CHART_POINTS,
+    STARTS,
     ChartSweep,
     CurvatureProfile,
-    SearchBudget,
     _candidates_chart,
     _candidates_n4,
     _grid_params,
@@ -435,29 +436,25 @@ def test_search_hexagon_interior_beats_corner(sampled):
 
 def test_search_is_deterministic(sampled):
     poly = sampled[(6, 1)][4]
-    budget = SearchBudget(seed=11)
-    a = convex_element_search(poly, budget)
-    b = convex_element_search(poly, budget)
+    a = convex_element_search(poly, 11)
+    b = convex_element_search(poly, 11)
     assert a is not None and b is not None
     assert np.array_equal(a.c, b.c)
 
 
 def _batch_cases():
-    """(polygon, budget) pairs mixing (5,1), (5,2), (6,1) and (6,2) in a
+    """(polygon, seed) pairs mixing (5,1), (5,2), (6,1) and (6,2) in a
     shuffled order.  Every (5,2) takes the random-start branch (it has no
-    convex element); no other kind does.  Every eighth pair has a smaller
-    budget, so the batch splits into budget groups.  The default-budget
-    (5,2) outnumber the pentagons of one random-start scorer call, and each
-    other stage, hexagon zooms included, spans several calls too."""
+    convex element); no other kind does.  The (5,2) outnumber the pentagons
+    of one random-start scorer call, and each other stage, hexagon zooms
+    included, spans several calls too."""
     kinds = {(5, 1): 24, (5, 2): 56, (6, 1): 4, (6, 2): 4}
     polys = []
     for (n, m), count in kinds.items():
         sampler = OrbitSampler(n, m, seed=700 + 10 * n + m)
         polys += [sample_orbit_polygon(sampler) for _ in range(count)]
     order = np.random.default_rng(70).permutation(len(polys))
-    return [(polys[k], SearchBudget(seed=int(k)) if j % 8 else
-             SearchBudget(grid=9, zoom_rounds=2, zoom_grid=5, starts=30, seed=int(k)))
-            for j, k in enumerate(order)]
+    return [(polys[k], int(k)) for k in order]
 
 
 def _digest(els):
@@ -468,20 +465,20 @@ def _digest(els):
 
 
 # sha256 of the single-polygon results on _batch_cases(), computed with the
-# per-polygon search that preceded the batched one, before it was changed
+# search before its effort became fixed, every case at the default effort
 # (numpy 2.4, x86-64 Linux).  It pins what each polygon alone returns, so a
 # change that moves both paths alike (ties to the last maximum, random starts
 # for every polygon) fails here as well.
-BATCH_CASES_SHA256 = "3962400ebd6f5bf5200a9ffaad3ba522a301a9c327668917c95a16016f7bbfe6"
+BATCH_CASES_SHA256 = "9f00c02261ac74d8d64b6467d09695b9eb30d70bf3959a3b525ab9e1ee4f9cc1"
 
 
 def test_batched_search_matches_single_searches():
     cases = _batch_cases()
-    pentagon_starts = sum(p.n == 5 and p.winding == 2 and b.grid == 21 for p, b in cases)
-    assert pentagon_starts * 5 > MAX_CHART_POINTS // (SearchBudget().starts // 5 + 1)
-    single = [convex_element_search(p, b) for p, b in cases]
+    pentagon_starts = sum(p.n == 5 and p.winding == 2 for p, _ in cases)
+    assert pentagon_starts * 5 > MAX_CHART_POINTS // (STARTS // 5 + 1)
+    single = [convex_element_search(p, s) for p, s in cases]
     assert _digest(single) == BATCH_CASES_SHA256
-    batched = convex_element_search_batch([p for p, _ in cases], [b for _, b in cases])
+    batched = convex_element_search_batch([p for p, _ in cases], [s for _, s in cases])
     assert len(batched) == len(cases)
     for (poly, _), want, got in zip(cases, single, batched):
         assert (want is None) == (got is None)
@@ -540,7 +537,6 @@ def _oracle_cases():
     """(poly, c) pairs: exact elements, conic and chart candidates, and -d
     with one entry moved by 1e-2, 1e-3, 1e-6 and a decade sweep down to
     1e-13 of max|d|."""
-    small = SearchBudget(grid=9, zoom_rounds=2, zoom_grid=5, starts=0)
     eps = sorted({1e-2, 1e-3, 1e-6, *10.0 ** -np.arange(4, 14)}, reverse=True)
     floors = [np.inf, np.inf]
     for n, m in PAIRS_3_12:
@@ -553,9 +549,9 @@ def _oracle_cases():
             if n % 2 == 0:
                 yield poly, d.copy()
             if n == 4:
-                yield from ((poly, c) for c in _candidates_n4(poly, small))
+                yield from ((poly, c) for c in _candidates_n4(poly))
             if n in (5, 6):
-                yield from ((poly, c) for c in _candidates_chart([poly], [small])[0])
+                yield from ((poly, c) for c in _candidates_chart([poly], [0])[0])
             for j in range(n):
                 for e in eps:
                     c = -d.copy()
@@ -623,3 +619,9 @@ def test_element_owns_its_coefficients(sampled):
     c[0] += poly.scale**2  # the caller reuses its array
     assert np.array_equal(el.c, -poly.dvec)
     assert el.is_valid and el.rank_margin > 1e-6
+
+
+def test_public_names_resolve():
+    # a name left in __all__ after its object is gone breaks star imports
+    missing = [name for name in outerlab.__all__ if not hasattr(outerlab, name)]
+    assert not missing, missing

@@ -310,10 +310,10 @@ def drawn_polygons_sha256(monkeypatch) -> str:
         searched.append(poly)
         return real_make(poly, c, *args, **kwargs)
 
-    def search(poly, budget):
+    def search(poly, seed):
         searched.append(poly)
 
-    def search_batch(polys, budgets):
+    def search_batch(polys, seeds):
         searched.extend(polys)
         return [None] * len(polys)
 
