@@ -13,7 +13,7 @@ resolution-limited and documented as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -169,6 +169,8 @@ class OrbitRecord:
 
     period is the smallest certified n with |F^n(z0) - z0| < tol, or None;
     winding is taken from the closed orbit polygon when it is available.
+    ``polygon`` keeps that orbit polygon for :func:`orbit_polygon`; it is
+    not part of the record's comparison, repr or JSON form.
     """
 
     start: np.ndarray
@@ -177,6 +179,7 @@ class OrbitRecord:
     winding: Optional[int]
     closure_residual: float
     singular_flag: bool
+    polygon: Optional[OrbitPolygon] = field(default=None, compare=False, repr=False)
 
 
 def _support_polygon(
@@ -401,19 +404,20 @@ def iterate(
                 period = k
                 closure = resid
                 break
-    winding = None
+    poly = None
     if period is not None and period >= 3:
         try:
-            winding = derive_orbit_polygon(np.asarray(pts[:period])).winding
+            poly = derive_orbit_polygon(np.asarray(pts[:period]))
         except DegeneratePolygon:
-            winding = None
+            poly = None
     return OrbitRecord(
         start=z0,
         points=np.asarray(pts),
         period=period,
-        winding=winding,
+        winding=None if poly is None else poly.winding,
         closure_residual=closure,
         singular_flag=flagged,
+        polygon=poly,
     )
 
 
@@ -422,11 +426,15 @@ def orbit_polygon(rec: OrbitRecord, curve: ConvexCurve | None = None) -> OrbitPo
 
     When the curve is supplied, every edge midpoint is checked to lie on the
     boundary (within 1e-10 * diameter) and local convexity is enforced; these
-    hold by construction for genuine orbits.
+    hold by construction for genuine orbits.  The polygon that
+    :func:`iterate` derived for the winding is reused; a record built by hand
+    has its polygon derived here.
     """
     if rec.period is None:
         raise NotPeriodic("record carries no certified period")
-    poly = derive_orbit_polygon(rec.points[: rec.period])
+    poly = rec.polygon
+    if poly is None:
+        poly = derive_orbit_polygon(rec.points[: rec.period])
     if curve is not None:
         t = 1e-10 * curve.diameter
         worst = float(np.max(curve.distance_to_boundary(poly.rbar)))

@@ -267,39 +267,60 @@ def variety_residual_rel(poly: OrbitPolygon, c) -> float:
 # Rational charts of the variety (n = 5, 6)
 #
 # A chart formula takes the rolled local areas D, each entry a scalar or an
-# array broadcasting against the parameters, and returns the unrolled
-# columns c_1..c_n with the mask of regular parameter values.
+# array broadcasting against the parameters, writes the columns it derives
+# into ``out`` (arrays of the parameters' broadcast shape; the last one takes
+# the mask of singular parameter values) and returns the columns c_1..c_n
+# with that mask.  What depends on the leading parameters alone is computed
+# at their shape: once per block of a tensor grid laid out by _grid_params.
+# Each operation, and the order of the operations, is fixed up to commuted
+# operands, so every column keeps its bits.  Divisions are not guarded:
+# their near-zero denominators are masked, and callers run the formulas
+# under np.errstate.  The mask misses a NaN denominator (<= is false on NaN);
+# the columns there are non-finite, which callers test.
 
-def _chart_n5(D, sc2, c1, c2):
-    c4 = (c1 * c2 - D[0] * D[2]) / D[1]
-    ok = np.abs(c4) > 1e-12 * sc2
-    safe = np.where(ok, c4, 1.0)
-    return [c1, c2, (c1 * D[3] + D[2] * D[4]) / safe, c4,
-            (c2 * D[4] + D[3] * D[0]) / safe], ok
+def _chart_n5(D, sc2, c1, c2, out):
+    c3, c4, c5, singular = out
+    np.multiply(c1, c2, out=c4)
+    c4 -= D[0] * D[2]
+    c4 /= D[1]
+    np.less_equal(np.abs(c4, out=c5), 1e-12 * sc2, out=singular)
+    np.divide(c1 * D[3] + D[2] * D[4], c4, out=c3)
+    np.divide(c2 * D[4] + D[3] * D[0], c4, out=c5)
+    return [c1, c2, c3, c4, c5], singular
 
 
-def _chart_n6(D, sc2, c1, c2, c3):
+def _chart_n6(D, sc2, c1, c2, c3, out):
+    c4, c5, c6, singular = out
     q = -D[4] * (c1 * c2 - D[0] * D[2]) / D[1]
-    ok = np.abs(q) > 1e-12 * sc2 * sc2
-    qs = np.where(ok, q, 1.0)
-    c5 = (D[4] * c1 * D[3] + c3 * qs) / (D[4] * D[2])
-    regular = np.abs(c5) > 1e-12 * sc2
-    c4 = (qs + D[3] * D[5]) / np.where(regular, c5, 1.0)
-    c6 = D[4] * (c4 * D[0] - D[5] * c2) / qs
-    return [c1, c2, c3, c4, c5, c6], ok & regular
+    np.multiply(c3, q, out=c5)
+    c5 += D[4] * c1 * D[3]
+    c5 /= D[4] * D[2]
+    np.less_equal(np.abs(c5, out=c6), 1e-12 * sc2, out=singular)
+    flat = np.abs(q) <= 1e-12 * sc2 * sc2  # rare: merged only when it occurs
+    if flat.any():
+        singular |= flat
+    np.divide(q + D[3] * D[5], c5, out=c4)
+    np.multiply(c4, D[0], out=c6)
+    c6 -= D[5] * c2
+    c6 *= D[4]
+    c6 /= q
+    return [c1, c2, c3, c4, c5, c6], singular
 
 
 _CHARTS = {5: _chart_n5, 6: _chart_n6}
 
 
 def _variety_point(poly: OrbitPolygon, params, shift: int):
-    D = np.roll(poly.delta, -shift)
-    cols, ok = _CHARTS[poly.n](
-        D, poly.scale**2, *(np.asarray(p, dtype=float) for p in params))
+    params = [np.asarray(p, dtype=float) for p in params]
+    shape = np.broadcast_shapes(*(p.shape for p in params))
+    out = [np.empty(shape) for _ in range(3)] + [np.empty(shape, dtype=bool)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cols, singular = _CHARTS[poly.n](
+            np.roll(poly.delta, -shift), poly.scale**2, *params, out)
     c = np.stack(np.broadcast_arrays(*cols), axis=-1)
     if shift:
         c = np.roll(c, shift, axis=-1)
-    return c, ok & np.all(np.isfinite(c), axis=-1)
+    return c, ~singular & np.all(np.isfinite(c), axis=-1)
 
 
 def variety_point_n5(poly: OrbitPolygon, c1, c2, shift: int = 0):
@@ -471,8 +492,9 @@ def classify_paradoxical(poly: OrbitPolygon) -> bool:
 
 # Points that one scorer call may evaluate: one hexagon chart on the coarse
 # grid, the largest call that a single-polygon search needs.  Batched stages
-# are split at that size, so the scorer's temporaries, and with them peak
-# memory, stay as small as for one polygon.
+# are split at that size, so it bounds the work arrays that a ChartSweep
+# keeps between scorer calls (five float arrays and one mask, 0.38 MB), and
+# with them peak memory, whatever the number of polygons.
 MAX_CHART_POINTS = GRID**3
 
 
@@ -574,18 +596,24 @@ def _candidates_n4(poly: OrbitPolygon) -> list[np.ndarray]:
 
 
 def _grid_params(axes: np.ndarray) -> list[np.ndarray]:
-    """Broadcastable coordinates of per-chart tensor grids: ``axes[:, s, a]``
-    holds the samples of coordinate a on the s-th chart of the batch."""
+    """Coordinates of per-chart tensor grids: ``axes[:, s, a]`` holds the
+    samples of coordinate a on the s-th chart of the batch.  The last
+    coordinate varies along axis 1, the outer axis of :meth:`ChartSweep.best`.
+    The others are read-only views of one shape, the block, in which each
+    varies along its own axis after that one, in order; what depends on them
+    alone is then computed once per block, in contiguous passes."""
     g, S, dim = axes.shape
-    return [axes[:, :, a].T.reshape((S,) + (1,) * a + (g,) + (1,) * (dim - 1 - a))
-            for a in range(dim)]
+    block = (S, 1) + (g,) * (dim - 1)
+    return [np.broadcast_to(axes[:, :, a].T.reshape(
+                (S, 1) + (1,) * a + (g,) + (1,) * (dim - 2 - a)), block)
+            for a in range(dim - 1)] + [axes[:, :, -1].T.reshape((S, g) + (1,) * (dim - 1))]
 
 
 class ChartSweep:
     """The n shifted charts of one or more pentagons, or of hexagons.  Row
     p n + s is chart s of polygon p; it carries that chart's rolled local
     areas and skip determinants, its search box per chart coordinate and the
-    polygon's scale^2."""
+    polygon's scale^2.  The scorer's work arrays are kept between calls."""
 
     def __init__(self, *polys: OrbitPolygon):
         n = polys[0].n
@@ -603,34 +631,93 @@ class ChartSweep:
         boxes = [search_box(p) for p in polys]
         self.lo = rolled([lo for lo, _ in boxes], self.dim)
         self.hi = rolled([hi for _, hi in boxes], self.dim)
+        # Per row, for the scorer: the local areas, the skip determinants
+        # and scale^2.
+        self.row_data = np.hstack([self.delta, self.dvec, self.sc2[:, None]])
+        self._work = (np.empty((n - self.dim + 2, 0)), np.empty(0, dtype=bool))
+        self._views: dict[tuple, tuple] = {}
 
     def best(self, rows: np.ndarray, params: list[np.ndarray]):
         """Best slack min(d - c) per row over a batch of parameters, one
-        array per chart coordinate, each broadcasting to (len(rows), ...).
-        Ties go to the first point in C order, as in an argmax over the
-        stacked regular points.  Returns (slack, c, params) per row; slack
-        is -inf where no parameter value is regular."""
-        S = len(rows)
-        ext = (self.n, S) + (1,) * (np.ndim(params[0]) - 1)
-        D, dv = (x[rows].T.reshape(ext) for x in (self.delta, self.dvec))
-        cols, ok = _CHARTS[self.n](D, self.sc2[rows].reshape(ext[1:]), *params)
-        slack = dv[0] - cols[0]
-        for dk, col in zip(dv, cols):
-            ok = ok & np.isfinite(col)
-            slack = np.minimum(slack, dk - col)
-        shape = ok.shape
-        score = np.where(ok, slack, -np.inf).reshape(S, math.prod(shape[1:]))
-        k = np.argmax(score, axis=1)
-        at = np.unravel_index(k, shape[1:])
+        array per chart coordinate.  The arrays broadcast either to
+        (len(rows), K), K points per row, or to (len(rows), outer, ...), a
+        tensor grid laid out as by :func:`_grid_params`.  Ties go to the
+        first point in C order over (c_1, ..., c_dim), as in an argmax over
+        the stacked regular points.  Returns (slack, c, params) per row;
+        slack is -inf where no parameter value is regular.
+
+        Points are masked for regularity only.  A row whose winner has a
+        non-finite column, or a NaN slack, is scored again with its
+        non-finite points masked too.  That is exact: the unmasked score is
+        never below the masked one, and it equals the masked one wherever
+        the columns are finite."""
+        if np.ndim(params[0]) == 2:
+            params = [p[:, None] for p in params]
+        m, c, p, redo = self._best(rows, params, finite=False)
+        if redo.any():
+            S = len(rows)
+            m[redo], c[redo], p[redo], _ = self._best(
+                rows[redo], [np.broadcast_to(x, (S,) + x.shape[1:])[redo] for x in params],
+                finite=True)
+        return m, c, p
+
+    def _best(self, rows: np.ndarray, params: list[np.ndarray], finite: bool):
+        full = np.broadcast(*params).shape
+        S, outer, inner = full[0], full[1], full[2:]
+        n = self.n
+        data = self.row_data[rows].T.reshape((2 * n + 1, S) + (1,) * (len(full) - 1))
+        D, dv, sc2 = data[:n], data[n:2 * n], data[-1]
+        derived, (*out, slack, tmp), singular = self._work_arrays(full)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cols, singular = _CHARTS[n](D, sc2, *params, out + [singular])
+            if finite:
+                for col in cols:
+                    singular |= ~np.isfinite(col)
+            # The minimum runs over the columns in order, so that its bits,
+            # signed zeros and NaN included, are those of the stacked form.
+            # It stays at its terms' shape until they differ or span the grid.
+            s = dv[0] - cols[0]
+            for dk, col in zip(dv[1:], cols[1:]):
+                t = np.subtract(dk, col, out=tmp) if col.shape == full else dk - col
+                s = np.minimum(s, t, out=slack if s.shape != t.shape or t.shape == full
+                               else None)
+        np.copyto(s, -np.inf, where=singular)
+        # The first maximum in C order over (inner axes, outer axis), as an
+        # argmax over the score with the outer axis innermost; like argmax,
+        # it stops at the first NaN.
+        cells = math.prod(inner)
+        score = s.reshape(S, outer, cells).transpose(0, 2, 1).reshape(S, cells * outer)
+        j = score.argmax(axis=1)
         first = np.arange(S)
-        # Each column at the winners, read at 0 along the axes it is
-        # broadcast over.
-        win = np.stack([col[(first,) + tuple(i if size > 1 else 0
-                                             for i, size in zip(at, col.shape[1:]))]
-                        for col in cols], axis=1)
+        m = score[first, j]
+        k, o = np.divmod(j, outer)
+        at = (o,) + np.unravel_index(k, inner)
+        win = np.empty((S, n))
+        for i, p in enumerate(params):
+            win[:, i] = p[(first,) + tuple(a if e > 1 else 0 for a, e in zip(at, p.shape[1:]))]
+        win[:, self.dim:] = derived[:, np.ravel_multi_index((first,) + at, full)].T
         c = np.empty_like(win)
         c[first[:, None], self.roll[rows]] = win
-        return score[first, k], c, win[:, :self.dim]
+        # A NaN winner has a NaN column, so this also catches NaN slacks.
+        redo = ~np.isfinite(win).all(axis=1)
+        return m, c, win[:, :self.dim], redo
+
+    def _work_arrays(self, shape: tuple):
+        """Work arrays of one shape, kept for the next call: the derived
+        columns (stacked, and one array each), the slack, a temporary array
+        and the singular mask.  All shapes share one set of buffers, grown
+        to the largest size asked for."""
+        views = self._views.get(shape)
+        if views is None:
+            size = math.prod(shape)
+            if self._work[1].size < size:
+                self._work = (np.empty((self.n - self.dim + 2, size)),
+                              np.empty(size, dtype=bool))
+                self._views = {}
+            work, mask = (w[..., :size] for w in self._work)
+            views = self._views[shape] = (work[:-2], [w.reshape(shape) for w in work],
+                                          mask.reshape(shape))
+        return views
 
     def scan(self, rows: np.ndarray, params: list[np.ndarray]):
         """:meth:`best` over any number of rows, in calls of at most

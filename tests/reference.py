@@ -1,4 +1,4 @@
-"""Reference copies of the sequential sampler and polygon derive.
+"""Reference copies of the sequential sampler, polygon derive and chart scorer.
 
 The package draws polygons in lock-step batches (``lab.sample_orbit_polygons``)
 and derives them as stacks (``geometry.derive_orbit_polygons``).  These are
@@ -6,10 +6,15 @@ the one-polygon-at-a-time versions the batches replaced, kept as they were
 so that tests can require the same bits and the same draws from each
 generator.  The only addition: ``rejected``, when given, counts the reasons
 the sequential loop rejected an attempt, and the closure's failed tries.
+
+``chart_best`` is the chart scorer that ``ChartSweep.best`` replaced: it
+masks every column for regularity and finiteness, broadcasts over tensor
+grids laid out in chart order (``grid_params``), and takes one argmax.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Optional
 
@@ -145,3 +150,58 @@ def spiked_62(rng: np.random.Generator) -> Optional[OrbitPolygon]:
     if poly.locally_convex and poly.winding == 2:
         return poly
     return None
+
+
+def _chart_n5(D, sc2, c1, c2):
+    c4 = (c1 * c2 - D[0] * D[2]) / D[1]
+    ok = np.abs(c4) > 1e-12 * sc2
+    safe = np.where(ok, c4, 1.0)
+    return [c1, c2, (c1 * D[3] + D[2] * D[4]) / safe, c4,
+            (c2 * D[4] + D[3] * D[0]) / safe], ok
+
+
+def _chart_n6(D, sc2, c1, c2, c3):
+    q = -D[4] * (c1 * c2 - D[0] * D[2]) / D[1]
+    ok = np.abs(q) > 1e-12 * sc2 * sc2
+    qs = np.where(ok, q, 1.0)
+    c5 = (D[4] * c1 * D[3] + c3 * qs) / (D[4] * D[2])
+    regular = np.abs(c5) > 1e-12 * sc2
+    c4 = (qs + D[3] * D[5]) / np.where(regular, c5, 1.0)
+    c6 = D[4] * (c4 * D[0] - D[5] * c2) / qs
+    return [c1, c2, c3, c4, c5, c6], ok & regular
+
+
+_CHARTS = {5: _chart_n5, 6: _chart_n6}
+
+
+def grid_params(axes: np.ndarray) -> list[np.ndarray]:
+    """Tensor grids in chart order: ``axes[:, s, a]`` holds the samples of
+    coordinate a on the s-th chart, and coordinate a lies on axis a + 1."""
+    g, S, dim = axes.shape
+    return [axes[:, :, a].T.reshape((S,) + (1,) * a + (g,) + (1,) * (dim - 1 - a))
+            for a in range(dim)]
+
+
+def chart_best(charts, rows: np.ndarray, params: list[np.ndarray]):
+    """(slack, c, params) of the best regular point per row of a
+    ``ChartSweep``; ties go to the first point in the C order of the
+    parameter arrays' broadcast shape."""
+    S = len(rows)
+    ext = (charts.n, S) + (1,) * (np.ndim(params[0]) - 1)
+    D, dv = (x[rows].T.reshape(ext) for x in (charts.delta, charts.dvec))
+    cols, ok = _CHARTS[charts.n](D, charts.sc2[rows].reshape(ext[1:]), *params)
+    slack = dv[0] - cols[0]
+    for dk, col in zip(dv, cols):
+        ok = ok & np.isfinite(col)
+        slack = np.minimum(slack, dk - col)
+    shape = ok.shape
+    score = np.where(ok, slack, -np.inf).reshape(S, math.prod(shape[1:]))
+    k = np.argmax(score, axis=1)
+    at = np.unravel_index(k, shape[1:])
+    first = np.arange(S)
+    win = np.stack([col[(first,) + tuple(i if size > 1 else 0
+                                         for i, size in zip(at, col.shape[1:]))]
+                    for col in cols], axis=1)
+    c = np.empty_like(win)
+    c[first[:, None], charts.roll[rows]] = win
+    return score[first, k], c, win[:, :charts.dim]

@@ -5,6 +5,7 @@ The triangle period-6 orbit used here was worked out by hand: starting at
 alternating vertices close the hexagon exactly, winding around twice.
 """
 
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -17,6 +18,7 @@ from outerlab.dynamics import (
     SINGULAR_ABORT,
     SINGULAR_FLAG,
     ConvexCurve,
+    OrbitRecord,
     _support,
     iterate,
     orbit_polygon,
@@ -33,6 +35,7 @@ from outerlab.errors import (
     ValidationFailed,
 )
 from outerlab.geometry import derive_orbit_polygon, det2, inner2, regular_star
+from outerlab.jsonio import record_to_dict
 
 from conftest import SQUARE_VERTICES, TRIANGLE_VERTICES
 
@@ -395,6 +398,34 @@ def _starts_around(curve, rng, count, lo=0.8, hi=4.0):
     ang = rng.uniform(0.0, 2.0 * np.pi, count)
     rad = 0.5 * curve.diameter * rng.uniform(lo, hi, count)
     return curve.centroid + rad[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def test_orbit_polygon_reuses_the_winding_polygon(tri_curve, monkeypatch):
+    # iterate derives the orbit polygon once, for the winding; orbit_polygon
+    # returns that polygon, and a record built by hand gets its own
+    derived = []
+
+    def counting(vertices, *args):
+        derived.append(len(vertices))
+        return derive_orbit_polygon(vertices, *args)
+
+    monkeypatch.setattr(dynamics, "derive_orbit_polygon", counting)
+    rec = iterate(tri_curve, [0.0, -1.0], steps=50)
+    poly = orbit_polygon(rec, curve=tri_curve)
+    assert derived == [6]
+    assert poly is rec.polygon and poly.winding == rec.winding == 2
+    assert "polygon" not in repr(rec) and "polygon" not in record_to_dict(rec)
+    fields = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
+    by_hand = OrbitRecord(**{**fields, "polygon": None})
+    again = orbit_polygon(by_hand, curve=tri_curve)
+    assert derived == [6, 6]
+    assert again is not poly
+    assert np.array_equal(again.vertices, poly.vertices)
+    assert np.array_equal(again.dvec, poly.dvec)
+    # hand-built points that make no polygon still fail in the derive
+    flat = OrbitRecord(**{**fields, "points": np.zeros((7, 2)), "polygon": None})
+    with pytest.raises(DegeneratePolygon):
+        orbit_polygon(flat)
 
 
 def _ref_iterate(curve, z0, steps):

@@ -1,6 +1,7 @@
 """Rank tests, variety equations, charts, curvature transfer, search."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -50,8 +51,10 @@ from outerlab.errors import (
     WrongPeriod,
     WrongPeriodOrWinding,
 )
-from outerlab.geometry import derive_orbit_polygon
+from outerlab.geometry import derive_orbit_polygon, regular_star
 from outerlab.lab import ANGLE_MARGIN, LENGTH_FLOOR, OrbitSampler, sample_orbit_polygon
+
+import reference
 
 
 def test_matrix_layout_square(square):
@@ -299,6 +302,101 @@ def _check_chart_scorer(polys, rng):
             if dim == 3:
                 assert not ok[0, 0, -2]  # c5 = 0 while q != 0
                 assert ok[0, 0, :-2].any()
+
+
+@pytest.mark.parametrize("key", [(5, 1), (5, 2), (6, 1), (6, 2)])
+def test_chart_scorer_matches_stacked_reference(sampled, key):
+    # the scorer keeps every bit of the stacked, fully masked scorer it
+    # replaced (m, c and p; c only where a regular point exists), on several
+    # polygons' charts at once, and warns nothing: the degenerate grid's
+    # overflowing node sends hexagon rows through the re-mask of non-finite
+    # winners
+    rng = np.random.default_rng(37)
+    polys = sampled[key][3:6]
+    n, dim = key[0], key[0] - 3
+    charts = ChartSweep(*polys)
+    rows = np.arange(n * len(polys))
+    passes = []
+    scorer = charts._best
+
+    def spy(rows, params, finite):
+        passes.append(finite)
+        return scorer(rows, params, finite)
+
+    charts._best = spy
+    per_poly = [_chart_axes(p, ChartSweep(p), rng) for p in polys]
+    batches = {name: (_grid_params(axes), reference.grid_params(axes))
+               for name in per_poly[0]
+               for axes in [np.concatenate([a[name] for a in per_poly], axis=1)]}
+    starts = rng.uniform(charts.lo, charts.hi, size=(40, len(rows), dim)).transpose(1, 0, 2)
+    batches["random"] = (list(np.moveaxis(starts, -1, 0)),) * 2
+    for name, (params, stacked) in batches.items():
+        m, c, p = charts.best(rows, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_m, want_c, want_p = reference.chart_best(charts, rows, stacked)
+        found = want_m > -np.inf
+        assert m.tobytes() == want_m.tobytes(), name
+        assert p.tobytes() == want_p.tobytes(), name
+        assert c[found].tobytes() == want_c[found].tobytes(), name
+        assert found.any(), name
+    if n == 6:
+        assert True in passes
+    assert False in passes
+    # no rows still give results of the right widths
+    m, c, p = charts.best(rows[:0], [x[:0] for x in batches["coarse"][0]])
+    assert (m.shape, c.shape, p.shape) == ((0,), (0, n), (0, dim))
+
+
+def test_chart_scorer_ties_go_to_first_point():
+    # on a regular hexagon's chart, c1 far above d1 makes d1 - c1 the
+    # smallest slack on whole (c2, c3) planes; two c1 nodes share the least
+    # such c1, so both planes tie at the grid's best, and the winner must be
+    # the first of those points in C order over (c1, c2, c3)
+    poly = derive_orbit_polygon(regular_star(6, 1))
+    charts = ChartSweep(poly)
+    d, D = poly.dvec, poly.delta
+    sc2 = poly.scale**2
+    r = np.sqrt(D[1] * D[3])  # c2 c3 = D2 D4 takes c1 out of c5
+    c1 = d[0] + 10.0 * sc2 * np.array([4.0, 1.0, 3.0, 1.0, 2.0])
+    c23 = -r + 1e-3 * sc2 * np.linspace(-1.0, 1.0, 5)
+    axes = np.stack([c1, c23, c23], axis=-1)[:, None, :]
+    nodes = np.stack(np.meshgrid(c1, c23, c23, indexing="ij"), axis=-1).reshape(-1, 3)
+    cols, ok = variety_point_n6(poly, *nodes.T)
+    slack = np.min(d - cols, axis=1).reshape(5, 5, 5)
+    assert ok.all()
+    assert np.all(slack[1] == d[0] - c1[1]) and np.all(slack[3] == slack[1])
+    assert slack.max() == slack[1, 0, 0]
+    m, c, p = charts.best(np.array([0]), _grid_params(axes))
+    assert m[0] == slack[1, 0, 0]
+    assert np.array_equal(p[0], [c1[1], c23[0], c23[0]])
+    assert np.array_equal(c[0], cols[25])
+    assert _dense_best(poly, 0, nodes)[0] == m[0]
+
+
+def test_variety_point_singular_nodes_are_quiet(sampled):
+    # c1 c2 = D0 D2 zeroes the rational part of both charts (the second
+    # node only nearly), and a c3 that zeroes c5 is singular on the hexagon
+    # chart; the divisions by zero there raise no warning, and the nodes
+    # come back not ok
+    for key in ((5, 1), (5, 2), (6, 1), (6, 2)):
+        poly = sampled[key][0]
+        n = poly.n
+        for s in range(n):
+            D = np.roll(poly.delta, -s)
+            c1 = np.array([1.0, 1.0, 1.0, -1.0]) * D[0]
+            c2 = np.array([1.0, 1.0 + 1e-13, -1.0, 1.0]) * D[2]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if n == 5:
+                    _, ok = variety_point_n5(poly, c1, c2, shift=s)
+                    assert ok.tolist() == [False, False, True, True]
+                    continue
+                q = -D[4] * (c1 * c2 - D[0] * D[2]) / D[1]
+                c3 = np.where(q != 0.0, -D[4] * c1 * D[3] / np.where(q != 0.0, q, 1.0), 0.0)
+                _, ok = variety_point_n6(poly, c1, c2, c3, shift=s)
+                assert not ok.any()
+                _, ok = variety_point_n6(poly, c1, c2, poly.scale**2, shift=s)
+                assert ok.tolist() == [False, False, True, True]
 
 
 def test_is_convex_element_gate(square, sampled):
