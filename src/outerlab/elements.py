@@ -56,14 +56,11 @@ INTEGRAL_TOL = 1e-13
 # chart on a tensor grid over the search box (search_box; on n = 4 it is the
 # number of conic samples per branch).  The best regular point of each chart
 # is refined by ZOOM_ROUNDS rounds of a ZOOM_GRID-per-axis local grid,
-# starting one coarse cell wide and shrinking fourfold per round.  When no
-# chart reaches feasibility, STARTS random parameter points in the box, drawn
-# from the polygon's search seed and split evenly over the charts, are scored
-# and refined the same way before giving up.
+# starting one coarse cell wide and shrinking fourfold per round.  The
+# search has no other stage and no random input.
 GRID = 21
 ZOOM_ROUNDS = 3
 ZOOM_GRID = 9
-STARTS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,37 +495,34 @@ def classify_paradoxical(poly: OrbitPolygon) -> bool:
 MAX_CHART_POINTS = GRID**3
 
 
-def convex_element_search(poly: OrbitPolygon, seed: int = 0) -> Optional[IntegralElement]:
+def convex_element_search(poly: OrbitPolygon) -> Optional[IntegralElement]:
     """Look for a convex integral element; None when none is found.
 
     Strategy per n: n = 3 has a single closed-form element; n = 4 sweeps the
-    one-parameter conic under the convexity box; n = 5, 6 run a multi-start
-    search over the rational charts of the variety, scoring candidates by
-    their worst convexity slack min_i (d_i - c_i) and refining the best with
-    shrinking local grids.  The element maximizing that slack is returned, so a
-    strictly interior element is preferred over the ever-present corner
-    element c = d of even n.  A None for odd n is evidence of absence, not
-    proof; verifiers aggregate over many samples.  ``seed`` draws the random
-    starts (see STARTS).  This is the one-polygon case of
-    :func:`convex_element_search_batch`.
+    one-parameter conic under the convexity box; n = 5, 6 sweep every shifted
+    rational chart of the variety on a grid, scoring candidates by their
+    worst convexity slack min_i (d_i - c_i), and refine each chart's best
+    point with shrinking local grids.  The element maximizing that slack is
+    returned, so a strictly interior element is preferred over the
+    ever-present corner element c = d of even n.  A None for odd n is
+    evidence of absence, not proof; verifiers aggregate over many samples.
+    The search is a pure function of the polygon.  This is the one-polygon
+    case of :func:`convex_element_search_batch`.
     """
-    return convex_element_search_batch([poly], [seed])[0]
+    return convex_element_search_batch([poly])[0]
 
 
 def convex_element_search_batch(
-    polys: Sequence[OrbitPolygon], seeds: Sequence[int] | None = None
+    polys: Sequence[OrbitPolygon],
 ) -> list[Optional[IntegralElement]]:
-    """:func:`convex_element_search` of each polygon with its seed (default
-    0), the polygons searched together.  All pentagons, and all hexagons,
-    share every chart scorer call, in chunks of at most MAX_CHART_POINTS
-    points.  Each result equals the polygon's own search bit for bit: every
-    chart value is an elementwise function of its own row, ties go to the
-    first point of a row, and the random starts run, from the polygon's own
-    seed, only for the polygons whose charts refined to no feasible point."""
-    if seeds is None:
-        seeds = [0] * len(polys)
+    """:func:`convex_element_search` of each polygon, the polygons searched
+    together.  All pentagons, and all hexagons, share every chart scorer
+    call, in chunks of at most MAX_CHART_POINTS points.  Each result equals
+    the polygon's own search bit for bit: every chart value is an
+    elementwise function of its own row, and ties go to the first point of
+    a row."""
     groups: dict[int, list[int]] = {}
-    for i, (poly, _) in enumerate(zip(polys, seeds, strict=True)):
+    for i, poly in enumerate(polys):
         poly.require_locally_convex()
         if poly.n not in (3, 4, 5, 6):
             raise UnsupportedPeriod("search implemented for n in {3, 4, 5, 6}")
@@ -544,7 +538,7 @@ def convex_element_search_batch(
             if n == 4:
                 cands = [np.array(_candidates_n4(p)) for p in group]
             else:
-                cands = _candidates_chart(group, [seeds[i] for i in idx])
+                cands = _candidates_chart(group)
                 cands = [np.vstack([c, -p.dvec, p.dvec] if n == 6 else [c, -p.dvec])
                          for p, c in zip(group, cands)]
             els = [_most_convex(p, c) for p, c in zip(group, cands)]
@@ -638,27 +632,21 @@ class ChartSweep:
         self._views: dict[tuple, tuple] = {}
 
     def best(self, rows: np.ndarray, params: list[np.ndarray]):
-        """Best slack min(d - c) per row over a batch of parameters, one
-        array per chart coordinate.  The arrays broadcast either to
-        (len(rows), K), K points per row, or to (len(rows), outer, ...), a
-        tensor grid laid out as by :func:`_grid_params`.  Ties go to the
-        first point in C order over (c_1, ..., c_dim), as in an argmax over
-        the stacked regular points.  Returns (slack, c, params) per row;
-        slack is -inf where no parameter value is regular.
+        """Best slack min(d - c) per row over a tensor grid of parameters
+        laid out as by :func:`_grid_params`, one array per chart coordinate.
+        Ties go to the first point in C order over (c_1, ..., c_dim), as in
+        an argmax over the stacked regular points.  Returns (slack, c,
+        params) per row; slack is -inf where no parameter value is regular.
 
         Points are masked for regularity only.  A row whose winner has a
         non-finite column, or a NaN slack, is scored again with its
         non-finite points masked too.  That is exact: the unmasked score is
         never below the masked one, and it equals the masked one wherever
         the columns are finite."""
-        if np.ndim(params[0]) == 2:
-            params = [p[:, None] for p in params]
         m, c, p, redo = self._best(rows, params, finite=False)
         if redo.any():
-            S = len(rows)
             m[redo], c[redo], p[redo], _ = self._best(
-                rows[redo], [np.broadcast_to(x, (S,) + x.shape[1:])[redo] for x in params],
-                finite=True)
+                rows[redo], [x[redo] for x in params], finite=True)
         return m, c, p
 
     def _best(self, rows: np.ndarray, params: list[np.ndarray], finite: bool):
@@ -734,61 +722,33 @@ class ChartSweep:
         axes = np.linspace(self.lo, self.hi, grid)
         return self.scan(np.arange(len(self.lo)), _grid_params(axes))
 
-    def refine(self, rows: np.ndarray, start, span: np.ndarray):
-        """Shrinking local grids around each regular point of a start batch
-        (one entry per row of ``rows``), the rounds in sequence and each over
-        all those rows at once.  Returns, per row, the start's and the
-        refinement's coefficients (rows x 2 x n), which of the two are
-        regular points, and the better of their slacks."""
+    def refine(self, start, span: np.ndarray):
+        """Shrinking local grids around each row's regular start point, the
+        rounds in sequence and each over all those rows at once.  Returns,
+        per row, the start's and the refinement's coefficients (rows x 2 x
+        n) and which of the two are regular points."""
         m, c, center = start
-        found = m > -np.inf
-        idx = np.flatnonzero(found)
+        idx = np.flatnonzero(m > -np.inf)
         center, span = center[idx], span[idx]
         best_m, best_c = np.full(len(idx), -np.inf), np.empty((len(idx), self.n))
         for _ in range(ZOOM_ROUNDS):
             axes = np.linspace(center - span, center + span, ZOOM_GRID)
-            mz, cz, p = self.scan(rows[idx], _grid_params(axes))
+            mz, cz, p = self.scan(idx, _grid_params(axes))
             better = mz > best_m
             best_m[better], best_c[better] = mz[better], cz[better]
             center = np.where(better[:, None], p, center)
             span = span / 4.0
-        zoom_m, zoom_c = np.full(len(rows), -np.inf), np.empty_like(c)
-        zoom_m[idx], zoom_c[idx] = best_m, best_c
-        return (np.stack([c, zoom_c], axis=1), np.stack([found, zoom_m > -np.inf], axis=1),
-                np.maximum(m, zoom_m))
+        zoom_found, zoom_c = np.zeros(len(m), dtype=bool), np.empty_like(c)
+        zoom_found[idx], zoom_c[idx] = best_m > -np.inf, best_c
+        return np.stack([c, zoom_c], axis=1), np.stack([m > -np.inf, zoom_found], axis=1)
 
 
-def _candidates_chart(polys: list[OrbitPolygon], seeds: list[int]) -> list[np.ndarray]:
-    """Chart candidates of pentagons, or of hexagons, each with its search
-    seed: per polygon, each regular start followed by its refinement in chart
-    order, the coarse sweep's first and then the random starts'."""
+def _candidates_chart(polys: list[OrbitPolygon]) -> list[np.ndarray]:
+    """Chart candidates of pentagons, or of hexagons: per polygon, the
+    coarse sweep's best regular point of each chart followed by its
+    refinement, in chart order."""
     charts = ChartSweep(*polys)
-    n, dim = charts.n, charts.dim
-    box = charts.hi - charts.lo
-    rows = np.arange(len(box))
-    c, keep, best = charts.refine(rows, charts.sweep(GRID), box / (GRID - 1))
-    out = _per_polygon(c, keep, n)
-    tol = np.array([convexity_tol(p) for p in polys])
-    stuck = ~np.any(best.reshape(-1, n) >= -tol[:, None], axis=1)
-    extra = np.flatnonzero(stuck)
-    if len(extra):
-        # Random extra starts across the box, split evenly over the charts
-        # and drawn chart after chart, refined the same way.
-        size = (n, STARTS // n + 1, dim)
-        lo, hi = (x.reshape(-1, n, 1, dim) for x in (charts.lo, charts.hi))
-        starts = np.concatenate([
-            np.random.default_rng(seeds[p]).uniform(lo[p], hi[p], size)
-            for p in extra])
-        rows = (n * extra[:, None] + np.arange(n)).ravel()
-        batch = charts.scan(rows, list(np.moveaxis(starts, -1, 0)))
-        c, keep, _ = charts.refine(rows, batch, box[rows] / GRID)
-        for p, more in zip(extra, _per_polygon(c, keep, n)):
-            out[p] = np.concatenate([out[p], more])
-    return out
-
-
-def _per_polygon(c: np.ndarray, keep: np.ndarray, n: int) -> list[np.ndarray]:
-    """Split refine() output into the kept candidates of each polygon, each
-    start before its refinement, in chart order."""
+    n = charts.n
+    c, keep = charts.refine(charts.sweep(GRID), (charts.hi - charts.lo) / (GRID - 1))
     c, keep = c.reshape(-1, 2 * n, n), keep.reshape(-1, 2 * n)
     return [cp[kp] for cp, kp in zip(c, keep)]

@@ -10,12 +10,12 @@ a failure is stored with a replay bundle instead of being hidden.
 All verifier trials are pure functions of per-trial seeds spawned from the
 master seed.  Every verifier first draws the polygons of all its trials in
 one lock-step batch (:func:`sample_orbit_polygons`), each trial from its own
-generator, and then each trial's search seed.  The (5,2) and (6,2)
-verifiers then run one batched convex-element search over all trials and
-controls, and check each trial.  The paradoxical scan shares one generator
-between its draws, so it samples one polygon at a time.  The ``threads``
-argument is kept for compatibility and has no effect: reports are the same
-bytes for every value.
+generator.  The convex-element search draws nothing: it is a pure function
+of the polygon.  The (5,2) and (6,2) verifiers run one batched search over
+all trials and controls, and check each trial.  The paradoxical scan shares
+one generator between its draws, so it samples one polygon at a time.  The
+``threads`` argument is kept for compatibility and has no effect: reports
+are the same bytes for every value.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from .elements import (
     ChartSweep,
+    IntegralElement,
     classify_paradoxical,
     convex_element_search,
     convex_element_search_batch,
@@ -184,20 +185,6 @@ class VerifierReport:
     failure_bundles: tuple[dict, ...] = ()
 
 
-def _seed_for(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2**63 - 1))
-
-
-def _draw(n: int, m: int, rngs: list) -> list[tuple[OrbitPolygon, int]]:
-    """Each trial's polygon and then its search seed, from its generator."""
-    return [(poly, _seed_for(rng)) for poly, rng in zip(sample_orbit_polygons(n, m, rngs), rngs)]
-
-
-def _search(drawn: list[tuple[OrbitPolygon, int]]) -> list:
-    """One batched convex-element search over (polygon, seed) pairs."""
-    return convex_element_search_batch([p for p, _ in drawn], [s for _, s in drawn])
-
-
 MAX_BUNDLES = 10
 
 # Draws per (6,2) trial before it gives up on finding a non-paradoxical
@@ -284,8 +271,8 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     # Every fifth trial is a trapezoid, to exercise the degenerate conic.
     polys = [_random_trapezoid(g) if k % 5 == 4 else next(sampled) for k, g in enumerate(rngs)]
 
-    def trial(poly: OrbitPolygon, rng: np.random.Generator) -> dict:
-        el = convex_element_search(poly, _seed_for(rng))
+    def trial(poly: OrbitPolygon) -> dict:
+        el = convex_element_search(poly)
         sc2 = poly.scale**2
         if el is None:
             return {"failures": 1, "margin": np.inf,
@@ -297,7 +284,7 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             out["bundles"] = [_bundle(poly, el.c, "n4-off-d-element")]
         return out
 
-    results = [trial(poly, rng) for poly, rng in zip(polys, rngs)]
+    results = [trial(poly) for poly in polys]
     return _collect(
         results, "n4", seed, trials,
         "every convex element found by the conic sweep coincides with d "
@@ -329,10 +316,10 @@ def _identity_residual_n5(poly: OrbitPolygon, c: np.ndarray) -> float:
 
 def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                        threads: int = 1, controls: int = 100) -> VerifierReport:
-    stars = _draw(5, 2, _spawned_rngs(seed, trials))
-    convex = _draw(5, 1, _spawned_rngs(seed + 1, controls, "controls"))
-    found = _search(stars + convex)
-    margins = _probe_margins_n5([poly for poly, _ in stars])
+    stars = sample_orbit_polygons(5, 2, _spawned_rngs(seed, trials))
+    convex = sample_orbit_polygons(5, 1, _spawned_rngs(seed + 1, controls, "controls"))
+    found = convex_element_search_batch(stars + convex)
+    margins = _probe_margins_n5(stars)
 
     def trial(poly: OrbitPolygon, el, probe: float) -> dict:
         failures = 0
@@ -361,9 +348,8 @@ def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             out["bundles"] = [_bundle(poly, None, "n51-control-miss")]
         return out
 
-    results = [trial(poly, el, probe)
-               for (poly, _), el, probe in zip(stars, found, margins)]
-    results += [control(poly, el) for (poly, _), el in zip(convex, found[trials:])]
+    results = [trial(poly, el, probe) for poly, el, probe in zip(stars, found, margins)]
+    results += [control(poly, el) for poly, el in zip(convex, found[trials:])]
     return _collect(
         results, "n52", seed, trials,
         f"no convex element on any (5,2) sample and all d_i < 0; margin is "
@@ -389,7 +375,7 @@ def _identity_residual_n6(poly: OrbitPolygon, c: np.ndarray) -> float:
 def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                        threads: int = 1, controls: int = 100) -> VerifierReport:
     # Trials whose polygon is paradoxical draw again, all in one batch per
-    # round; at the cap a trial keeps its last paradoxical draw and no seed.
+    # round; at the cap a trial keeps its last paradoxical draw, unsearched.
     rngs = _spawned_rngs(seed, trials)
     polys, discarded, todo = {}, [0] * trials, list(range(trials))
     for _ in range(MAX_PARADOXICAL_DRAWS):
@@ -399,11 +385,9 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             discarded[k] += 1
         if not todo:
             break
-    stars = [(polys[k], None if lost == MAX_PARADOXICAL_DRAWS else _seed_for(rngs[k]), lost)
-             for k, lost in enumerate(discarded)]
-    convex = _draw(6, 1, _spawned_rngs(seed + 1, controls, "controls"))
-    searched = [(poly, search_seed) for poly, search_seed, _ in stars if search_seed is not None]
-    found = iter(_search(searched + convex))
+    convex = sample_orbit_polygons(6, 1, _spawned_rngs(seed + 1, controls, "controls"))
+    searched = [polys[k] for k, lost in enumerate(discarded) if lost < MAX_PARADOXICAL_DRAWS]
+    found = iter(convex_element_search_batch(searched + convex))
 
     def capped(poly: OrbitPolygon, discarded: int) -> dict:
         return {"failures": 1, "margin": 0.0, "discarded": discarded,
@@ -439,10 +423,10 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
         return {"failures": 0, "margin": 0.0, "control_dev": dev}
 
     # The searched trials take the first results, in order; the controls the rest.
-    results = [capped(poly, discarded) if search_seed is None
-               else trial(poly, next(found), discarded)
-               for poly, search_seed, discarded in stars]
-    control_results = [control(poly, next(found)) for poly, _ in convex]
+    results = [capped(polys[k], lost) if lost == MAX_PARADOXICAL_DRAWS
+               else trial(polys[k], next(found), lost)
+               for k, lost in enumerate(discarded)]
+    control_results = [control(poly, next(found)) for poly in convex]
     devs = [r.get("control_dev", 0.0) for r in control_results]
     interior_hits = sum(1 for v in devs if v > 1e-3)
     if interior_hits == 0:
@@ -468,7 +452,7 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
 class ParadoxicalFind:
     polygon: OrbitPolygon
     margin: float
-    element: Optional[object]  # IntegralElement from convex_element_search
+    element: Optional[IntegralElement]
 
 
 @dataclass(frozen=True)
@@ -507,7 +491,7 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
     """
     _require_non_negative(samples=samples)
     sampler = OrbitSampler(6, 2, seed)
-    hits: list[tuple[OrbitPolygon, int, float]] = []
+    hits: list[tuple[OrbitPolygon, float]] = []
     best = -np.inf
     spiked_hits = 0
     for k in range(samples):
@@ -525,11 +509,13 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
         if margin > 0.0:
             if k % 2 == 1:
                 spiked_hits += 1
-            hits.append((poly, _seed_for(sampler.rng), margin))
+            # An unused draw, kept so that the later draws keep their values.
+            sampler.rng.integers(0, 2**63 - 1)
+            hits.append((poly, margin))
     # The search draws nothing from rng, so it runs once, after the scan.
-    found = _search([(poly, search_seed) for poly, search_seed, _ in hits])
+    found = convex_element_search_batch([poly for poly, _ in hits])
     finds = tuple(ParadoxicalFind(polygon=poly, margin=margin, element=el)
-                  for (poly, _, margin), el in zip(hits, found))
+                  for (poly, margin), el in zip(hits, found))
     return ParadoxicalScan(
         samples=samples,
         best_margin=float(best),

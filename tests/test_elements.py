@@ -10,8 +10,6 @@ from hypothesis import given, settings, strategies as st
 import outerlab
 from outerlab.elements import (
     INTEGRAL_TOL,
-    MAX_CHART_POINTS,
-    STARTS,
     ChartSweep,
     CurvatureProfile,
     _candidates_chart,
@@ -263,7 +261,7 @@ def _chart_axes(poly, charts, rng):
 @pytest.mark.parametrize("key", [(5, 1), (5, 2), (6, 1), (6, 2)])
 def test_chart_scorer_matches_dense_reference(sampled, key):
     # the column-wise scorer must reproduce the stacked evaluation bit for
-    # bit, ties included, on grids and on random batches, all shifts at once
+    # bit, ties included, on grids, all shifts at once
     rng = np.random.default_rng(31)
     with np.errstate(over="ignore", invalid="ignore"):
         _check_chart_scorer(sampled[key][:3], rng)
@@ -280,8 +278,6 @@ def _check_chart_scorer(polys, rng):
             nodes = [np.stack(np.meshgrid(*axes[:, s].T, indexing="ij"), axis=-1)
                      for s in shifts]
             batches[name] = (_grid_params(axes), [x.reshape(-1, dim) for x in nodes])
-        starts = rng.uniform(charts.lo, charts.hi, size=(40, n, dim)).transpose(1, 0, 2)
-        batches["random"] = (list(np.moveaxis(starts, -1, 0)), list(starts))
 
         for name, (params, dense) in batches.items():
             m, c, p = charts.best(shifts, params)
@@ -328,8 +324,6 @@ def test_chart_scorer_matches_stacked_reference(sampled, key):
     batches = {name: (_grid_params(axes), reference.grid_params(axes))
                for name in per_poly[0]
                for axes in [np.concatenate([a[name] for a in per_poly], axis=1)]}
-    starts = rng.uniform(charts.lo, charts.hi, size=(40, len(rows), dim)).transpose(1, 0, 2)
-    batches["random"] = (list(np.moveaxis(starts, -1, 0)),) * 2
     for name, (params, stacked) in batches.items():
         m, c, p = charts.best(rows, params)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -534,25 +528,22 @@ def test_search_hexagon_interior_beats_corner(sampled):
 
 def test_search_is_deterministic(sampled):
     poly = sampled[(6, 1)][4]
-    a = convex_element_search(poly, 11)
-    b = convex_element_search(poly, 11)
+    a = convex_element_search(poly)
+    b = convex_element_search(poly)
     assert a is not None and b is not None
     assert np.array_equal(a.c, b.c)
 
 
 def _batch_cases():
-    """(polygon, seed) pairs mixing (5,1), (5,2), (6,1) and (6,2) in a
-    shuffled order.  Every (5,2) takes the random-start branch (it has no
-    convex element); no other kind does.  The (5,2) outnumber the pentagons
-    of one random-start scorer call, and each other stage, hexagon zooms
-    included, spans several calls too."""
+    """Polygons mixing (5,1), (5,2), (6,1) and (6,2) in a shuffled order.
+    Every stage, hexagon zooms included, spans several scorer calls."""
     kinds = {(5, 1): 24, (5, 2): 56, (6, 1): 4, (6, 2): 4}
     polys = []
     for (n, m), count in kinds.items():
         sampler = OrbitSampler(n, m, seed=700 + 10 * n + m)
         polys += [sample_orbit_polygon(sampler) for _ in range(count)]
     order = np.random.default_rng(70).permutation(len(polys))
-    return [(polys[k], int(k)) for k in order]
+    return [polys[k] for k in order]
 
 
 def _digest(els):
@@ -565,20 +556,18 @@ def _digest(els):
 # sha256 of the single-polygon results on _batch_cases(), computed with the
 # search before its effort became fixed, every case at the default effort
 # (numpy 2.4, x86-64 Linux).  It pins what each polygon alone returns, so a
-# change that moves both paths alike (ties to the last maximum, random starts
-# for every polygon) fails here as well.
+# change that moves both paths alike (ties to the last maximum, a coarser
+# grid) fails here as well.
 BATCH_CASES_SHA256 = "9f00c02261ac74d8d64b6467d09695b9eb30d70bf3959a3b525ab9e1ee4f9cc1"
 
 
 def test_batched_search_matches_single_searches():
     cases = _batch_cases()
-    pentagon_starts = sum(p.n == 5 and p.winding == 2 for p, _ in cases)
-    assert pentagon_starts * 5 > MAX_CHART_POINTS // (STARTS // 5 + 1)
-    single = [convex_element_search(p, s) for p, s in cases]
+    single = [convex_element_search(p) for p in cases]
     assert _digest(single) == BATCH_CASES_SHA256
-    batched = convex_element_search_batch([p for p, _ in cases], [s for _, s in cases])
+    batched = convex_element_search_batch(cases)
     assert len(batched) == len(cases)
-    for (poly, _), want, got in zip(cases, single, batched):
+    for poly, want, got in zip(cases, single, batched):
         assert (want is None) == (got is None)
         if want is not None:
             assert got.base is poly
@@ -649,7 +638,7 @@ def _oracle_cases():
             if n == 4:
                 yield from ((poly, c) for c in _candidates_n4(poly))
             if n in (5, 6):
-                yield from ((poly, c) for c in _candidates_chart([poly], [0])[0])
+                yield from ((poly, c) for c in _candidates_chart([poly])[0])
             for j in range(n):
                 for e in eps:
                     c = -d.copy()

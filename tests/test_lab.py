@@ -310,10 +310,10 @@ def drawn_polygons_sha256(monkeypatch) -> str:
         searched.append(poly)
         return real_make(poly, c, *args, **kwargs)
 
-    def search(poly, seed):
+    def search(poly):
         searched.append(poly)
 
-    def search_batch(polys, seeds):
+    def search_batch(polys):
         searched.extend(polys)
         return [None] * len(polys)
 
