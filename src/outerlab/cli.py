@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -73,6 +74,18 @@ def _parse_point(text: str) -> np.ndarray:
     return np.array([x, y])
 
 
+def _parse_coefficients(text: str, n: int) -> np.ndarray:
+    try:
+        c = np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise InputError(f"expected comma-separated numbers, got {text!r}") from exc
+    if not np.all(np.isfinite(c)):
+        raise InputError(f"coefficients must be finite, got {text!r}")
+    if len(c) != n:
+        raise InputError(f"need {n} coefficients, got {len(c)}")
+    return c
+
+
 def cmd_orbit(args: argparse.Namespace) -> int:
     curve = jsonio.curve_from_dict(jsonio.load_json(args.curve))
     z0 = _parse_point(args.start)
@@ -97,15 +110,18 @@ def _variety_residuals(poly: OrbitPolygon, c) -> Optional[list[float]]:
 
 
 def cmd_element(args: argparse.Namespace) -> int:
+    for flag, tol in (("--tol-integral", args.tol_integral),
+                      ("--tol-convex", args.tol_convex)):
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise InputError(f"{flag} must be a finite, non-negative tolerance, "
+                             f"got {tol!r}")
     poly = jsonio.polygon_from_dict(jsonio.load_json(args.polygon))
     if args.special_minus:
         c = -poly.dvec
     elif args.special_plus:
         c = poly.dvec.copy()
-    elif args.c:
-        c = np.array([float(v) for v in args.c.split(",")])
-        if len(c) != poly.n:
-            raise InputError(f"need {poly.n} coefficients, got {len(c)}")
+    elif args.c is not None:
+        c = _parse_coefficients(args.c, poly.n)
     else:
         raise InputError("pass --c or one of --special-minus / --special-plus")
     convex_tol = args.tol_convex * poly.scale**2
@@ -176,11 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("element", help="classify a coefficient vector")
     p.add_argument("polygon", help="polygon JSON file")
-    p.add_argument("--c", default=None, help="comma-separated coefficients")
-    p.add_argument("--special-minus", action="store_true",
-                   help="use c = -d")
-    p.add_argument("--special-plus", action="store_true",
-                   help="use c = +d (even n)")
+    choice = p.add_mutually_exclusive_group()
+    choice.add_argument("--c", default=None, help="comma-separated coefficients")
+    choice.add_argument("--special-minus", action="store_true",
+                        help="use c = -d")
+    choice.add_argument("--special-plus", action="store_true",
+                        help="use c = +d (even n)")
     p.add_argument("--tol-integral", type=float, default=INTEGRAL_TOL,
                    help="integrality threshold on the scaled monodromy "
                         "residual (default %(default)s)")

@@ -307,13 +307,18 @@ def _chart_n6(D, sc2, c1, c2, c3, out):
 _CHARTS = {5: _chart_n5, 6: _chart_n6}
 
 
-def _variety_point(poly: OrbitPolygon, params, shift: int):
-    params = [np.asarray(p, dtype=float) for p in params]
-    shape = np.broadcast_shapes(*(p.shape for p in params))
+def _chart(D, sc2, params):
+    """Columns and singular mask of the chart of dimension len(params), on
+    arrays of their own."""
+    shape = np.broadcast_shapes(*(np.shape(p) for p in params))
     out = [np.empty(shape) for _ in range(3)] + [np.empty(shape, dtype=bool)]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cols, singular = _CHARTS[poly.n](
-            np.roll(poly.delta, -shift), poly.scale**2, *params, out)
+        return _CHARTS[len(params) + 3](D, sc2, *params, out)
+
+
+def _variety_point(poly: OrbitPolygon, params, shift: int):
+    params = [np.asarray(p, dtype=float) for p in params]
+    cols, singular = _chart(np.roll(poly.delta, -shift), poly.scale**2, params)
     c = np.stack(np.broadcast_arrays(*cols), axis=-1)
     if shift:
         c = np.roll(c, shift, axis=-1)
@@ -487,12 +492,14 @@ def classify_paradoxical(poly: OrbitPolygon) -> bool:
 # ---------------------------------------------------------------------------
 # Convex-element search
 
-# Points that one scorer call may evaluate: one hexagon chart on the coarse
-# grid, the largest call that a single-polygon search needs.  Batched stages
-# are split at that size, so it bounds the work arrays that a ChartSweep
-# keeps between scorer calls (five float arrays and one mask, 0.38 MB), and
-# with them peak memory, whatever the number of polygons.
-MAX_CHART_POINTS = GRID**3
+# Points that one scorer call may evaluate: four hexagon charts on the coarse
+# grid.  Batched stages are split at that size, so it bounds the work arrays
+# that a ChartSweep keeps between scorer calls (three float arrays and one
+# mask, 25 bytes a point, 0.93 MB), and with them peak memory, whatever the
+# number of polygons.  A call has a fixed cost of some 60 numpy dispatches
+# (about 80 us on a 2-core x86-64 host, half of a one-chart call), so the
+# charts are scored in few, large calls.
+MAX_CHART_POINTS = 4 * GRID**3
 
 
 def convex_element_search(poly: OrbitPolygon) -> Optional[IntegralElement]:
@@ -592,7 +599,7 @@ def _candidates_n4(poly: OrbitPolygon) -> list[np.ndarray]:
 def _grid_params(axes: np.ndarray) -> list[np.ndarray]:
     """Coordinates of per-chart tensor grids: ``axes[:, s, a]`` holds the
     samples of coordinate a on the s-th chart of the batch.  The last
-    coordinate varies along axis 1, the outer axis of :meth:`ChartSweep.best`.
+    coordinate varies along axis 1, the outer axis of :meth:`ChartSweep.scan`.
     The others are read-only views of one shape, the block, in which each
     varies along its own axis after that one, in order; what depends on them
     alone is then computed once per block, in contiguous passes."""
@@ -628,94 +635,113 @@ class ChartSweep:
         # Per row, for the scorer: the local areas, the skip determinants
         # and scale^2.
         self.row_data = np.hstack([self.delta, self.dvec, self.sc2[:, None]])
-        self._work = (np.empty((n - self.dim + 2, 0)), np.empty(0, dtype=bool))
+        self._work = (np.empty((n - self.dim, 0)), np.empty(0, dtype=bool))
         self._views: dict[tuple, tuple] = {}
 
-    def best(self, rows: np.ndarray, params: list[np.ndarray]):
+    def scan(self, rows: np.ndarray, params: list[np.ndarray]):
         """Best slack min(d - c) per row over a tensor grid of parameters
-        laid out as by :func:`_grid_params`, one array per chart coordinate.
-        Ties go to the first point in C order over (c_1, ..., c_dim), as in
-        an argmax over the stacked regular points.  Returns (slack, c,
-        params) per row; slack is -inf where no parameter value is regular.
+        laid out as by :func:`_grid_params`, one array per chart coordinate
+        with one entry per row along its first axis.  Ties go to the first
+        point in C order over (c_1, ..., c_dim), as in an argmax over the
+        stacked regular points.  Returns (slack, c, params) per row; slack
+        is -inf where no parameter value is regular.
+
+        The rows are scored in calls of at most MAX_CHART_POINTS points; no
+        rows still make one call, for the result shapes.  The winners'
+        coefficients are computed once, afterwards, from their parameters:
+        every column is an elementwise function of its row's local areas and
+        parameters, so it keeps the bits it had on the grid.
 
         Points are masked for regularity only.  A row whose winner has a
         non-finite column, or a NaN slack, is scored again with its
         non-finite points masked too.  That is exact: the unmasked score is
         never below the masked one, and it equals the masked one wherever
         the columns are finite."""
-        m, c, p, redo = self._best(rows, params, finite=False)
+        m, p = self._calls(rows, params, finite=False)
+        c = self._columns(rows, p)
+        redo = np.isnan(m) | ~np.isfinite(c).all(axis=1)
         if redo.any():
-            m[redo], c[redo], p[redo], _ = self._best(
-                rows[redo], [x[redo] for x in params], finite=True)
+            rows, params = rows[redo], [x[redo] for x in params]
+            m[redo], p[redo] = self._calls(rows, params, finite=True)
+            c[redo] = self._columns(rows, p[redo])
         return m, c, p
 
+    def _calls(self, rows: np.ndarray, params: list[np.ndarray], finite: bool):
+        """:meth:`_best` over the rows, in calls of at most MAX_CHART_POINTS
+        points."""
+        points = math.prod(np.broadcast_shapes(*(p.shape[1:] for p in params)))
+        step = max(1, MAX_CHART_POINTS // points)
+        parts = [self._best(rows[i:i + step], [p[i:i + step] for p in params], finite)
+                 for i in range(0, max(len(rows), 1), step)]
+        return tuple(np.concatenate(x) for x in zip(*parts))
+
     def _best(self, rows: np.ndarray, params: list[np.ndarray], finite: bool):
+        """One scorer call: the slack and the parameters of each row's first
+        best point; the slack is NaN where the row's maximum is NaN."""
         full = np.broadcast(*params).shape
-        S, outer, inner = full[0], full[1], full[2:]
-        n = self.n
+        S, outer, cells = full[0], full[1], math.prod(full[2:])
+        n, dim = self.n, self.dim
         data = self.row_data[rows].T.reshape((2 * n + 1, S) + (1,) * (len(full) - 1))
         D, dv, sc2 = data[:n], data[n:2 * n], data[-1]
-        derived, (*out, slack, tmp), singular = self._work_arrays(full)
+        out, mask = self._work_arrays(full)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cols, singular = _CHARTS[n](D, sc2, *params, out + [singular])
+            cols, singular = _CHARTS[n](D, sc2, *params, out + [mask])
             if finite:
                 for col in cols:
                     singular |= ~np.isfinite(col)
-            # The minimum runs over the columns in order, so that its bits,
-            # signed zeros and NaN included, are those of the stacked form.
-            # It stays at its terms' shape until they differ or span the grid.
-            s = dv[0] - cols[0]
-            for dk, col in zip(dv[1:], cols[1:]):
-                t = np.subtract(dk, col, out=tmp) if col.shape == full else dk - col
-                s = np.minimum(s, t, out=slack if s.shape != t.shape or t.shape == full
-                               else None)
+            # Each derived column becomes its slack term d_k - c_k in place,
+            # and the first of them the slack: the minimum of those terms,
+            # then of the parameters' terms.  The order of a minimum shows
+            # only in the sign of a zero and the payload of a NaN.  d_k - c_k
+            # is -0.0 only where d_k is, and a row with a NaN slack is scored
+            # again, so unless d holds a -0.0 the slack keeps the bits of the
+            # minimum taken in column order.
+            terms = [np.subtract(dk, col, out=col) for dk, col in zip(dv[dim:], cols[dim:])]
+            s = terms[0]
+            for t in terms[1:]:
+                np.minimum(s, t, out=s)
+            for dk, col in zip(dv[:dim], cols):
+                np.minimum(s, dk - col, out=s)
         np.copyto(s, -np.inf, where=singular)
-        # The first maximum in C order over (inner axes, outer axis), as an
-        # argmax over the score with the outer axis innermost; like argmax,
-        # it stops at the first NaN.
-        cells = math.prod(inner)
-        score = s.reshape(S, outer, cells).transpose(0, 2, 1).reshape(S, cells * outer)
-        j = score.argmax(axis=1)
+        # The first maximum in C order over (inner axes, outer axis): the
+        # first inner cell that holds the row's maximum, then the first outer
+        # index in it.  A NaN maximum equals no point.
+        score = s.reshape(S, outer, cells)
+        m = score.max(axis=(1, 2))
+        top = np.equal(score, m[:, None, None], out=mask.reshape(S, outer, cells))
         first = np.arange(S)
-        m = score[first, j]
-        k, o = np.divmod(j, outer)
-        at = (o,) + np.unravel_index(k, inner)
-        win = np.empty((S, n))
-        for i, p in enumerate(params):
-            win[:, i] = p[(first,) + tuple(a if e > 1 else 0 for a, e in zip(at, p.shape[1:]))]
-        win[:, self.dim:] = derived[:, np.ravel_multi_index((first,) + at, full)].T
-        c = np.empty_like(win)
-        c[first[:, None], self.roll[rows]] = win
-        # A NaN winner has a NaN column, so this also catches NaN slacks.
-        redo = ~np.isfinite(win).all(axis=1)
-        return m, c, win[:, :self.dim], redo
+        k = top.any(axis=1).argmax(axis=1)
+        o = top[first, :, k].argmax(axis=1)
+        m = np.where(np.isnan(m), m, score[first, o, k])  # the winner's signed zero
+        at = (o,) + np.unravel_index(k, full[2:])
+        p = np.empty((S, dim))
+        for i, x in enumerate(params):
+            p[:, i] = x[(first,) + tuple(a if e > 1 else 0 for a, e in zip(at, x.shape[1:]))]
+        return m, p
+
+    def _columns(self, rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Coefficients c of each row's chart point p, in polygon order."""
+        cols, _ = _chart(self.delta[rows].T, self.sc2[rows], list(p.T))
+        c = np.empty((len(rows), self.n))
+        c[np.arange(len(rows))[:, None], self.roll[rows]] = np.stack(cols, axis=1)
+        return c
 
     def _work_arrays(self, shape: tuple):
         """Work arrays of one shape, kept for the next call: the derived
-        columns (stacked, and one array each), the slack, a temporary array
-        and the singular mask.  All shapes share one set of buffers, grown
-        to the largest size asked for."""
+        columns, which become their slack terms and the slack, and the
+        singular mask, which becomes the mask of the maxima.  All shapes
+        share one set of buffers, grown to the largest size asked for."""
         views = self._views.get(shape)
         if views is None:
             size = math.prod(shape)
             if self._work[1].size < size:
-                self._work = (np.empty((self.n - self.dim + 2, size)),
+                self._work = (np.empty((self.n - self.dim, size)),
                               np.empty(size, dtype=bool))
                 self._views = {}
             work, mask = (w[..., :size] for w in self._work)
-            views = self._views[shape] = (work[:-2], [w.reshape(shape) for w in work],
+            views = self._views[shape] = ([w.reshape(shape) for w in work],
                                           mask.reshape(shape))
         return views
-
-    def scan(self, rows: np.ndarray, params: list[np.ndarray]):
-        """:meth:`best` over any number of rows, in calls of at most
-        MAX_CHART_POINTS points; ``params[a]`` has one entry per row along
-        its first axis.  No rows still make one call, for the result shapes."""
-        points = math.prod(np.broadcast_shapes(*(p.shape[1:] for p in params)))
-        step = max(1, MAX_CHART_POINTS // points)
-        parts = [self.best(rows[i:i + step], [p[i:i + step] for p in params])
-                 for i in range(0, max(len(rows), 1), step)]
-        return tuple(np.concatenate(x) for x in zip(*parts))
 
     def sweep(self, grid: int):
         """Coarse grid^dim sweep of every row's chart across its box."""

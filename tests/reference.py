@@ -7,7 +7,7 @@ so that tests can require the same bits and the same draws from each
 generator.  The only addition: ``rejected``, when given, counts the reasons
 the sequential loop rejected an attempt, and the closure's failed tries.
 
-``chart_best`` is the chart scorer that ``ChartSweep.best`` replaced: it
+``chart_best`` is the chart scorer that ``ChartSweep.scan`` replaced: it
 masks every column for regularity and finiteness, broadcasts over tensor
 grids laid out in chart order (``grid_params``), and takes one argmax.
 """

@@ -204,6 +204,36 @@ def test_element_wrong_length_exit_2(tmp_path, square_poly_file):
     assert main(["element", square_poly_file, "--c", "1,2,3"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--c", "1,2,x,4"], "comma-separated numbers"),
+    (["--c="], "comma-separated numbers"),
+    (["--c", "nan,2,3,4"], "finite"),
+    (["--c", "1,inf,3,4"], "finite"),
+    (["--special-minus", "--tol-integral=nan"], "--tol-integral"),
+    (["--special-minus", "--tol-integral=-1e-13"], "--tol-integral"),
+    (["--special-minus", "--tol-convex=-1"], "--tol-convex"),
+    (["--special-minus", "--tol-convex=inf"], "--tol-convex"),
+])
+def test_element_bad_input_exit_2(tmp_path, square_poly_file, argv, message, capsys):
+    # a coefficient that is no number raised ValueError, a NaN one reached
+    # the SVD, and a NaN or negative tolerance was accepted
+    code, payload = run_json(tmp_path, ["element", square_poly_file, *argv])
+    assert code == 2 and payload is None
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--special-minus", "--special-plus"],
+    ["--c=1,2,3,4", "--special-minus"],
+    ["--special-plus", "--c=1,2,3,4"],
+])
+def test_element_choices_exclude_each_other(square_poly_file, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["element", square_poly_file, *argv])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def test_element_needs_a_choice_exit_2(square_poly_file):
     assert main(["element", square_poly_file]) == 2
 
@@ -330,3 +360,6 @@ def test_python_m_outerlab(square_poly_file):
     assert json.loads(proc.stdout)["element"]["is_valid"] is True
     proc = _run_module("outerlab", "verify", "n7")
     assert proc.returncode == 2
+    proc = _run_module("outerlab", "element", square_poly_file, "--c", "nan,2,3,4")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr

@@ -280,7 +280,7 @@ def _check_chart_scorer(polys, rng):
             batches[name] = (_grid_params(axes), [x.reshape(-1, dim) for x in nodes])
 
         for name, (params, dense) in batches.items():
-            m, c, p = charts.best(shifts, params)
+            m, c, p = charts.scan(shifts, params)
             for s in shifts:
                 want_m, want_c, want_p = _dense_best(poly, s, dense[s])
                 assert m[s] == want_m, (name, s)
@@ -325,7 +325,7 @@ def test_chart_scorer_matches_stacked_reference(sampled, key):
                for name in per_poly[0]
                for axes in [np.concatenate([a[name] for a in per_poly], axis=1)]}
     for name, (params, stacked) in batches.items():
-        m, c, p = charts.best(rows, params)
+        m, c, p = charts.scan(rows, params)
         with np.errstate(over="ignore", invalid="ignore"):
             want_m, want_c, want_p = reference.chart_best(charts, rows, stacked)
         found = want_m > -np.inf
@@ -337,8 +337,62 @@ def test_chart_scorer_matches_stacked_reference(sampled, key):
         assert True in passes
     assert False in passes
     # no rows still give results of the right widths
-    m, c, p = charts.best(rows[:0], [x[:0] for x in batches["coarse"][0]])
+    m, c, p = charts.scan(rows[:0], [x[:0] for x in batches["coarse"][0]])
     assert (m.shape, c.shape, p.shape) == ((0,), (0, n), (0, dim))
+
+
+@pytest.mark.parametrize("key", [(5, 1), (5, 2), (6, 1), (6, 2)])
+def test_chart_scan_results_do_not_depend_on_the_call_size(sampled, monkeypatch, key):
+    # the same rows scored one row per call (a budget below one chart), at
+    # the default budget and all in one call give the same bits; the kept
+    # work arrays stay within the budget, or within one row when a row
+    # alone exceeds it
+    rng = np.random.default_rng(41)
+    polys = sampled[key][6:9]
+    n = key[0]
+    rows = np.arange(n * len(polys))
+    per_poly = [_chart_axes(p, ChartSweep(p), rng) for p in polys]
+    batches = {name: _grid_params(np.concatenate([a[name] for a in per_poly], axis=1))
+               for name in per_poly[0]}
+    points = {name: np.prod(np.broadcast_shapes(*(x.shape[1:] for x in params)))
+              for name, params in batches.items()}
+    budgets = {"below one chart": min(points.values()) - 1,
+               "default": outerlab.elements.MAX_CHART_POINTS,
+               "all rows": len(rows) * max(points.values())}
+    results, rescored = {}, set()
+    for budget, size in budgets.items():
+        monkeypatch.setattr(outerlab.elements, "MAX_CHART_POINTS", size)
+        charts = ChartSweep(*polys)
+        calls = []
+        scorer = charts._best
+
+        def spy(rows, params, finite):
+            calls.append((len(rows), finite))
+            return scorer(rows, params, finite)
+
+        charts._best = spy
+        largest_row = 0
+        for name, params in batches.items():
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                results[budget, name] = charts.scan(rows, params)
+            first_pass = [r for r, finite in calls if not finite]
+            rescored |= {name for _, finite in calls if finite}
+            assert sum(first_pass) == len(rows)
+            assert max(first_pass) == min(len(rows), max(1, size // points[name]))
+            largest_row = max(largest_row, points[name])
+            assert charts._work[1].size <= max(size, largest_row)
+            assert charts._work[0].size == 3 * charts._work[1].size
+    assert n == 5 or "degenerate" in rescored
+    for name in batches:
+        m, c, p = results["default", name]
+        assert (m > -np.inf).any()
+        for budget in ("below one chart", "all rows"):
+            m2, c2, p2 = results[budget, name]
+            assert m.tobytes() == m2.tobytes() and np.all(m == m2)
+            assert c.tobytes() == c2.tobytes() and np.all(c[m > -np.inf] == c2[m > -np.inf])
+            assert p.tobytes() == p2.tobytes() and np.all(p == p2)
 
 
 def test_chart_scorer_ties_go_to_first_point():
@@ -360,7 +414,7 @@ def test_chart_scorer_ties_go_to_first_point():
     assert ok.all()
     assert np.all(slack[1] == d[0] - c1[1]) and np.all(slack[3] == slack[1])
     assert slack.max() == slack[1, 0, 0]
-    m, c, p = charts.best(np.array([0]), _grid_params(axes))
+    m, c, p = charts.scan(np.array([0]), _grid_params(axes))
     assert m[0] == slack[1, 0, 0]
     assert np.array_equal(p[0], [c1[1], c23[0], c23[0]])
     assert np.array_equal(c[0], cols[25])
@@ -536,7 +590,9 @@ def test_search_is_deterministic(sampled):
 
 def _batch_cases():
     """Polygons mixing (5,1), (5,2), (6,1) and (6,2) in a shuffled order.
-    Every stage, hexagon zooms included, spans several scorer calls."""
+    Each coarse stage spans several scorer calls (5 of pentagons, 12 of
+    hexagons); each zoom round fits in one.  How the rows are split into
+    calls is checked by test_chart_scan_results_do_not_depend_on_the_call_size."""
     kinds = {(5, 1): 24, (5, 2): 56, (6, 1): 4, (6, 2): 4}
     polys = []
     for (n, m), count in kinds.items():
