@@ -490,6 +490,77 @@ def classify_paradoxical(poly: OrbitPolygon) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Exact signs on the float vertices
+#
+# A float determinant det(r_a, r_b) = p - q from the float vertices is off
+# the exact one by at most 4u/(1 - 4u) (|p| + |q|), u = 2^-53: one rounding
+# per half-edge coordinate, per product and in the difference.  A product
+# of two determinants minus another is off by at most about 10u times the
+# sum of the products of their |p| + |q|.  DET_ERROR and GAP_ERROR round
+# those factors up.  A float value that clears its bound has the exact
+# sign; inside it the sign comes from fractions.Fraction, imported only
+# then.  The local-convexity floor 1e-12 scale^2 is far above the bound of
+# delta_i (16u scale^2), so a locally convex polygon has every delta_i > 0.
+
+DET_ERROR = 8 * 2.0**-53
+GAP_ERROR = 16 * 2.0**-53
+
+
+def _dets(r: np.ndarray, a: int, b: int):
+    """det(r_{i+a}, r_{i+b}) per polygon of the (k, n, 2) stack ``r`` and
+    per i, with the |p| + |q| of its two products."""
+    ra, rb = np.roll(r, -a, axis=1), np.roll(r, -b, axis=1)
+    p, q = ra[..., 0] * rb[..., 1], ra[..., 1] * rb[..., 0]
+    return p - q, abs(p) + abs(q)
+
+
+def _exact_dets(poly: OrbitPolygon, a: int, b: int) -> list:
+    """det(r_{i+a}, r_{i+b}) per i, exactly, from the float vertices."""
+    from fractions import Fraction
+
+    z = [(Fraction(x), Fraction(y)) for x, y in poly.vertices.tolist()]
+    r = [((x - u) / 2, (y - v) / 2) for (x, y), (u, v) in zip(z, z[1:] + z[:1])]
+    n = len(r)
+    return [r[(i + a) % n][0] * r[(i + b) % n][1] - r[(i + a) % n][1] * r[(i + b) % n][0]
+            for i in range(n)]
+
+
+def _signs(value: np.ndarray, bound: np.ndarray, exact) -> np.ndarray:
+    """Signs of ``value`` (one row per polygon) where |value| clears its
+    ``bound``; elsewhere the signs of ``exact(row)``, called once per row."""
+    signs = np.sign(value)
+    unclear = ~(abs(value) > bound)
+    for k in np.flatnonzero(unclear.any(axis=1)):
+        values = exact(k)
+        for i in np.flatnonzero(unclear[k]):
+            signs[k, i] = (values[i] > 0) - (values[i] < 0)
+    return signs
+
+
+def skip_signs(polys: Sequence[OrbitPolygon]) -> np.ndarray:
+    """Exact signs (-1, 0 or 1) of the skip determinants d_i of the
+    polygons' float vertices, one row per polygon (all of one n)."""
+    d, mag = _dets(np.stack([p.r for p in polys]), -1, 1)
+    return _signs(d, DET_ERROR * mag, lambda k: _exact_dets(polys[k], -1, 1))
+
+
+def gap_signs(polys: Sequence[OrbitPolygon]) -> np.ndarray:
+    """Exact signs of g_i = d_i d_{i+1} - delta_i delta_{i+2}, one row per
+    polygon: delta_i delta_{i+1} times the (2, 2) entry of T_{i+1} T_i at
+    c = d."""
+    r = np.stack([p.r for p in polys])
+    (d, md), (D, mD) = _dets(r, -1, 1), _dets(r, -1, 0)
+    d1, md1, D2, mD2 = (np.roll(x, -j, axis=1) for x, j in ((d, 1), (md, 1), (D, 2), (mD, 2)))
+
+    def exact(k):
+        d, D = _exact_dets(polys[k], -1, 1), _exact_dets(polys[k], -1, 0)
+        n = len(d)
+        return [d[i] * d[(i + 1) % n] - D[i] * D[(i + 2) % n] for i in range(n)]
+
+    return _signs(d * d1 - D * D2, GAP_ERROR * (md * md1 + mD * mD2), exact)
+
+
+# ---------------------------------------------------------------------------
 # Convex-element search
 
 # Points that one scorer call may evaluate: four hexagon charts on the coarse
@@ -743,11 +814,6 @@ class ChartSweep:
                                           mask.reshape(shape))
         return views
 
-    def sweep(self, grid: int):
-        """Coarse grid^dim sweep of every row's chart across its box."""
-        axes = np.linspace(self.lo, self.hi, grid)
-        return self.scan(np.arange(len(self.lo)), _grid_params(axes))
-
     def refine(self, start, span: np.ndarray):
         """Shrinking local grids around each row's regular start point, the
         rounds in sequence and each over all those rows at once.  Returns,
@@ -775,6 +841,8 @@ def _candidates_chart(polys: list[OrbitPolygon]) -> list[np.ndarray]:
     refinement, in chart order."""
     charts = ChartSweep(*polys)
     n = charts.n
-    c, keep = charts.refine(charts.sweep(GRID), (charts.hi - charts.lo) / (GRID - 1))
+    coarse = charts.scan(np.arange(len(charts.lo)),
+                         _grid_params(np.linspace(charts.lo, charts.hi, GRID)))
+    c, keep = charts.refine(coarse, (charts.hi - charts.lo) / (GRID - 1))
     c, keep = c.reshape(-1, 2 * n, n), keep.reshape(-1, 2 * n)
     return [cp[kp] for cp, kp in zip(c, keep)]

@@ -3,19 +3,22 @@
 The sampler draws (n, m) orbit polygons: turning angles with the exact
 angle budget 2 pi m, edge directions by cumulative sums, and edge lengths
 solved from the two closure constraints by exact projection onto the null
-space (never approximated).  Verifiers corroborate the nonexistence
-statements for n = 3, 4, (5,2), (6,2) over many samples and report margins;
-a failure is stored with a replay bundle instead of being hidden.
+space (never approximated).  Verifiers check the nonexistence statements
+for n = 3, 4, (5,2), (6,2) over many samples and report margins; a failure
+is stored with a replay bundle instead of being hidden.  A (5,2) or (6,2)
+trial is decided exactly by the sign certificate of its float vertices
+(:func:`_sign_certificates`); the grid search runs only on trials without
+one and on the convex controls.
 
 All verifier trials are pure functions of per-trial seeds spawned from the
 master seed.  Every verifier first draws the polygons of all its trials in
 one lock-step batch (:func:`sample_orbit_polygons`), each trial from its own
 generator.  The convex-element search draws nothing: it is a pure function
-of the polygon.  The (5,2) and (6,2) verifiers run one batched search over
-all trials and controls, and check each trial.  The paradoxical scan shares
-one generator between its draws, so it samples one polygon at a time.  The
-``threads`` argument is kept for compatibility and has no effect: reports
-are the same bytes for every value.
+of the polygon.  The (5,2) and (6,2) verifiers certify all trials at once,
+then run one batched search over the uncertified trials and the controls.
+The paradoxical scan shares one generator between its draws, so it samples
+one polygon at a time.  The ``threads`` argument is kept for compatibility
+and has no effect: reports are the same bytes for every value.
 """
 
 from __future__ import annotations
@@ -26,17 +29,17 @@ from typing import Optional
 import numpy as np
 
 from .elements import (
-    ChartSweep,
     IntegralElement,
     classify_paradoxical,
     convex_element_search,
     convex_element_search_batch,
+    gap_signs,
     make_element,
     paradox_margin,
-    variety_point_n5,
-    variety_point_n6,
+    skip_signs,
+    special_element_plus,
 )
-from .errors import InputError, SamplerExhausted
+from .errors import InputError, SamplerExhausted, ValidationFailed
 from .geometry import OrbitPolygon, derive_orbit_polygon, derive_orbit_polygons, polygon_area
 
 DEFAULT_SEED = 1729
@@ -294,51 +297,63 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
 
 
 # ---------------------------------------------------------------------------
-# Theorem (5, 2): no convex element exists on star pentagons.
+# Sign certificates of (5, 2) and (6, 2) samples.
 
-def _probe_margins_n5(polys: list[OrbitPolygon], grid: int = 15) -> np.ndarray:
-    """Best convexity slack min(d - c) over chart probes of the variety, per
-    pentagon."""
+# The entries that a (6,2) certificate at shift k = 0, 1, 2 needs negative;
+# shift k + 3 needs the same four.
+_PINNED = np.array([[k, k + 1, k + 3, (k + 4) % 6] for k in range(3)])
+
+
+def _sign_certificates(polys: list[OrbitPolygon]) -> tuple[np.ndarray, np.ndarray]:
+    """Per (5,2), or per (6,2) polygon: whether its sign certificate holds,
+    exactly on its float vertices, and its margin, the largest
+    d_i / (s_{i-1} s_{i+1}) = -sin(alpha_i + alpha_{i+1}) over the entries
+    that the certificate needs negative (the best shift's, on hexagons).
+
+    (5,2): every d_i < 0.  On the variety c_1 c_2 - d_1 d_2 =
+    (c_4 + d_4) delta_2, and c <= d would make the left side >= 0 and the
+    right side < 0.
+    (6,2): a shift k with d_k, d_{k+1}, d_{k+3}, d_{k+4} < 0 and g_k,
+    g_{k+3} (:func:`gap_signs`) not both 0.  With c <= d both terms of
+    delta_{k+4} (c_k c_{k+1} - d_k d_{k+1})
+    + delta_{k+1} (c_{k+3} c_{k+4} - d_{k+3} d_{k+4}) = 0 are >= 0, so c = d
+    on those four entries.  T_{k+5} (T_{k+4} T_{k+3}) T_{k+2} (T_{k+1} T_k)
+    = I is then affine in c_{k+2} with a rank-one coefficient, and c_{k+5}
+    enters T_{k+5}^-1 at (1, 1) alone; the two are independent unless g_k
+    and g_{k+3} both vanish.  So c = d is the only convex element, if it is
+    one (:func:`special_element_plus`)."""
     if not polys:
-        return np.empty(0)
-    return np.max(ChartSweep(*polys).sweep(grid)[0].reshape(len(polys), -1), axis=1)
+        return np.zeros(0, dtype=bool), np.zeros(0)
+    signs = skip_signs(polys)
+    s = np.stack([p.s for p in polys])
+    ratio = np.stack([p.dvec for p in polys]) / (np.roll(s, 1, axis=1) * np.roll(s, -1, axis=1))
+    if polys[0].n == 5:
+        return (signs < 0).all(axis=1), ratio.max(axis=1)
+    g = gap_signs(polys) != 0
+    ok = (signs[:, _PINNED] < 0).all(axis=2) & (g[:, :3] | g[:, 3:])
+    return ok.any(axis=1), np.where(ok, ratio[:, _PINNED].max(axis=2), np.inf).min(axis=1)
 
 
-def _identity_residual_n5(poly: OrbitPolygon, c: np.ndarray) -> float:
-    """Relative residual of c_1 c_2 - d_1 d_2 = (c_4 + d_4) delta_2 (variety
-    points only); this is the sign-contradiction identity for (5, 2)."""
-    d, D = poly.dvec, poly.delta
-    lhs = c[0] * c[1] - d[0] * d[1]
-    rhs = (c[3] + d[3]) * D[1]
-    mag = max(abs(c[0] * c[1]), abs(d[0] * d[1]), abs(rhs), 1e-300)
-    return abs(lhs - rhs) / mag
-
+# ---------------------------------------------------------------------------
+# Theorem (5, 2): no convex element exists on star pentagons.
 
 def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                        threads: int = 1, controls: int = 100) -> VerifierReport:
     stars = sample_orbit_polygons(5, 2, _spawned_rngs(seed, trials))
     convex = sample_orbit_polygons(5, 1, _spawned_rngs(seed + 1, controls, "controls"))
-    found = convex_element_search_batch(stars + convex)
-    margins = _probe_margins_n5(stars)
+    certified, margins = _sign_certificates(stars)
+    # Uncertified trials take the first search results, in order; the controls the rest.
+    found = iter(convex_element_search_batch(
+        [p for p, ok in zip(stars, certified) if not ok] + convex))
 
-    def trial(poly: OrbitPolygon, el, probe: float) -> dict:
-        failures = 0
-        bundles = []
-        if not np.all(poly.dvec < 0):
-            failures += 1
-            bundles.append(_bundle(poly, None, "n52-nonneg-d"))
-        if el is not None:
-            failures += 1
-            bundles.append(_bundle(poly, el.c, "n52-convex-element"))
-        # Sign-contradiction identity on a few variety probes.
-        d = poly.dvec
-        probes, ok = variety_point_n5(poly, d[0], d[1])
-        if bool(ok) and _identity_residual_n5(poly, probes) > 1e-8:
-            failures += 1
-            bundles.append(_bundle(poly, probes, "n52-identity"))
-        out = {"failures": failures, "margin": float(probe) / poly.scale**2}
-        if bundles:
-            out["bundles"] = bundles
+    def trial(poly: OrbitPolygon, certified: bool, margin: float) -> dict:
+        out = {"failures": 0, "margin": float(margin)}
+        if not certified:
+            out["bundles"] = [_bundle(poly, None, "n52-nonneg-d")]
+            el = next(found)
+            if el is not None:
+                out["bundles"].append(_bundle(poly, el.c, "n52-convex-element"))
+            out["failures"] = len(out["bundles"])
         return out
 
     def control(poly: OrbitPolygon, el) -> dict:
@@ -348,34 +363,27 @@ def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             out["bundles"] = [_bundle(poly, None, "n51-control-miss")]
         return out
 
-    results = [trial(poly, el, probe) for poly, el, probe in zip(stars, found, margins)]
-    results += [control(poly, el) for poly, el in zip(convex, found[trials:])]
+    results = [trial(*args) for args in zip(stars, certified, margins)]
+    results += [control(poly, el) for poly, el in zip(convex, found)]
+    searched = trials - int(certified.sum())
     return _collect(
         results, "n52", seed, trials,
-        f"no convex element on any (5,2) sample and all d_i < 0; margin is "
-        f"the best convexity slack min(d - c)/scale^2 seen on variety probes "
-        f"(negative = infeasible); {controls} convex-pentagon controls must "
-        f"each produce an element",
+        f"no convex element on any (5,2) sample: {trials - searched}/{trials} "
+        f"certified exactly by d_i < 0 for all i; margin is the worst "
+        f"max_i d_i/(s_(i-1) s_(i+1)) = -sin(alpha_i + alpha_(i+1)) (negative "
+        f"= certified); {searched} uncertified samples are failures and were "
+        f"grid-searched; {controls} convex-pentagon controls must each produce "
+        f"an element in the grid search",
     )
 
 
 # ---------------------------------------------------------------------------
 # Theorem (6, 2): non-paradoxical samples admit only the corner element c = d.
 
-def _identity_residual_n6(poly: OrbitPolygon, c: np.ndarray) -> float:
-    """Relative residual of D_5 (c_1 c_2 - d_1 d_2) + D_2 (c_4 c_5 - d_4 d_5) = 0."""
-    d, D = poly.dvec, poly.delta
-    t1 = D[4] * (c[0] * c[1] - d[0] * d[1])
-    t2 = D[1] * (c[3] * c[4] - d[3] * d[4])
-    mag = max(abs(D[4] * c[0] * c[1]), abs(D[4] * d[0] * d[1]),
-              abs(D[1] * c[3] * c[4]), abs(D[1] * d[3] * d[4]), 1e-300)
-    return abs(t1 + t2) / mag
-
-
 def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                        threads: int = 1, controls: int = 100) -> VerifierReport:
     # Trials whose polygon is paradoxical draw again, all in one batch per
-    # round; at the cap a trial keeps its last paradoxical draw, unsearched.
+    # round; at the cap a trial keeps its last paradoxical draw, unchecked.
     rngs = _spawned_rngs(seed, trials)
     polys, discarded, todo = {}, [0] * trials, list(range(trials))
     for _ in range(MAX_PARADOXICAL_DRAWS):
@@ -386,62 +394,68 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
         if not todo:
             break
     convex = sample_orbit_polygons(6, 1, _spawned_rngs(seed + 1, controls, "controls"))
-    searched = [polys[k] for k, lost in enumerate(discarded) if lost < MAX_PARADOXICAL_DRAWS]
-    found = iter(convex_element_search_batch(searched + convex))
+    kept = [polys[k] for k, lost in enumerate(discarded) if lost < MAX_PARADOXICAL_DRAWS]
+    certified, margins = _sign_certificates(kept)
+    certs = iter(zip(certified, margins))
+    # Uncertified trials take the first search results, in order; the controls the rest.
+    found = iter(convex_element_search_batch(
+        [p for p, ok in zip(kept, certified) if not ok] + convex))
 
     def capped(poly: OrbitPolygon, discarded: int) -> dict:
         return {"failures": 1, "margin": 0.0, "discarded": discarded,
                 "bundles": [_bundle(poly, None, "n62-paradoxical-cap")]}
 
-    def trial(poly: OrbitPolygon, el, discarded: int) -> dict:
-        failures = 0
-        bundles = []
-        sc2 = poly.scale**2
-        if el is None:
-            failures += 1
-            dev = np.inf
-            bundles.append(_bundle(poly, None, "n62-missing-corner-element"))
+    def trial(poly: OrbitPolygon, discarded: int, certified: bool, margin: float) -> dict:
+        out = {"failures": 0, "margin": float(margin), "discarded": discarded}
+        if certified:
+            try:
+                special_element_plus(poly)
+            except ValidationFailed:
+                bundle = _bundle(poly, None, "n62-missing-corner-element")
+            else:
+                return out
+        elif (el := next(found)) is None:
+            out["margin"] = np.inf
+            bundle = _bundle(poly, None, "n62-missing-corner-element")
         else:
-            dev = float(np.max(np.abs(el.c - poly.dvec)) / sc2)
-            if dev > 1e-8:
-                failures += 1
-                bundles.append(_bundle(poly, el.c, "n62-off-d-element"))
-        probes, ok = variety_point_n6(poly, -poly.dvec[0], -poly.dvec[1], -poly.dvec[2])
-        if bool(ok) and _identity_residual_n6(poly, probes) > 1e-8:
-            failures += 1
-            bundles.append(_bundle(poly, probes, "n62-identity"))
-        out = {"failures": failures, "margin": dev, "discarded": discarded}
-        if bundles:
-            out["bundles"] = bundles
+            out["margin"] = float(np.max(np.abs(el.c - poly.dvec)) / poly.scale**2)
+            if out["margin"] <= 1e-8:
+                return out
+            bundle = _bundle(poly, el.c, "n62-off-d-element")
+        out.update(failures=1, bundles=[bundle])
         return out
 
     def control(poly: OrbitPolygon, el) -> dict:
         if el is None:
-            return {"failures": 1, "margin": 0.0,
+            return {"failures": 1, "margin": -np.inf,
                     "bundles": [_bundle(poly, None, "n61-control-miss")]}
         dev = float(np.max(np.abs(el.c - poly.dvec)) / poly.scale**2)
-        return {"failures": 0, "margin": 0.0, "control_dev": dev}
+        return {"failures": 0, "margin": -np.inf, "control_dev": dev}
 
-    # The searched trials take the first results, in order; the controls the rest.
     results = [capped(polys[k], lost) if lost == MAX_PARADOXICAL_DRAWS
-               else trial(polys[k], next(found), lost)
+               else trial(polys[k], lost, *next(certs))
                for k, lost in enumerate(discarded)]
-    control_results = [control(poly, next(found)) for poly in convex]
+    control_results = [control(poly, el) for poly, el in zip(convex, found)]
     devs = [r.get("control_dev", 0.0) for r in control_results]
     interior_hits = sum(1 for v in devs if v > 1e-3)
     if interior_hits == 0:
         control_results.append({
-            "failures": 1, "margin": 0.0,
+            "failures": 1, "margin": -np.inf,
             "bundles": [{"label": "n61-no-interior-element",
                          "vertices": [], "candidate_c": None}],
         })
     discarded = sum(r.get("discarded", 0) for r in results)
+    searched = len(kept) - int(certified.sum())
     return _collect(
         results + control_results, "n62", seed, trials,
-        f"every element found on non-paradoxical (6,2) samples equals d "
-        f"(margin = worst |c - d|/scale^2); {discarded} paradoxical samples "
-        f"discarded; {interior_hits}/{controls} convex-hexagon controls gave "
-        f"an interior element (|c - d| > 1e-3 scale^2)",
+        f"c = d is the only convex element on every non-paradoxical (6,2) "
+        f"sample: {len(kept) - searched}/{trials} certified exactly by a shift "
+        f"k with d_k, d_(k+1), d_(k+3), d_(k+4) < 0 and c = d checked by its "
+        f"null vectors (margin = the best shift's max d_i/(s_(i-1) s_(i+1)), "
+        f"negative = certified); {searched} uncertified samples grid-searched "
+        f"(margin = |c - d|/scale^2, bound 1e-8); {discarded} paradoxical "
+        f"samples discarded; {interior_hits}/{controls} convex-hexagon controls "
+        f"gave an interior element in the grid search (|c - d| > 1e-3 scale^2)",
     )
 
 

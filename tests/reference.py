@@ -10,6 +10,11 @@ the sequential loop rejected an attempt, and the closure's failed tries.
 ``chart_best`` is the chart scorer that ``ChartSweep.scan`` replaced: it
 masks every column for regularity and finiteness, broadcasts over tensor
 grids laid out in chart order (``grid_params``), and takes one argmax.
+
+``identity_residual_n5`` and ``identity_residual_n6`` are the (5,2) and
+(6,2) sign-contradiction identities that the verifiers once probed on one
+float variety point per trial.  They index plain sequences, so on Fraction
+data their residual is exact.
 """
 
 from __future__ import annotations
@@ -205,3 +210,23 @@ def chart_best(charts, rows: np.ndarray, params: list[np.ndarray]):
     c = np.empty_like(win)
     c[first[:, None], charts.roll[rows]] = win
     return score[first, k], c, win[:, :charts.dim]
+
+
+def identity_residual_n5(poly, c) -> float:
+    """Relative residual of c_1 c_2 - d_1 d_2 = (c_4 + d_4) delta_2 (variety
+    points only); this is the sign-contradiction identity for (5, 2)."""
+    d, D = poly.dvec, poly.delta
+    lhs = c[0] * c[1] - d[0] * d[1]
+    rhs = (c[3] + d[3]) * D[1]
+    mag = max(abs(c[0] * c[1]), abs(d[0] * d[1]), abs(rhs), 1e-300)
+    return abs(lhs - rhs) / mag
+
+
+def identity_residual_n6(poly, c) -> float:
+    """Relative residual of D_5 (c_1 c_2 - d_1 d_2) + D_2 (c_4 c_5 - d_4 d_5) = 0."""
+    d, D = poly.dvec, poly.delta
+    t1 = D[4] * (c[0] * c[1] - d[0] * d[1])
+    t2 = D[1] * (c[3] * c[4] - d[3] * d[4])
+    mag = max(abs(D[4] * c[0] * c[1]), abs(D[4] * d[0] * d[1]),
+              abs(D[1] * c[3] * c[4]), abs(D[1] * d[3] * d[4]), 1e-300)
+    return abs(t1 + t2) / mag

@@ -153,9 +153,10 @@ def test_criterion_5_star_pentagon_theorem(request):
     rep = verify_theorem_n52(trials=1000, seed=DEFAULT_SEED, controls=100)
     _verdict(
         request, 5, rep.failures == 0,
-        f"1000 (5,2) samples: no convex element, all d_i < 0, best probe "
-        f"slack {rep.worst_margin:.3f} x scale^2 (negative = infeasible); "
-        f"100/100 (5,1) controls found one; failures {rep.failures}",
+        f"1000 (5,2) samples: no convex element, certified exactly by all "
+        f"d_i < 0; worst certificate margin max d_i/(s_(i-1) s_(i+1)) = "
+        f"{rep.worst_margin:.3f} (negative = certified); 100/100 (5,1) "
+        f"controls found one in the grid search; failures {rep.failures}",
     )
 
 
@@ -163,9 +164,11 @@ def test_criterion_6_star_hexagon_theorem(request):
     rep = verify_theorem_n62(trials=1000, seed=DEFAULT_SEED, controls=100)
     _verdict(
         request, 6, rep.failures == 0,
-        f"1000 non-paradoxical (6,2) samples: every element equals d, worst "
-        f"|c-d|/scale^2 = {rep.worst_margin:.2e} (bound 1e-8); interior "
-        f"elements on (6,1) controls confirmed; failures {rep.failures}",
+        f"1000 non-paradoxical (6,2) samples: c = d is the only convex "
+        f"element; worst margin {rep.worst_margin:.2e} (negative = every "
+        f"sample certified exactly by a sign shift; an uncertified one is "
+        f"searched, with bound 1e-8 on |c-d|/scale^2); interior elements on "
+        f"(6,1) controls confirmed; failures {rep.failures}",
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from outerlab import cli, lab
 from outerlab.elements import classify_paradoxical, make_element
-from outerlab.errors import InputError, SamplerExhausted
+from outerlab.errors import InputError, SamplerExhausted, ValidationFailed
 from outerlab.jsonio import dumps_canonical, report_to_dict
 from outerlab.lab import (
     OrbitSampler,
@@ -90,10 +90,13 @@ def test_verifier_thread_determinism(theorem, kwargs):
     )
 
 
-# sha256 of the three reports below, concatenated, computed before the
-# verifiers batched their searches, with the per-trial code they replaced
-# (numpy 2.4, x86-64 Linux).  The batched verifiers must give the same bytes.
-GOLDEN_REPORTS_SHA256 = "07b3a175b8489772f62ab5a75e25c0605a93e45b01a3eaae5fa7fbd507276f51"
+# sha256 of the three reports below, concatenated (numpy 2.4, x86-64 Linux).
+# Re-pinned when sign certificates replaced the search of (5,2) and (6,2)
+# trials: against the digest before (07b3a175...), the scan's bytes are the
+# same, and the two verifier reports differ only in their notes and in
+# worst_margin, which now holds the certificate margin (-0.199 -> -0.487 on
+# n52, 3.5e-16 -> -0.211 on n62).
+GOLDEN_REPORTS_SHA256 = "a9ac3e12219bfdc577c5c5b1f0b94e167f1b325f21c95b6d1abce9124148fdea"
 
 
 def test_verifier_reports_match_golden_bytes(capsys):
@@ -148,6 +151,82 @@ def test_n62_paradoxical_cap_records_failure(monkeypatch):
     assert "6 paradoxical samples discarded" in rep.notes
     # two capped trials, plus the missing interior control (controls=0)
     assert rep.failures == 3
+
+
+@pytest.mark.parametrize("fn", [verify_theorem_n52, verify_theorem_n62])
+def test_certified_runs_report_a_negative_margin(fn):
+    # every trial certified, and the controls' margins are -inf, so the
+    # worst margin is the worst certificate's
+    rep = fn(trials=25, seed=5, controls=5)
+    assert rep.failures == 0 and rep.worst_margin < 0
+    assert "25/25 certified" in rep.notes and " 0 uncertified" in rep.notes
+
+
+def _fail_signs(monkeypatch, entries):
+    """The sign helper, with the listed d_i of the first polygon made
+    non-negative."""
+    real = lab.skip_signs
+
+    def signs(polys):
+        s = real(polys)
+        s[0, entries] = 1.0
+        return s
+
+    monkeypatch.setattr(lab, "skip_signs", signs)
+
+
+def _spy_search(monkeypatch) -> list:
+    batches = []
+    real = lab.convex_element_search_batch
+
+    def search(polys):
+        batches.append(list(polys))
+        return real(polys)
+
+    monkeypatch.setattr(lab, "convex_element_search_batch", search)
+    return batches
+
+
+def test_n52_trial_without_certificate_is_searched_and_fails(monkeypatch):
+    # an exact d_i >= 0 is the n52-nonneg-d failure, and the trial is searched
+    clean = verify_theorem_n52(trials=6, controls=3, seed=5)
+    _fail_signs(monkeypatch, [2])
+    batches = _spy_search(monkeypatch)
+    rep = verify_theorem_n52(trials=6, controls=3, seed=5)
+    [batch] = batches
+    assert len(batch) == 1 + 3 and batch[0].winding == 2  # the trial, then the controls
+    assert rep.failures == 1
+    assert [b["label"] for b in rep.failure_bundles] == ["n52-nonneg-d"]
+    assert rep.failure_bundles[0]["candidate_c"] is None
+    assert "5/6 certified" in rep.notes and " 1 uncertified" in rep.notes
+    assert rep.worst_margin == clean.worst_margin  # the margin reads the float d
+
+
+@pytest.mark.parametrize("entries,certified", [([0], 6), ([0, 1], 5)])
+def test_n62_trial_without_certificate_is_searched_and_judged(monkeypatch, entries, certified):
+    # one d_i >= 0 leaves one shift of the certificate; d_0, d_1 >= 0 leave
+    # none, and the trial is searched and judged as without certificates
+    _fail_signs(monkeypatch, entries)
+    batches = _spy_search(monkeypatch)
+    rep = verify_theorem_n62(trials=6, controls=3, seed=5)
+    [batch] = batches
+    assert len(batch) == 6 - certified + 3
+    assert rep.failures == 0 and f"{certified}/6 certified" in rep.notes
+    if certified == 6:
+        assert rep.worst_margin < 0
+    else:
+        assert batch[0].winding == 2
+        assert 0.0 <= rep.worst_margin <= 1e-8  # the search's |c - d| / scale^2
+
+
+def test_n62_certified_trial_needs_the_corner_element(monkeypatch):
+    def fail(poly):
+        raise ValidationFailed("null-vector residual too large")
+
+    monkeypatch.setattr(lab, "special_element_plus", fail)
+    rep = verify_theorem_n62(trials=3, controls=3, seed=5)
+    assert rep.failures == 3
+    assert [b["label"] for b in rep.failure_bundles] == ["n62-missing-corner-element"] * 3
 
 
 def test_vertex_builder_matches_sequential_loop():
@@ -290,7 +369,9 @@ def test_negative_counts_and_seeds_are_input_errors(call):
 # draw at seed 7, and a sha256 over them, computed with the sequential sampler
 # the batch replaced.  Searches are stubbed out (they draw nothing), and the
 # (6,2) verifier sees a quarter of its draws as paradoxical, so that its
-# trials redraw over several rounds.
+# trials redraw over several rounds.  The sign certificates are stubbed as
+# well and record the trials they are given, so the (5,2) and (6,2) trials
+# are counted in the order in which the search saw them before it.
 DRAWN_POLYGONS_SHA256 = "210 39 3f226d5d93b1e5e1b24ce1fb91ecf44f984855fc085316c7d90d57f923477125"
 
 
@@ -317,6 +398,12 @@ def drawn_polygons_sha256(monkeypatch) -> str:
         searched.extend(polys)
         return [None] * len(polys)
 
+    def certify(polys):
+        # every trial certified, so the search sees the controls alone and
+        # each star is recorded once, before the controls, as when searched
+        searched.extend(polys)
+        return np.ones(len(polys), dtype=bool), np.zeros(len(polys))
+
     def paradoxical(poly):
         classified.append(poly)
         return real_paradoxical(poly) or poly.vertices[0, 0] > 0.5
@@ -324,6 +411,7 @@ def drawn_polygons_sha256(monkeypatch) -> str:
     monkeypatch.setattr(lab, "make_element", make)
     monkeypatch.setattr(lab, "convex_element_search", search)
     monkeypatch.setattr(lab, "convex_element_search_batch", search_batch)
+    monkeypatch.setattr(lab, "_sign_certificates", certify)
     monkeypatch.setattr(lab, "classify_paradoxical", paradoxical)
     verify_theorem_n3(trials=40, seed=7)
     verify_theorem_n4(trials=40, seed=7)
