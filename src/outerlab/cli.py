@@ -8,6 +8,7 @@ abort (a stable contract for scripting).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -188,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", metavar="PATH", default=None,
                    help="write an SVG plot of curve and orbit")
     common(p)
-    p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("element", help="classify a coefficient vector")
     p.add_argument("polygon", help="polygon JSON file")
@@ -204,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-convex", type=float, default=1e-12,
                    help="convexity slack relative to scale^2")
     common(p)
-    p.set_defaults(fn=cmd_element)
 
     p = sub.add_parser("verify", help="run a theorem verifier")
     p.add_argument("theorem", help="one of: n3, n4, n52, n62")
@@ -213,29 +212,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility and ignored: the trials "
                         "are searched in one batch on one thread")
     common(p)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search-paradoxical",
                        help="scan (6,2) polygons for paradoxical angle patterns")
     p.add_argument("--trials", type=int, default=200,
                    help="number of sampled polygons")
     common(p)
-    p.set_defaults(fn=cmd_search_paradoxical)
 
     p = sub.add_parser("sample", help="emit one random (n,m) orbit polygon")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     common(p)
-    p.set_defaults(fn=cmd_sample)
 
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call to :func:`main` in a process."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on every call, like VERIFIERS in cmd_verify
+    fn = {"orbit": cmd_orbit, "element": cmd_element, "verify": cmd_verify,
+          "search-paradoxical": cmd_search_paradoxical, "sample": cmd_sample}[args.command]
     try:
-        return args.fn(args)
+        return fn(args)
     except (SingularOrbit, SingularLine) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR

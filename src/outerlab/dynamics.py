@@ -138,6 +138,13 @@ class ConvexCurve:
         arrays = (self.points, self.edges) + (() if self.tangents is None else (self.tangents,))
         return tuple(np.ascontiguousarray(a[:, j]) for a in arrays for j in (0, 1))
 
+    @cached_property
+    def ring(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y of points laid out three times over: sample i mod n, for
+        i in [-n, 2n), sits at index i + n, so a cyclic window is a slice."""
+        px, py = self.columns[:2]
+        return np.tile(px, 3), np.tile(py, 3)
+
     def sides(self, z) -> np.ndarray:
         """det(edge_k, z - points_k): negative where edge k faces z."""
         px, py, ex, ey = self.columns[:4]
@@ -235,11 +242,19 @@ def _bisect_crossing(a, b, ta, tb, zx: float, zy: float, ga: float) -> tuple[flo
     return (1 - mid) * ax + mid * bx, (1 - mid) * ay + mid * by
 
 
+def _holds_both_sides(mask: np.ndarray, w: int, d: int) -> bool:
+    """True when mask, on a window of w samples backward from lo and w
+    forward from hi = lo + d, is set on each side: in mask[:w] and in
+    mask[w - 1 + d:]."""
+    hit = mask.nonzero()[0]
+    return hit.size > 0 and hit[0] < w and hit[-1] >= w - 1 + d
+
+
 def _support_smooth(
     curve: ConvexCurve, zx: float, zy: float, ux: np.ndarray, uy: np.ndarray
 ) -> tuple[tuple[float, float], float]:
     p, t = curve.points, curve.tangents
-    px, py, _, _, tx, ty = curve.columns
+    tx, ty = curve.columns[4:]
     n = len(p)
     g = ux * ty - uy * tx
     pos = g > 0
@@ -274,34 +289,55 @@ def _support_smooth(
         gap = (k2 - k) % n
         if gap > 1:
             # the crossing passes through sampled zeros; take their middle
-            qx, qy = p[(k + gap // 2) % n].tolist()
+            lo = hi = (k + gap // 2) % n
+            qx, qy = p[lo].tolist()
         else:
             a, b = p[k].tolist(), p[k2].tolist()
             if max((a[0] - zx) * ccy - (a[1] - zy) * ccx,
                    (b[0] - zx) * ccy - (b[1] - zy) * ccx) < guard:
                 continue
+            lo, hi = k, k + 1
             qx, qy = _bisect_crossing(a, b, t[k].tolist(), t[k2].tolist(), zx, zy, float(g[k]))
         if (qx - zx) * ccy - (qy - zy) * ccx > 0:
-            chosen = qx, qy
+            chosen = qx, qy, lo, hi
     if chosen is None:
         raise SingularLine("no supporting point with the curve on the left")
-    # Singularity margin: the smallest sine over the samples ahead of z
-    # and away from the support point.  A rounded hypot is never below
-    # max(|dx|, |dy|), so only samples within reach by that test need it.
-    qx, qy = chosen
+    # Singularity margin: the smallest |sine| against z -> q over the
+    # samples ahead of z (u.uc > 0) and farther than reach from q.  The
+    # curve is a strictly convex polygon that winds once, so seen from z the
+    # sample angle rises along both arcs from the polygon's own tangent
+    # vertex T to the opposite one T', and a sine has the sign of the angle
+    # from q.  Walking from q to T' along either side, the angle first falls
+    # below q's, up to T if T is on that side, then rises.  A side's first far
+    # sample with sine >= 0 is thus on the rising part (or its sine is 0),
+    # and past it, up to T', |sine| only grows while samples are ahead, and
+    # no sample is ahead again once one is not.  The two sides reach T' from
+    # both ends, so a window that holds a far sample of sine >= 0 on each
+    # side holds the minimum.  The window takes w samples backward from lo
+    # and w forward from hi, for w = 16, 32, ... up to the whole curve; a
+    # sine has the sign of its numerator, and a side with no far sample
+    # doubles before any sine is taken.  The sines are those of a
+    # whole-curve pass, sample by sample, so the margin keeps its bits.
+    qx, qy, lo, hi = chosen
     ucx, ucy = qx - zx, qy - zy
+    huc = np.hypot(ucx, ucy)
     reach = 2.0 * curve.diameter / n * 4.0
-    dx, dy = px - qx, py - qy
-    far = np.maximum(np.abs(dx), np.abs(dy)) > reach
-    near = np.flatnonzero(~far)
-    far[near] = np.hypot(dx[near], dy[near]) > reach
-    use = np.flatnonzero(far & (ux * ucx + uy * ucy > 0))
-    margin = 1.0
-    if use.size:
-        vx, vy = ux[use], uy[use]
-        sines = (ucx * vy - ucy * vx) / (np.hypot(ucx, ucy) * np.hypot(vx, vy))
-        margin = float(np.min(np.abs(sines)))
-    return chosen, margin
+    rx, ry = curve.ring
+    w = 16
+    while True:
+        whole = 2 * w + hi - lo > n
+        i0, i1 = (0, n) if whole else (lo + n - w + 1, hi + n + w)
+        x, y = rx[i0:i1], ry[i0:i1]
+        far = np.hypot(x - qx, y - qy) > reach
+        if whole or _holds_both_sides(far, w, hi - lo):
+            vx, vy = x - zx, y - zy
+            num = ucx * vy - ucy * vx
+            if whole or _holds_both_sides(far & (num >= 0.0), w, hi - lo):
+                break
+        w *= 2
+    far &= vx * ucx + vy * ucy > 0
+    margin = np.minimum.reduce(np.abs(num / (huc * np.hypot(vx, vy))), where=far, initial=np.inf)
+    return (qx, qy), 1.0 if margin == np.inf else float(margin)
 
 
 def _support_xy(curve: ConvexCurve, zx: float, zy: float) -> tuple[float, float, float]:

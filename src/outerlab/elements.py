@@ -168,6 +168,21 @@ def monodromy_residual(poly: OrbitPolygon, c) -> float:
     return max(abs(a - 1.0), abs(b), abs(e), abs(f - 1.0)) / scale
 
 
+def monodromy_residuals(delta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """:func:`monodromy_residual` over a stack of polygons of one n: delta
+    and c have shape (K, n), and each row takes the float operations of the
+    one-polygon loop in the same order, so its residual keeps its bits."""
+    k, n = c.shape
+    a, b, e, f = np.ones(k), np.zeros(k), np.zeros(k), np.ones(k)
+    scale = np.ones(k)
+    for j in range(n):
+        dj = delta[:, j]
+        p, q = -delta[:, (j + 1) % n] / dj, -c[:, j] / dj
+        a, b, e, f = e, f, p * a + q * e, p * b + q * f
+        scale *= np.maximum(1.0, np.abs(p) + np.abs(q))
+    return np.max(np.abs([a - 1.0, b, e, f - 1.0]), axis=0) / scale
+
+
 # ---------------------------------------------------------------------------
 # Variety equations for small n (raw residuals; relative form used for tests)
 
@@ -407,18 +422,48 @@ def special_element_plus(poly: OrbitPolygon, tol: float = INTEGRAL_TOL) -> Integ
         raise OddPeriod("c = +d is an integral element only for even n")
     poly.require_locally_convex()
     el = make_element(poly, poly.dvec, tol)
-    signs = (-1.0) ** np.arange(poly.n)
-    _certify_null(poly, el, signs[:, None] * poly.r)
+    _certify_null(poly, el, _alternating(poly.r))
     return el
 
 
-def _null_residual(poly: OrbitPolygon, c, vecs: np.ndarray) -> float:
-    """max |C(c) v| over the columns v of ``vecs`` (shape (n, k)), from the
-    three-term recurrence: no n x n matrix is built."""
-    c = _coefficients(poly, c)[:, None]
-    w = np.concatenate((vecs[-1:], vecs, vecs[:1]))  # w[j + 1] = v_j, cyclically
-    D = np.append(poly.delta, poly.delta[0])[:, None]  # D[j] = delta_j, D[n] = delta_0
-    return float(np.max(np.abs(D[1:] * w[:-2] + c * vecs + D[:-1] * w[2:])))
+def special_plus_certified(polys: Sequence[OrbitPolygon], tol: float = INTEGRAL_TOL) -> np.ndarray:
+    """Per polygon of one even n, whether :func:`special_element_plus`
+    certifies c = +d, without raising ValidationFailed: one monodromy
+    residual and one null residual over the whole stack."""
+    for poly in polys:
+        if poly.n % 2:
+            raise OddPeriod("c = +d is an integral element only for even n")
+        poly.require_locally_convex()
+    if not polys:
+        return np.zeros(0, dtype=bool)
+    d = np.stack([p.dvec for p in polys])
+    delta = np.stack([p.delta for p in polys])
+    vecs = _alternating(np.stack([p.r for p in polys]))
+    return (monodromy_residuals(delta, d) <= tol) & (
+        _null_residual(delta, d, vecs) <= _null_bound(delta, d, vecs))
+
+
+def _alternating(r: np.ndarray) -> np.ndarray:
+    """The half-edge vectors r (shape (..., n, 2)) with signs (-1)^j."""
+    return (-1.0) ** np.arange(r.shape[-2])[:, None] * r
+
+
+def _null_residual(delta: np.ndarray, c: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """max |C(c) v| over the columns v of ``vecs`` (shape (..., n, k)), from
+    the three-term recurrence: no n x n matrix is built.  delta and c have
+    shape (..., n); leading axes stack polygons of one n."""
+    c = c[..., None]
+    w = np.concatenate((vecs[..., -1:, :], vecs, vecs[..., :1, :]), axis=-2)  # w[j + 1] = v_j
+    D = np.concatenate((delta, delta[..., :1]), axis=-1)[..., None]  # D[j] = delta_j, D[n] = delta_0
+    return np.max(np.abs(D[..., 1:, :] * w[..., :-2, :] + c * vecs + D[..., :-1, :] * w[..., 2:, :]),
+                  axis=(-2, -1))
+
+
+def _null_bound(delta: np.ndarray, c: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The largest null residual that certifies the null vectors: 1e-10 in
+    units of the largest entry of C(c) and of the vectors."""
+    scale_C = np.maximum(np.max(np.abs(c), axis=-1), np.max(np.abs(delta), axis=-1))
+    return 1e-10 * scale_C * np.maximum(np.max(np.abs(vecs), axis=(-2, -1)), 1e-300)
 
 
 def _certify_null(poly: OrbitPolygon, el: IntegralElement, vecs: np.ndarray):
@@ -427,9 +472,8 @@ def _certify_null(poly: OrbitPolygon, el: IntegralElement, vecs: np.ndarray):
             f"special element has rank margin {el.rank_margin:.3e}; "
             "input polygon is numerically degenerate"
         )
-    resid = _null_residual(poly, el.c, vecs)
-    scale_C = max(np.max(np.abs(el.c)), np.max(np.abs(poly.delta)))
-    bound = 1e-10 * scale_C * max(np.max(np.abs(vecs)), 1e-300)
+    resid = float(_null_residual(poly.delta, el.c, vecs))
+    bound = float(_null_bound(poly.delta, el.c, vecs))
     if resid > bound:
         raise ValidationFailed(f"null-vector residual {resid:.3e} exceeds {bound:.3e}")
 

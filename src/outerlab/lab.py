@@ -37,9 +37,9 @@ from .elements import (
     make_element,
     paradox_margin,
     skip_signs,
-    special_element_plus,
+    special_plus_certified,
 )
-from .errors import InputError, SamplerExhausted, ValidationFailed
+from .errors import InputError, SamplerExhausted
 from .geometry import OrbitPolygon, derive_orbit_polygon, derive_orbit_polygons, polygon_area
 
 DEFAULT_SEED = 1729
@@ -397,6 +397,7 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     kept = [polys[k] for k, lost in enumerate(discarded) if lost < MAX_PARADOXICAL_DRAWS]
     certified, margins = _sign_certificates(kept)
     certs = iter(zip(certified, margins))
+    corner = iter(special_plus_certified([p for p, ok in zip(kept, certified) if ok]))
     # Uncertified trials take the first search results, in order; the controls the rest.
     found = iter(convex_element_search_batch(
         [p for p, ok in zip(kept, certified) if not ok] + convex))
@@ -408,12 +409,9 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     def trial(poly: OrbitPolygon, discarded: int, certified: bool, margin: float) -> dict:
         out = {"failures": 0, "margin": float(margin), "discarded": discarded}
         if certified:
-            try:
-                special_element_plus(poly)
-            except ValidationFailed:
-                bundle = _bundle(poly, None, "n62-missing-corner-element")
-            else:
+            if next(corner):
                 return out
+            bundle = _bundle(poly, None, "n62-missing-corner-element")
         elif (el := next(found)) is None:
             out["margin"] = np.inf
             bundle = _bundle(poly, None, "n62-missing-corner-element")

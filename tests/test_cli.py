@@ -274,6 +274,36 @@ def test_verify_thread_flag_gives_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_one_parser_serves_two_subcommands(tmp_path, monkeypatch):
+    # main builds its parser once per process, but finds the command
+    # functions and VERIFIERS when it is called
+    real_build, real_n4 = cli.build_parser, cli.VERIFIERS["n4"]
+    built, verified = [], []
+
+    def counting_build():
+        built.append(1)
+        return real_build()
+
+    def n4_as_n3(**kwargs):
+        verified.append(kwargs)
+        return real_n4(**kwargs)
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        code, poly = run_json(tmp_path, ["sample", "6", "2", "--seed", "9"])
+        assert code == 0 and len(poly["vertices"]) == 6
+        monkeypatch.setitem(cli.VERIFIERS, "n3", n4_as_n3)
+        code, rep = run_json(tmp_path, ["verify", "n3", "--trials", "4", "--seed", "2"])
+        assert code == 0 and rep["theorem"] == "n4" and rep["samples"] == 4
+        assert verified == [{"trials": 4, "seed": 2, "threads": 1}]
+        monkeypatch.setattr(cli, "cmd_sample", lambda args: 7)
+        assert main(["sample", "5", "2"]) == 7
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_sample_round_trips_bit_identically(tmp_path):
     out = tmp_path / "poly.json"
     assert main(["sample", "6", "2", "--seed", "9", "--json", str(out)]) == 0

@@ -592,12 +592,7 @@ def test_support_matches_reference_near_smooth_curves(monkeypatch):
     rng = np.random.default_rng(19)
     bisections = set()
     for curve in (ConvexCurve.circle(), _ellipse()):
-        e = curve.edges
-        normal = np.column_stack([e[:, 1], -e[:, 0]]) / np.sqrt(curve.edge_len2)[:, None]
-        k = rng.integers(0, len(e), 150)
-        push = curve.diameter * 10.0 ** rng.uniform(-7.0, -3.0, (150, 1))
-        starts = curve.points[k] + rng.uniform(0.0, 1.0, (150, 1)) * e[k] + push * normal[k]
-        for z in starts:
+        for z in _starts_near(curve, rng, 150):
             before = len(calls)
             if _assert_support_matches(curve, [z]):
                 bisections.add(len(calls) - before)
@@ -611,6 +606,150 @@ def test_support_matches_reference_on_a_coarse_circle():
     assert _assert_support_matches(curve, starts) == len(starts)
     near = _starts_around(curve, rng, 100, 0.95, 1.05)
     _assert_support_matches(curve, near)
+
+
+def _thin_ellipse():
+    """A 500:1 ellipse on 400 samples: near its tips many samples lie within
+    the margin's reach of the support point."""
+    th = np.linspace(0.0, 2.0 * np.pi, 400, endpoint=False)
+    return ConvexCurve.smooth(np.column_stack([500.0 * np.cos(th), np.sin(th)]))
+
+
+def _uneven_ellipse():
+    """A 3:1 ellipse sampled unevenly (spacings differ by a factor of 9),
+    with central-difference tangents."""
+    t = np.linspace(0.0, 2.0 * np.pi, 300, endpoint=False)
+    th = t + 0.8 * np.sin(t)
+    return ConvexCurve.smooth(np.column_stack([3.0 * np.cos(th), np.sin(th)]))
+
+
+def _turned_circle(turn=0.3):
+    """A 512-sample circle whose tangents are turned by `turn`: the support
+    point lies about 25 samples from the polygon's own tangent vertex, so on
+    one side the far samples start with a run of negative sines."""
+    circle = ConvexCurve.circle(samples=512)
+    c, s = np.cos(turn), np.sin(turn)
+    return ConvexCurve.smooth(circle.points, circle.tangents @ np.array([[c, s], [-s, c]]))
+
+
+def _margin_curves():
+    return [_thin_ellipse(), _uneven_ellipse(), _turned_circle(0.3), _turned_circle(-0.3),
+            ConvexCurve.circle(samples=16), ConvexCurve.circle(samples=64)]
+
+
+def _starts_near(curve, rng, count, lo=-7.0, hi=-3.0):
+    """Starts 10^lo .. 10^hi diameters outside the chords of the curve."""
+    e = curve.edges
+    normal = np.column_stack([e[:, 1], -e[:, 0]]) / np.sqrt(curve.edge_len2)[:, None]
+    k = rng.integers(0, len(e), count)
+    push = curve.diameter * 10.0 ** rng.uniform(lo, hi, (count, 1))
+    return curve.points[k] + rng.uniform(0.0, 1.0, (count, 1)) * e[k] + push * normal[k]
+
+
+def test_support_matches_reference_on_thin_uneven_and_coarse_curves():
+    # near the coarse circles most starts see a tie: the same exception
+    rng = np.random.default_rng(41)
+    regular = 0
+    for curve in _margin_curves():
+        far = _starts_around(curve, rng, 60, 1.0, 5.0)
+        assert _assert_support_matches(curve, far) > 30
+        regular += _assert_support_matches(curve, _starts_near(curve, rng, 60))
+    assert regular > 80
+
+
+def _whole_curve_margin(curve, z, q):
+    """The margin formula of _ref_support_smooth, on every sample."""
+    u = curve.points - z
+    uc = q - z
+    sines = det2(uc, u) / (np.hypot(*uc) * np.hypot(u[:, 0], u[:, 1]))
+    far = np.hypot(*(curve.points - q).T) > 2.0 * curve.diameter / len(u) * 4.0
+    mask = (inner2(u, uc) > 0) & far
+    return float(np.min(np.abs(sines[mask]))) if np.any(mask) else 1.0
+
+
+def test_windowed_margin_equals_the_whole_curve_pass():
+    # Over 10 000 regular starts, far and near.  Distant starts along the
+    # thin ellipse's axis see its flat sides nearly edge-on, with margins
+    # down to 1e-12; the margin is read before the abort test, so those
+    # are compared as well.
+    rng = np.random.default_rng(43)
+    cases = [(curve, np.concatenate([_starts_around(curve, rng, 1500, 1.0, 5.0),
+                                     _starts_near(curve, rng, 1000)]))
+             for curve in [*_margin_curves(), ConvexCurve.circle()]]
+    sign = rng.choice([-1.0, 1.0], 500)
+    axis = np.column_stack([sign * 10.0 ** rng.uniform(3.0, 9.0, 500), rng.uniform(-1.5, 1.5, 500)])
+    cases.append((cases[0][0], axis))
+    compared, smallest = 0, 1.0
+    for curve, starts in cases:
+        px, py = curve.columns[:2]
+        for z in starts:
+            if curve.contains(z):
+                continue
+            zx, zy = z.tolist()
+            try:
+                q, margin = dynamics._support_smooth(curve, zx, zy, px - zx, py - zy)
+            except SingularLine:
+                continue
+            assert margin == _whole_curve_margin(curve, z, np.array(q)), z.tolist()
+            compared += 1
+            smallest = min(smallest, margin)
+    assert compared >= 10_000
+    assert smallest < SINGULAR_ABORT
+
+
+def test_window_sides():
+    # w = 4 samples backward from lo and 4 forward from hi = lo + d: with
+    # d = 1 the sides are window[:4] and window[4:], with d = 0 they share
+    # the sample lo = hi at window[3]
+    def holds(d, *hits):
+        mask = np.zeros(7 + d, dtype=bool)
+        mask[list(hits)] = True
+        return dynamics._holds_both_sides(mask, 4, d)
+
+    assert holds(1, 0, 7) and holds(1, 3, 4)
+    assert not holds(1, 3) and not holds(1, 4) and not holds(1, 0, 1, 2, 3) and not holds(1)
+    assert holds(0, 3) and holds(0, 0, 6) and holds(0, 2, 4)
+    assert not holds(0, 0, 1, 2) and not holds(0, 4, 5, 6)
+
+
+class _CountedSlices(np.ndarray):
+    """An array that records the length of every slice taken from it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.reads.append(len(range(*key.indices(len(self)))))
+        return super().__getitem__(key).view(np.ndarray)
+
+
+def _count_reads(curve):
+    """The lengths of the windows the margin reads from curve.ring (its x
+    column; y is read with the same slices)."""
+    rx, ry = curve.ring
+    spy = rx.view(_CountedSlices)
+    spy.reads = []
+    curve.__dict__["ring"] = (spy, ry)
+    return spy.reads
+
+
+def test_margin_reads_the_samples_next_to_the_support_point():
+    rng = np.random.default_rng(47)
+    circle = ConvexCurve.circle()
+    reads = _count_reads(circle)
+    for z in _starts_around(circle, rng, 40, 1.05, 4.0):
+        del reads[:]
+        assert _assert_support_matches(circle, [z]) == 1
+        assert 0 < sum(reads) <= 2 * 64
+    # near a tip of the thin ellipse the first 16 samples on a side all lie
+    # within reach of q: the window doubles, and the margin still matches
+    thin = _thin_ellipse()
+    reads = _count_reads(thin)
+    widened = 0
+    for z in [*_starts_around(thin, rng, 30, 1.05, 3.0), *_starts_near(thin, rng, 30)]:
+        del reads[:]
+        if _assert_support_matches(thin, [z]):
+            assert reads and reads[-1] < len(thin.points)
+            widened += len(reads) > 1
+    assert widened > 10
 
 
 def _circle_with_exact_axes(samples):

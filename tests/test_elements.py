@@ -27,10 +27,12 @@ from outerlab.elements import (
     is_integral_element,
     make_element,
     monodromy_residual,
+    monodromy_residuals,
     numerical_rank,
     paradox_margin,
     special_element_minus,
     special_element_plus,
+    special_plus_certified,
     variety_equations_n4,
     variety_equations_n5,
     variety_equations_n6,
@@ -730,11 +732,53 @@ def test_null_residual_matches_dense_product(sampled):
         c = rng.normal(size=n) * poly.scale**2
         vecs = rng.normal(size=(n, 3))
         dense = np.max(np.abs(build_matrix_C(poly, c).entries @ vecs))
-        assert np.isclose(_null_residual(poly, c, vecs), dense, rtol=1e-12, atol=0.0)
+        assert np.isclose(_null_residual(poly.delta, c, vecs), dense, rtol=1e-12, atol=0.0)
         # on the special elements both are round-off of the same size
         want = np.max(np.abs(build_matrix_C(poly, -poly.dvec).entries @ poly.r))
-        got = _null_residual(poly, -poly.dvec, poly.r)
+        got = _null_residual(poly.delta, -poly.dvec, poly.r)
         assert got <= 1e-10 * poly.scale**3 and want <= 1e-10 * poly.scale**3
+
+
+def test_stacked_monodromy_keeps_the_bits(sampled):
+    rng = np.random.default_rng(17)
+    for (n, m), polys in sampled.items():
+        delta = np.stack([p.delta for p in polys])
+        for c in (np.stack([p.dvec for p in polys]), -np.stack([p.dvec for p in polys]),
+                  rng.normal(size=delta.shape) * delta):
+            want = [monodromy_residual(p, cj) for p, cj in zip(polys, c)]
+            assert monodromy_residuals(delta, c).tolist() == want
+
+
+def test_stacked_null_residual_keeps_the_bits(sampled):
+    rng = np.random.default_rng(19)
+    for (n, m), polys in sampled.items():
+        delta = np.stack([p.delta for p in polys])
+        c = rng.normal(size=delta.shape)
+        vecs = rng.normal(size=(len(polys), n, 2))
+        want = [_null_residual(p.delta, cj, v) for p, cj, v in zip(polys, c, vecs)]
+        assert _null_residual(delta, c, vecs).tolist() == want
+
+
+def _plus_certifies(poly, tol):
+    try:
+        special_element_plus(poly, tol)
+    except ValidationFailed:
+        return False
+    return True
+
+
+def test_stacked_corner_check_matches_special_element_plus(sampled):
+    # the (6,2) verifier checks c = +d on its certified trials as one stack
+    for polys in ([*sampled[(6, 1)], *sampled[(6, 2)]], sampled[(8, 3)], sampled[(4, 1)]):
+        assert special_plus_certified(polys).all()
+        # at the median residual as tolerance, about half the stack fails
+        tol = float(np.median([monodromy_residual(p, p.dvec) for p in polys]))
+        want = [_plus_certifies(p, tol) for p in polys]
+        assert 0 < sum(want) < len(want)
+        assert special_plus_certified(polys, tol).tolist() == want
+    assert special_plus_certified([]).tolist() == []
+    with pytest.raises(OddPeriod):
+        special_plus_certified(sampled[(5, 2)][:1])
 
 
 def test_array_dataclasses_compare_by_identity(square):

@@ -8,7 +8,7 @@ import pytest
 
 from outerlab import cli, lab
 from outerlab.elements import classify_paradoxical, make_element
-from outerlab.errors import InputError, SamplerExhausted, ValidationFailed
+from outerlab.errors import InputError, SamplerExhausted
 from outerlab.jsonio import dumps_canonical, report_to_dict
 from outerlab.lab import (
     OrbitSampler,
@@ -220,10 +220,10 @@ def test_n62_trial_without_certificate_is_searched_and_judged(monkeypatch, entri
 
 
 def test_n62_certified_trial_needs_the_corner_element(monkeypatch):
-    def fail(poly):
-        raise ValidationFailed("null-vector residual too large")
+    def fail(polys):
+        return np.zeros(len(polys), dtype=bool)
 
-    monkeypatch.setattr(lab, "special_element_plus", fail)
+    monkeypatch.setattr(lab, "special_plus_certified", fail)
     rep = verify_theorem_n62(trials=3, controls=3, seed=5)
     assert rep.failures == 3
     assert [b["label"] for b in rep.failure_bundles] == ["n62-missing-corner-element"] * 3
