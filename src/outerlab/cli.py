@@ -147,7 +147,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise InputError(
             f"unknown theorem {args.theorem!r}; choose from {sorted(VERIFIERS)}"
         )
-    rep = fn(trials=args.trials, seed=args.seed, threads=args.threads)
+    rep = fn(trials=args.trials, seed=args.seed)
     _emit(jsonio.report_to_dict(rep), args.json)
     return EXIT_OK if rep.failures == 0 else EXIT_ASSERTION
 
@@ -209,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theorem", help="one of: n3, n4, n52, n62")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility and ignored: the trials "
-                        "are searched in one batch on one thread")
+                   help="accepted and ignored: the verifiers run on one thread")
     common(p)
 
     p = sub.add_parser("search-paradoxical",

@@ -515,18 +515,26 @@ def element_from_curvature(poly: OrbitPolygon, profile: CurvatureProfile) -> np.
 # ---------------------------------------------------------------------------
 # Paradox classification (hexagonal star polygons)
 
-def paradox_margin(poly: OrbitPolygon) -> float:
-    """max over i of min(alpha_{i-1} + alpha_i - pi, alpha_i + alpha_{i+1} - pi).
+def paradox_margins(polys: Sequence[OrbitPolygon]) -> np.ndarray:
+    """max over i of min(alpha_{i-1} + alpha_i - pi, alpha_i + alpha_{i+1} - pi),
+    one entry per hexagon of winding 2.
 
     Positive exactly when some vertex has both adjacent angle-pair sums
     above pi.
     """
-    if poly.n != 6 or poly.winding != 2:
+    if any(p.n != 6 or p.winding != 2 for p in polys):
         raise WrongPeriodOrWinding("defined for hexagons with winding 2")
-    a = poly.alpha
-    left = np.roll(a, 1) + a - np.pi
-    right = a + np.roll(a, -1) - np.pi
-    return float(np.max(np.minimum(left, right)))
+    if not polys:
+        return np.zeros(0)
+    a = np.stack([p.alpha for p in polys])
+    left = np.roll(a, 1, axis=1) + a - np.pi
+    right = a + np.roll(a, -1, axis=1) - np.pi
+    return np.max(np.minimum(left, right), axis=1)
+
+
+def paradox_margin(poly: OrbitPolygon) -> float:
+    """The one-hexagon case of :func:`paradox_margins`."""
+    return float(paradox_margins([poly])[0])
 
 
 def classify_paradoxical(poly: OrbitPolygon) -> bool:

@@ -2,7 +2,9 @@
 
 Floats are serialized with Python's shortest round-trip representation, so
 every numeric payload reloads bit-identically; canonical dumps sort keys so
-equal objects produce equal bytes.
+equal objects produce equal bytes.  Infinite values travel as the strings
+"inf" and "-inf"; a non-finite float left in a payload makes
+:func:`dumps_canonical` raise ValueError instead of writing invalid JSON.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .lab import ParadoxicalScan, VerifierReport
 
 
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def save_json(path: str, obj: Any) -> None:
@@ -85,10 +87,13 @@ def element_to_dict(el: IntegralElement) -> dict:
     }
 
 
+def _number(x) -> float | str:
+    """A float, or "inf" / "-inf" for an infinite one."""
+    return ("inf" if x > 0 else "-inf") if np.isinf(x) else float(x)
+
+
 def profile_to_dict(profile: CurvatureProfile) -> dict:
-    return {
-        "kappa": ["inf" if np.isinf(k) else float(k) for k in profile.kappa]
-    }
+    return {"kappa": [_number(k) for k in profile.kappa]}
 
 
 def profile_from_dict(data: dict) -> CurvatureProfile:
@@ -119,7 +124,7 @@ def report_to_dict(rep: VerifierReport) -> dict:
         "theorem": rep.theorem,
         "samples": rep.samples,
         "failures": rep.failures,
-        "worst_margin": rep.worst_margin,
+        "worst_margin": _number(rep.worst_margin),
         "notes": rep.notes,
         "seed": rep.seed,
         "failure_bundles": list(rep.failure_bundles),
@@ -137,7 +142,7 @@ def scan_to_dict(scan: ParadoxicalScan) -> dict:
         })
     return {
         "samples": scan.samples,
-        "best_margin": scan.best_margin,
+        "best_margin": _number(scan.best_margin),
         "notes": scan.notes,
         "seed": scan.seed,
         "finds": finds,

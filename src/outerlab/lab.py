@@ -7,18 +7,20 @@ space (never approximated).  Verifiers check the nonexistence statements
 for n = 3, 4, (5,2), (6,2) over many samples and report margins; a failure
 is stored with a replay bundle instead of being hidden.  A (5,2) or (6,2)
 trial is decided exactly by the sign certificate of its float vertices
-(:func:`_sign_certificates`); the grid search runs only on trials without
-one and on the convex controls.
+(:func:`_sign_certificates`, which proves that every admissible (5,2) star
+and, up to ties and the g condition, every non-paradoxical (6,2) star has
+one).  So an uncertified (5,2) trial is a failure and is not searched; the
+grid search runs only on uncertified (6,2) trials and on the controls.
 
 All verifier trials are pure functions of per-trial seeds spawned from the
 master seed.  Every verifier first draws the polygons of all its trials in
 one lock-step batch (:func:`sample_orbit_polygons`), each trial from its own
-generator.  The convex-element search draws nothing: it is a pure function
-of the polygon.  The (5,2) and (6,2) verifiers certify all trials at once,
-then run one batched search over the uncertified trials and the controls.
-The paradoxical scan shares one generator between its draws, so it samples
-one polygon at a time.  The ``threads`` argument is kept for compatibility
-and has no effect: reports are the same bytes for every value.
+generator; the (6,2) verifier tests each round of draws for paradoxical
+angles as one stack and redraws those trials.  The convex-element search
+draws nothing: it is a pure function of the polygon.  The (5,2) and (6,2)
+verifiers certify all trials at once, then run one batched search.  The
+paradoxical scan shares one generator between its draws, so it samples one
+polygon at a time.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ import numpy as np
 
 from .elements import (
     IntegralElement,
-    classify_paradoxical,
     convex_element_search,
     convex_element_search_batch,
     gap_signs,
     make_element,
     paradox_margin,
+    paradox_margins,
     skip_signs,
     special_plus_certified,
 )
@@ -198,9 +200,7 @@ MAX_PARADOXICAL_DRAWS = 1000
 def _collect(results: list[dict], theorem: str, seed: int, samples: int,
              notes: str) -> VerifierReport:
     failures = sum(r["failures"] for r in results)
-    bundles = []
-    for r in results:
-        bundles.extend(r.get("bundles", ()))
+    bundles = [b for r in results for b in r.get("bundles", ())]
     worst = max(r["margin"] for r in results) if results else 0.0
     return VerifierReport(
         theorem=theorem,
@@ -224,8 +224,7 @@ def _bundle(poly: OrbitPolygon, c, label: str) -> dict:
 # ---------------------------------------------------------------------------
 # Theorem n = 3: the single integral element is never convex.
 
-def verify_theorem_n3(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
-                      threads: int = 1) -> VerifierReport:
+def verify_theorem_n3(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> VerifierReport:
     def trial(poly: OrbitPolygon) -> dict:
         cstar = np.roll(poly.delta, 1)
         el = make_element(poly, cstar)
@@ -267,8 +266,7 @@ def _random_trapezoid(rng: np.random.Generator) -> OrbitPolygon:
     raise SamplerExhausted("trapezoid construction failed")
 
 
-def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
-                      threads: int = 1) -> VerifierReport:
+def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> VerifierReport:
     rngs = _spawned_rngs(seed, trials)
     sampled = iter(sample_orbit_polygons(4, 1, [g for k, g in enumerate(rngs) if k % 5 != 4]))
     # Every fifth trial is a trapezoid, to exercise the degenerate conic.
@@ -321,7 +319,30 @@ def _sign_certificates(polys: list[OrbitPolygon]) -> tuple[np.ndarray, np.ndarra
     = I is then affine in c_{k+2} with a rank-one coefficient, and c_{k+5}
     enters T_{k+5}^-1 at (1, 1) alone; the two are independent unless g_k
     and g_{k+3} both vanish.  So c = d is the only convex element, if it is
-    one (:func:`special_element_plus`)."""
+    one (:func:`special_element_plus`).
+
+    Both certificates are theorems on admissible stars.  Let p_i = alpha_i
+    + alpha_{i+1}, in (0, 2 pi).  Then d_i = -s_{i-1} s_{i+1} sin p_i, so
+    d_i < 0 exactly when p_i < pi; and the interior angles of an (n, m)
+    polygon sum to (n - 2m) pi, since its turning angles pi - alpha_i sum to
+    2 pi m.  Both facts hold for the exact polygon of the float vertices.
+
+    (5,2): sum alpha = pi and every alpha_i > 0, so every p_i < pi and
+    every d_i < 0.  Every admissible star pentagon is certified; an
+    uncertified one can only come from a bug in :func:`skip_signs` or in
+    the sampler's admissibility checks.
+
+    (6,2): sum alpha = 2 pi.  Let B = {i : p_i >= pi}.  Two entries of B
+    cannot lie at distance 2, since p_i + p_{i+2} = 2 pi - alpha_{i+4} -
+    alpha_{i+5} < 2 pi, nor at distance 3, since p_i + p_{i+3} = 2 pi -
+    alpha_{i+2} - alpha_{i+5} < 2 pi.  So B is empty, one entry i, or two
+    adjacent entries i, i + 1.  If B is empty every d is negative, and if
+    B = {i}, shift k = i + 1 has d_k, d_{k+1}, d_{k+3}, d_{k+4} < 0.  If
+    B = {i, i + 1}, every shift's four entries meet B, so no shift has them
+    all negative, and vertex i + 1 has both adjacent pair sums >= pi:
+    :func:`paradox_margin` >= 0.  Hence a (6,2) star is certified exactly
+    when it is not paradoxical, up to ties p_i = pi (a margin of 0) and
+    shifts whose g_k and g_{k+3} both vanish."""
     if not polys:
         return np.zeros(0, dtype=bool), np.zeros(0)
     signs = skip_signs(polys)
@@ -338,23 +359,16 @@ def _sign_certificates(polys: list[OrbitPolygon]) -> tuple[np.ndarray, np.ndarra
 # Theorem (5, 2): no convex element exists on star pentagons.
 
 def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
-                       threads: int = 1, controls: int = 100) -> VerifierReport:
+                       controls: int = 100) -> VerifierReport:
     stars = sample_orbit_polygons(5, 2, _spawned_rngs(seed, trials))
     convex = sample_orbit_polygons(5, 1, _spawned_rngs(seed + 1, controls, "controls"))
     certified, margins = _sign_certificates(stars)
-    # Uncertified trials take the first search results, in order; the controls the rest.
-    found = iter(convex_element_search_batch(
-        [p for p, ok in zip(stars, certified) if not ok] + convex))
 
     def trial(poly: OrbitPolygon, certified: bool, margin: float) -> dict:
-        out = {"failures": 0, "margin": float(margin)}
-        if not certified:
-            out["bundles"] = [_bundle(poly, None, "n52-nonneg-d")]
-            el = next(found)
-            if el is not None:
-                out["bundles"].append(_bundle(poly, el.c, "n52-convex-element"))
-            out["failures"] = len(out["bundles"])
-        return out
+        if certified:
+            return {"failures": 0, "margin": float(margin)}
+        return {"failures": 1, "margin": float(margin),
+                "bundles": [_bundle(poly, None, "n52-nonneg-d")]}
 
     def control(poly: OrbitPolygon, el) -> dict:
         ok = el is not None
@@ -364,16 +378,17 @@ def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
         return out
 
     results = [trial(*args) for args in zip(stars, certified, margins)]
-    results += [control(poly, el) for poly, el in zip(convex, found)]
-    searched = trials - int(certified.sum())
+    results += [control(poly, el) for poly, el in zip(convex, convex_element_search_batch(convex))]
+    uncertified = trials - int(certified.sum())
     return _collect(
         results, "n52", seed, trials,
-        f"no convex element on any (5,2) sample: {trials - searched}/{trials} "
+        f"no convex element on any (5,2) sample: {trials - uncertified}/{trials} "
         f"certified exactly by d_i < 0 for all i; margin is the worst "
         f"max_i d_i/(s_(i-1) s_(i+1)) = -sin(alpha_i + alpha_(i+1)) (negative "
-        f"= certified); {searched} uncertified samples are failures and were "
-        f"grid-searched; {controls} convex-pentagon controls must each produce "
-        f"an element in the grid search",
+        f"= certified); {uncertified} uncertified samples are failures and are "
+        f"not searched, since sum alpha = pi certifies every admissible star; "
+        f"{controls} convex-pentagon controls must each produce an element in "
+        f"the grid search",
     )
 
 
@@ -381,18 +396,19 @@ def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
 # Theorem (6, 2): non-paradoxical samples admit only the corner element c = d.
 
 def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
-                       threads: int = 1, controls: int = 100) -> VerifierReport:
+                       controls: int = 100) -> VerifierReport:
     # Trials whose polygon is paradoxical draw again, all in one batch per
     # round; at the cap a trial keeps its last paradoxical draw, unchecked.
     rngs = _spawned_rngs(seed, trials)
     polys, discarded, todo = {}, [0] * trials, list(range(trials))
     for _ in range(MAX_PARADOXICAL_DRAWS):
-        polys.update(zip(todo, sample_orbit_polygons(6, 2, [rngs[k] for k in todo])))
-        todo = [k for k in todo if classify_paradoxical(polys[k])]
-        for k in todo:
-            discarded[k] += 1
         if not todo:
             break
+        drawn = sample_orbit_polygons(6, 2, [rngs[k] for k in todo])
+        polys.update(zip(todo, drawn))
+        todo = [k for k, bad in zip(todo, paradox_margins(drawn) > 0.0) if bad]
+        for k in todo:
+            discarded[k] += 1
     convex = sample_orbit_polygons(6, 1, _spawned_rngs(seed + 1, controls, "controls"))
     kept = [polys[k] for k, lost in enumerate(discarded) if lost < MAX_PARADOXICAL_DRAWS]
     certified, margins = _sign_certificates(kept)

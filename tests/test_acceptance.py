@@ -5,11 +5,18 @@ exercise the primitives directly.  Verdict lines are written through the
 terminal reporter so they stay visible in a piped pytest run.
 """
 
+import functools
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import outerlab
+from outerlab import cli
 from outerlab.dynamics import ConvexCurve, iterate, orbit_polygon
 from outerlab.elements import (
     CurvatureProfile,
@@ -227,22 +234,67 @@ def test_criterion_8_curvature_round_trip(request):
     )
 
 
-def test_criterion_9_thread_determinism(request):
+_CRITERION_9_SIZES = (
+    ("n3", verify_theorem_n3, {"trials": 60}),
+    ("n4", verify_theorem_n4, {"trials": 60}),
+    ("n52", verify_theorem_n52, {"trials": 40, "controls": 8}),
+    ("n62", verify_theorem_n62, {"trials": 40, "controls": 8}),
+)
+
+
+def test_criterion_9_thread_determinism(request, monkeypatch, tmp_path):
+    # `outerlab verify --threads N` is parsed and ignored: at criterion 9's
+    # sizes, --threads 1 and --threads 4 must write the direct call's bytes
     mismatches = []
-    for fn, kwargs in (
-        (verify_theorem_n3, {"trials": 60}),
-        (verify_theorem_n4, {"trials": 60}),
-        (verify_theorem_n52, {"trials": 40, "controls": 8}),
-        (verify_theorem_n62, {"trials": 40, "controls": 8}),
-    ):
-        single = fn(seed=DEFAULT_SEED, threads=1, **kwargs)
-        multi = fn(seed=DEFAULT_SEED, threads=4, **kwargs)
-        a = dumps_canonical(report_to_dict(single))
-        b = dumps_canonical(report_to_dict(multi))
-        if a != b:
-            mismatches.append(single.theorem)
+    for theorem, fn, kwargs in _CRITERION_9_SIZES:
+        trials = kwargs["trials"]
+        extra = {k: v for k, v in kwargs.items() if k != "trials"}
+        monkeypatch.setitem(cli.VERIFIERS, theorem, functools.partial(fn, **extra))
+        direct = dumps_canonical(report_to_dict(fn(seed=DEFAULT_SEED, **kwargs)))
+        for threads in ("1", "4"):
+            out = tmp_path / f"{theorem}-{threads}.json"
+            assert cli.main(["verify", theorem, "--trials", str(trials),
+                             "--seed", str(DEFAULT_SEED), "--threads", threads,
+                             "--json", str(out)]) == 0
+            if out.read_text(encoding="utf-8") != direct:
+                mismatches.append(f"{theorem} --threads {threads}")
     _verdict(
         request, 9, not mismatches,
-        "verifier reports byte-identical across 1- and 4-thread runs "
+        "outerlab verify --threads 1 and 4 write the direct report's bytes "
         f"(n3, n4, n52, n62); mismatches: {mismatches or 'none'}",
+    )
+
+
+# Writes the four verifier reports at criterion 9's sizes, as a JSON list of
+# their canonical texts.
+_REPORTS = """
+import json
+from outerlab.jsonio import dumps_canonical, report_to_dict
+from outerlab.lab import (DEFAULT_SEED, verify_theorem_n3, verify_theorem_n4,
+                          verify_theorem_n52, verify_theorem_n62)
+runs = ((verify_theorem_n3, {"trials": 60}), (verify_theorem_n4, {"trials": 60}),
+        (verify_theorem_n52, {"trials": 40, "controls": 8}),
+        (verify_theorem_n62, {"trials": 40, "controls": 8}))
+print(json.dumps([dumps_canonical(report_to_dict(fn(seed=DEFAULT_SEED, **kwargs)))
+                  for fn, kwargs in runs]))
+"""
+
+
+def _reports_in_fresh_process(hashseed: str) -> list[str]:
+    src = os.path.dirname(os.path.dirname(outerlab.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=hashseed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _REPORTS], capture_output=True,
+                          text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_criterion_9_process_determinism(request):
+    first, second = _reports_in_fresh_process("0"), _reports_in_fresh_process("1")
+    mismatches = [theorem for theorem, a, b in zip(("n3", "n4", "n52", "n62"), first, second)
+                  if a != b]
+    _verdict(
+        request, 9, not mismatches,
+        "verifier reports byte-identical across two fresh interpreters with "
+        f"PYTHONHASHSEED 0 and 1 (n3, n4, n52, n62); mismatches: {mismatches or 'none'}",
     )

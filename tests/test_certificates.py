@@ -22,6 +22,7 @@ from outerlab import elements, lab
 from outerlab.elements import (
     convex_element_search,
     gap_signs,
+    paradox_margin,
     skip_signs,
 )
 from outerlab.geometry import derive_orbit_polygon
@@ -221,6 +222,61 @@ def test_vanishing_gaps_lose_the_certificate():
     # an uncertified trial is searched, as before the certificates
     el = convex_element_search(poly)
     assert el is not None and np.max(np.abs(el.c - poly.dvec)) <= 1e-8 * poly.scale**2
+
+
+# Integer (6,2) hexagons whose edges z_1 - z_0 and z_5 - z_4 are antiparallel,
+# so that alpha_0 + alpha_1 = pi and d_0 = 0 exactly, with the set
+# B = {i : d_i >= 0} and the certificate's verdict that the case analysis of
+# lab._sign_certificates predicts.
+TIED_HEXAGONS = [
+    ([[0, 0], [3, 5], [0, 2], [3, 3], [4, 8], [-3, -3]], {0}, True),
+    # B = {0}, but g_1 = g_4 = 0: shift 1, the only one that B leaves, fails
+    ([[0, 0], [-4, 0], [-9, -2], [-3, 0], [-7, 0], [-15, -6]], {0}, False),
+    # two adjacent entries: no shift has its four entries negative
+    ([[0, 0], [-1, 5], [-3, -1], [-1, 2], [-6, 8], [-2, -6]], {5, 0}, False),
+    ([[0, 0], [6, -5], [10, -6], [4, -1], [10, -7], [12, -3]], {0, 1}, False),
+]
+
+
+@pytest.mark.parametrize("vertices,tied,certified", TIED_HEXAGONS)
+def test_a_pair_sum_of_exactly_pi_is_certified_as_the_proof_says(vertices, tied, certified):
+    poly = derive_orbit_polygon(np.array(vertices, dtype=float))
+    assert poly.winding == 2 and poly.locally_convex
+    exact = SimpleNamespace(delta=elements._exact_dets(poly, -1, 0),
+                            dvec=elements._exact_dets(poly, -1, 1))
+    d, g = exact.dvec, gaps(exact)
+    assert d[0] == 0 and skip_signs([poly])[0, 0] == 0
+    B = {i for i in range(6) if d[i] >= 0}
+    assert B == tied
+    # no two entries of B at distance 2 or 3; so B = {i}, or adjacent
+    assert all((j - i) % 6 in (0, 1, 5) for i in B for j in B)
+    if len(B) == 1:
+        [i] = B
+        k = (i + 1) % 6
+        assert all(d[(k + j) % 6] < 0 for j in (0, 1, 3, 4))
+        predicted = g[k] != 0 or g[(k + 3) % 6] != 0
+    else:
+        predicted = False  # every shift's four entries meet B
+        # ... and the polygon is paradoxical up to the tie: a margin of 0
+        assert abs(paradox_margin(poly)) < 1e-12
+    assert predicted == certified
+    assert lab._sign_certificates([poly])[0][0] == certified
+
+
+def test_a_star_pentagon_at_the_angle_walls_is_certified():
+    # four angles at the sampler's lower wall pi ANGLE_MARGIN (the upper wall
+    # cannot be reached, since sum alpha = pi): the pair sums run from
+    # 2 pi ANGLE_MARGIN to pi - 3 pi ANGLE_MARGIN, so every d_i < 0, and the
+    # margin is the worst that any sampled star can have, -sin(2 pi ANGLE_MARGIN)
+    m = lab.ANGLE_MARGIN
+    x = np.array([1 - m, 1 - m, 1 - m, 1 - m, 4 * m])
+    poly = lab._build(2, np.pi * x[None], np.array([True]), [np.random.default_rng(0)])[0]
+    assert poly.winding == 2 and poly.is_admissible
+    assert np.allclose(poly.alpha, np.pi * np.array([m, m, m, m, 1 - 4 * m]), rtol=1e-9)
+    assert all(v < 0 for v in elements._exact_dets(poly, -1, 1))
+    certified, margin = lab._sign_certificates([poly])
+    assert certified[0]
+    assert np.isclose(margin[0], -np.sin(2 * np.pi * m), rtol=1e-9)
 
 
 def exact_signs(values):

@@ -274,6 +274,23 @@ def test_verify_thread_flag_gives_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["verify", "n52"], "worst_margin"),
+    (["verify", "n62"], "worst_margin"),
+    (["search-paradoxical"], "best_margin"),
+])
+def test_runs_without_trials_write_strict_json(argv, key, capsys):
+    # with no trials the margin is -inf (the controls', or the scan's start),
+    # written as a string so that the report stays valid JSON
+    assert main(argv + ["--trials", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload[key] == "-inf"
+
+
 def test_one_parser_serves_two_subcommands(tmp_path, monkeypatch):
     # main builds its parser once per process, but finds the command
     # functions and VERIFIERS when it is called
@@ -296,7 +313,7 @@ def test_one_parser_serves_two_subcommands(tmp_path, monkeypatch):
         monkeypatch.setitem(cli.VERIFIERS, "n3", n4_as_n3)
         code, rep = run_json(tmp_path, ["verify", "n3", "--trials", "4", "--seed", "2"])
         assert code == 0 and rep["theorem"] == "n4" and rep["samples"] == 4
-        assert verified == [{"trials": 4, "seed": 2, "threads": 1}]
+        assert verified == [{"trials": 4, "seed": 2}]
         monkeypatch.setattr(cli, "cmd_sample", lambda args: 7)
         assert main(["sample", "5", "2"]) == 7
         assert built == [1]

@@ -30,6 +30,7 @@ from outerlab.elements import (
     monodromy_residuals,
     numerical_rank,
     paradox_margin,
+    paradox_margins,
     special_element_minus,
     special_element_plus,
     special_plus_certified,
@@ -52,6 +53,7 @@ from outerlab.errors import (
     WrongPeriodOrWinding,
 )
 from outerlab.geometry import derive_orbit_polygon, regular_star
+from outerlab import lab
 from outerlab.lab import ANGLE_MARGIN, LENGTH_FLOOR, OrbitSampler, sample_orbit_polygon
 
 import reference
@@ -532,6 +534,25 @@ def test_paradox_classification(sampled):
     want = max(min(pair[i - 1], pair[i]) for i in range(6))
     assert np.isclose(paradox_margin(poly), want, rtol=1e-12)
     assert classify_paradoxical(poly) == (want > 0)
+
+
+def test_stacked_paradox_margins_keep_the_bits_of_one_polygon(sampled):
+    # the one-polygon formula that the stack replaced, on sampler draws and
+    # on spiked hexagons, of which about half are paradoxical
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(11).spawn(300)]
+    polys = lab.sample_orbit_polygons(6, 2, rngs)
+    spiked = (lab._spiked_62(np.random.default_rng(s)) for s in range(300))
+    polys += [p for p in spiked if p is not None]
+    want = []
+    for p in polys:
+        a = p.alpha
+        want.append(float(np.max(np.minimum(np.roll(a, 1) + a - np.pi,
+                                            a + np.roll(a, -1) - np.pi))))
+    assert paradox_margins(polys).tolist() == want
+    assert any(w > 0 for w in want) and any(w < 0 for w in want)
+    assert paradox_margins([]).shape == (0,)
+    with pytest.raises(WrongPeriodOrWinding):
+        paradox_margins(polys[:2] + sampled[(6, 1)][:1])
 
 
 def test_search_triangle_never_convex(sampled):

@@ -6,6 +6,7 @@ import pytest
 from outerlab.dynamics import ConvexCurve, iterate
 from outerlab.elements import CurvatureProfile, special_element_minus
 from outerlab.errors import InputError
+from outerlab.lab import VerifierReport
 from outerlab import jsonio
 
 from conftest import TRIANGLE_VERTICES
@@ -17,6 +18,17 @@ def test_canonical_dumps_sorts_and_terminates():
     assert a == b
     assert a.endswith("\n")
     assert a.index('"a"') < a.index('"b"')
+
+
+def test_non_finite_floats_never_reach_the_text():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            jsonio.dumps_canonical({"x": bad})
+    # a failed n4 trial or n62 search has margin inf
+    rep = VerifierReport(theorem="n4", samples=1, failures=1, worst_margin=np.inf,
+                         notes="", seed=0)
+    text = jsonio.dumps_canonical(jsonio.report_to_dict(rep))
+    assert '"worst_margin": "inf"' in text
 
 
 def test_polygon_round_trip(sampled):

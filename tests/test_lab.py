@@ -1,5 +1,6 @@
 """Sampler guarantees, verifier bookkeeping, thread determinism."""
 
+import functools
 import hashlib
 from collections import Counter
 
@@ -81,13 +82,17 @@ def test_verifiers_clean_on_small_runs(fn, kwargs):
     ("n3", {}),
     ("n52", {"controls": 4}),
 ])
-def test_verifier_thread_determinism(theorem, kwargs):
+def test_verifier_thread_determinism(theorem, kwargs, monkeypatch, tmp_path):
+    # the verifiers take no threads; `outerlab verify --threads N` is parsed
+    # and ignored, so every N writes the bytes of the direct call
     fn = {"n3": verify_theorem_n3, "n52": verify_theorem_n52}[theorem]
-    single = fn(trials=16, seed=99, threads=1, **kwargs)
-    multi = fn(trials=16, seed=99, threads=4, **kwargs)
-    assert dumps_canonical(report_to_dict(single)) == dumps_canonical(
-        report_to_dict(multi)
-    )
+    monkeypatch.setitem(cli.VERIFIERS, theorem, functools.partial(fn, **kwargs))
+    direct = dumps_canonical(report_to_dict(fn(trials=16, seed=99, **kwargs)))
+    for threads in ("1", "4"):
+        out = tmp_path / f"{threads}.json"
+        assert cli.main(["verify", theorem, "--trials", "16", "--seed", "99",
+                         "--threads", threads, "--json", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == direct
 
 
 # sha256 of the three reports below, concatenated (numpy 2.4, x86-64 Linux).
@@ -95,8 +100,9 @@ def test_verifier_thread_determinism(theorem, kwargs):
 # trials: against the digest before (07b3a175...), the scan's bytes are the
 # same, and the two verifier reports differ only in their notes and in
 # worst_margin, which now holds the certificate margin (-0.199 -> -0.487 on
-# n52, 3.5e-16 -> -0.211 on n62).
-GOLDEN_REPORTS_SHA256 = "a9ac3e12219bfdc577c5c5b1f0b94e167f1b325f21c95b6d1abce9124148fdea"
+# n52, 3.5e-16 -> -0.211 on n62).  Re-pinned again (from a9ac3e12...) when
+# uncertified (5,2) trials stopped being searched: only the n52 notes moved.
+GOLDEN_REPORTS_SHA256 = "463a5cea831ab0bc538129a7ae2f1634f68fa62a64e0c8279218319e58d83860"
 
 
 def test_verifier_reports_match_golden_bytes(capsys):
@@ -141,7 +147,7 @@ def test_paradoxical_scan_spiked_half_hits():
 def test_n62_paradoxical_cap_records_failure(monkeypatch):
     # a sampler that only ever yields paradoxical hexagons must end each
     # trial at the cap with a replay bundle instead of looping forever
-    monkeypatch.setattr(lab, "classify_paradoxical", lambda poly: True)
+    monkeypatch.setattr(lab, "paradox_margins", lambda polys: np.ones(len(polys)))
     monkeypatch.setattr(lab, "MAX_PARADOXICAL_DRAWS", 3)
     rep = verify_theorem_n62(trials=2, seed=5, controls=0)
     capped = [b for b in rep.failure_bundles if b["label"] == "n62-paradoxical-cap"]
@@ -187,14 +193,15 @@ def _spy_search(monkeypatch) -> list:
     return batches
 
 
-def test_n52_trial_without_certificate_is_searched_and_fails(monkeypatch):
-    # an exact d_i >= 0 is the n52-nonneg-d failure, and the trial is searched
+def test_n52_trial_without_certificate_is_a_failure_and_is_not_searched(monkeypatch):
+    # an exact d_i >= 0 is the n52-nonneg-d failure; sum alpha = pi makes
+    # every d_i < 0 on an admissible star, so the trial is not searched
     clean = verify_theorem_n52(trials=6, controls=3, seed=5)
     _fail_signs(monkeypatch, [2])
     batches = _spy_search(monkeypatch)
     rep = verify_theorem_n52(trials=6, controls=3, seed=5)
     [batch] = batches
-    assert len(batch) == 1 + 3 and batch[0].winding == 2  # the trial, then the controls
+    assert [p.winding for p in batch] == [1, 1, 1]  # the controls alone
     assert rep.failures == 1
     assert [b["label"] for b in rep.failure_bundles] == ["n52-nonneg-d"]
     assert rep.failure_bundles[0]["candidate_c"] is None
@@ -385,7 +392,7 @@ def _polygon_digest(poly) -> bytes:
 
 def drawn_polygons_sha256(monkeypatch) -> str:
     searched, classified = [], []
-    real_make, real_paradoxical = lab.make_element, lab.classify_paradoxical
+    real_make, real_margins = lab.make_element, lab.paradox_margins
 
     def make(poly, c, *args, **kwargs):
         searched.append(poly)
@@ -404,15 +411,15 @@ def drawn_polygons_sha256(monkeypatch) -> str:
         searched.extend(polys)
         return np.ones(len(polys), dtype=bool), np.zeros(len(polys))
 
-    def paradoxical(poly):
-        classified.append(poly)
-        return real_paradoxical(poly) or poly.vertices[0, 0] > 0.5
+    def paradoxical(polys):
+        classified.extend(polys)
+        return np.where([p.vertices[0, 0] > 0.5 for p in polys], 1.0, real_margins(polys))
 
     monkeypatch.setattr(lab, "make_element", make)
     monkeypatch.setattr(lab, "convex_element_search", search)
     monkeypatch.setattr(lab, "convex_element_search_batch", search_batch)
     monkeypatch.setattr(lab, "_sign_certificates", certify)
-    monkeypatch.setattr(lab, "classify_paradoxical", paradoxical)
+    monkeypatch.setattr(lab, "paradox_margins", paradoxical)
     verify_theorem_n3(trials=40, seed=7)
     verify_theorem_n4(trials=40, seed=7)
     verify_theorem_n52(trials=40, controls=10, seed=7)
