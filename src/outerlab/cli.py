@@ -102,12 +102,16 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _variety_residuals(poly: OrbitPolygon, c) -> Optional[list[float]]:
+def _variety_residuals(poly: OrbitPolygon, c) -> Optional[list[Optional[float]]]:
+    """The variety equations' raw residuals; None for a residual that
+    overflowed, as for an orbit's closure_residual."""
     table = {4: variety_equations_n4, 5: variety_equations_n5, 6: variety_equations_n6}
     fn = table.get(poly.n)
     if fn is None:
         return None
-    return [float(v) for v in fn(poly, c)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = fn(poly, c)
+    return [float(v) if math.isfinite(v) else None for v in res]
 
 
 def cmd_element(args: argparse.Namespace) -> int:

@@ -11,11 +11,12 @@ Integrality is decided in O(n) by the 2 x 2 monodromy of the recurrence
 (``monodromy_residual``); the dense matrix, its SVD and the variety
 equations remain as reference and reporting tools.
 
-For n = 4, 5, 6 the rank condition is equivalent to explicit polynomial
-systems, and those systems admit rational charts: fixing the first two
-(n = 5) or three (n = 6) coordinates determines the rest.  The convex-element
-search walks those charts instead of raw coefficient space, so every
-candidate it scores already sits on the variety to machine precision.
+For n = 4, 5, 6 the rank condition is also equivalent to explicit
+polynomial systems (the variety equations).  The monodromy gives the variety
+a rational chart for every n >= 5 (``_chart``), and the convex-element
+search (n = 5, 6) walks it and its cyclic shifts instead of raw coefficient
+space, so every candidate it scores already sits on the variety to machine
+precision.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ def monodromy_residual(poly: OrbitPolygon, c) -> float:
     rank C = n - 2 exactly when the product is the identity (Morier-Genoud,
     Ovsienko, Schwartz, Tabachnikov 2014).  Returns max|M - I| divided by
     prod_j max(1, |row 2 of T_j|_1), which bounds the growth of round-off
-    in the product.
+    in the product; inf when that scale or M is not finite, since a scale
+    overflowed to inf would read every product as integral.
     """
     d = poly.delta.tolist()
     a, b, e, f = 1.0, 0.0, 0.0, 1.0  # M = [[a, b], [e, f]]
@@ -165,6 +167,8 @@ def monodromy_residual(poly: OrbitPolygon, c) -> float:
         p, q = -dn / dj, -cj / dj
         a, b, e, f = e, f, p * a + q * e, p * b + q * f
         scale *= max(1.0, abs(p) + abs(q))
+    if not all(map(math.isfinite, (a, b, e, f, scale))):
+        return math.inf
     return max(abs(a - 1.0), abs(b), abs(e), abs(f - 1.0)) / scale
 
 
@@ -175,12 +179,15 @@ def monodromy_residuals(delta: np.ndarray, c: np.ndarray) -> np.ndarray:
     k, n = c.shape
     a, b, e, f = np.ones(k), np.zeros(k), np.zeros(k), np.ones(k)
     scale = np.ones(k)
-    for j in range(n):
-        dj = delta[:, j]
-        p, q = -delta[:, (j + 1) % n] / dj, -c[:, j] / dj
-        a, b, e, f = e, f, p * a + q * e, p * b + q * f
-        scale *= np.maximum(1.0, np.abs(p) + np.abs(q))
-    return np.max(np.abs([a - 1.0, b, e, f - 1.0]), axis=0) / scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            dj = delta[:, j]
+            p, q = -delta[:, (j + 1) % n] / dj, -c[:, j] / dj
+            a, b, e, f = e, f, p * a + q * e, p * b + q * f
+            scale *= np.maximum(1.0, np.abs(p) + np.abs(q))
+        res = np.max(np.abs([a - 1.0, b, e, f - 1.0]), axis=0) / scale
+    res[~np.isfinite([a, b, e, f, scale]).all(axis=0)] = np.inf
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -276,76 +283,68 @@ def variety_residual_rel(poly: OrbitPolygon, c) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Rational charts of the variety (n = 5, 6)
+# The chart of the variety, from the monodromy
 #
-# A chart formula takes the rolled local areas D, each entry a scalar or an
-# array broadcasting against the parameters, writes the columns it derives
-# into ``out`` (arrays of the parameters' broadcast shape; the last one takes
-# the mask of singular parameter values) and returns the columns c_1..c_n
-# with that mask.  What depends on the leading parameters alone is computed
-# at their shape: once per block of a tensor grid laid out by _grid_params.
-# Each operation, and the order of the operations, is fixed up to commuted
-# operands, so every column keeps its bits.  Divisions are not guarded:
-# their near-zero denominators are masked, and callers run the formulas
-# under np.errstate.  The mask misses a NaN denominator (<= is false on NaN);
-# the columns there are non-finite, which callers test.
+# With T_j = [[0, 1], [-r_j, x_j]], r_j = delta_{j+1}/delta_j and
+# x_j = -c_j/delta_j (monodromy_residual), c is integral exactly when
+# T_{n-1} ... T_0 = I.  The chart fixes c_0 ... c_{n-4}.  Let
+# Q = T_{n-5} ... T_0 = [[q_a, q_b], [q_e, q_f]] and let (e, f) be the second
+# row of T_{n-4} Q.  T_{n-1} T_{n-2} T_{n-3} = (T_{n-4} Q)^-1, solved entry
+# by entry with det Q = delta_{n-4}/delta_0, gives
+#
+#   c_{n-2} = delta_0 f,
+#   c_{n-1} = delta_0 (delta_{n-2} + delta_{n-1} e) / c_{n-2},
+#   c_{n-3} = (delta_{n-3} delta_{n-1} - delta_0 delta_{n-2} q_f) / c_{n-2}.
+#
+# The one pole, c_{n-2} = 0, is masked at |c_{n-2}| <= 1e-12 scale^2.  Q
+# depends on the leading parameters alone: once per block of a tensor grid
+# laid out by _grid_params.  The derived columns go in place into ``out``
+# (three float arrays of the parameters' broadcast shape, then the mask).
+# Each operation is elementwise, in a fixed order, so a point keeps its bits
+# at any shape.  Divisions are not guarded: callers run the chart under
+# np.errstate.  The mask misses a NaN c_{n-2} (<= is false on NaN); the
+# columns there are non-finite, which callers test.
 
-def _chart_n5(D, sc2, c1, c2, out):
-    c3, c4, c5, singular = out
-    np.multiply(c1, c2, out=c4)
-    c4 -= D[0] * D[2]
-    c4 /= D[1]
-    np.less_equal(np.abs(c4, out=c5), 1e-12 * sc2, out=singular)
-    np.divide(c1 * D[3] + D[2] * D[4], c4, out=c3)
-    np.divide(c2 * D[4] + D[3] * D[0], c4, out=c5)
-    return [c1, c2, c3, c4, c5], singular
-
-
-def _chart_n6(D, sc2, c1, c2, c3, out):
-    c4, c5, c6, singular = out
-    q = -D[4] * (c1 * c2 - D[0] * D[2]) / D[1]
-    np.multiply(c3, q, out=c5)
-    c5 += D[4] * c1 * D[3]
-    c5 /= D[4] * D[2]
-    np.less_equal(np.abs(c5, out=c6), 1e-12 * sc2, out=singular)
-    flat = np.abs(q) <= 1e-12 * sc2 * sc2  # rare: merged only when it occurs
-    if flat.any():
-        singular |= flat
-    np.divide(q + D[3] * D[5], c5, out=c4)
-    np.multiply(c4, D[0], out=c6)
-    c6 -= D[5] * c2
-    c6 *= D[4]
-    c6 /= q
-    return [c1, c2, c3, c4, c5, c6], singular
-
-
-_CHARTS = {5: _chart_n5, 6: _chart_n6}
-
-
-def _chart(D, sc2, params):
-    """Columns and singular mask of the chart of dimension len(params), on
-    arrays of their own."""
-    shape = np.broadcast_shapes(*(np.shape(p) for p in params))
-    out = [np.empty(shape) for _ in range(3)] + [np.empty(shape, dtype=bool)]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _CHARTS[len(params) + 3](D, sc2, *params, out)
+def _chart(D, sc2, params, out=None):
+    """Columns c_0 ... c_{n-1} and singular mask of the chart at ``params``
+    (c_0 ... c_{n-4}); the local areas D broadcast against the parameters.
+    Without ``out`` the derived columns get arrays of their own."""
+    n = len(params) + 3
+    cm3, cm2, cm1, singular = out or (None,) * 4
+    x = [-c / D[j] for j, c in enumerate(params)]
+    r = [D[j + 1] / D[j] for j in range(n - 3)]
+    qa, qb, qe, qf = 0.0, 1.0, -r[0], x[0]  # Q = T_0
+    for j in range(1, n - 4):
+        qa, qb, qe, qf = qe, qf, x[j] * qe - r[j] * qa, x[j] * qf - r[j] * qb
+    cm2 = np.multiply(x[-1], D[0] * qf, out=cm2)
+    cm2 -= D[0] * r[-1] * qb
+    singular = np.less_equal(np.abs(cm2, out=cm1), 1e-12 * sc2, out=singular)
+    cm3 = np.divide(D[n - 3] * D[n - 1] - D[0] * D[n - 2] * qf, cm2, out=cm3)
+    # The numerator x_{n-4} g + h of c_{n-1} holds no x_0, so on pentagons
+    # it varies with the last parameter alone.  It is formed at its own
+    # shape, in cm1 when that is full: a fresh full array costs more.
+    g, h = D[0] * D[n - 1] * qe, D[0] * (D[n - 2] - D[n - 1] * r[-1] * qa)
+    shape = np.broadcast_shapes(np.shape(x[-1]), np.shape(g), np.shape(h))
+    num = np.multiply(x[-1], g, out=cm1 if shape == cm2.shape else None)
+    num += h
+    cm1 = np.divide(num, cm2, out=cm1)
+    return list(params) + [cm3, cm2, cm1], singular
 
 
 def _variety_point(poly: OrbitPolygon, params, shift: int):
+    """(c, ok) of the chart at ``shift``, any n >= 5: c in polygon order,
+    ok where the point is regular and finite."""
     params = [np.asarray(p, dtype=float) for p in params]
-    cols, singular = _chart(np.roll(poly.delta, -shift), poly.scale**2, params)
-    c = np.stack(np.broadcast_arrays(*cols), axis=-1)
-    if shift:
-        c = np.roll(c, shift, axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cols, singular = _chart(np.roll(poly.delta, -shift), poly.scale**2, params)
+    c = np.roll(np.stack(np.broadcast_arrays(*cols), axis=-1), shift, axis=-1)
     return c, ~singular & np.all(np.isfinite(c), axis=-1)
 
 
 def variety_point_n5(poly: OrbitPolygon, c1, c2, shift: int = 0):
-    """Complete (c1, c2) to a full variety point, cyclically shifted charts.
-
-    Broadcasts over arrays of (c1, c2).  Returns (c, ok) where ok masks out
-    parameter values that hit the chart's rational degeneracy.
-    """
+    """Complete (c1, c2) to a full variety point on the chart at ``shift``,
+    broadcasting over arrays.  Returns (c, ok); ok is False at the chart's
+    pole and where a column is not finite."""
     if poly.n != 5:
         raise WrongPeriod("n = 5 required")
     return _variety_point(poly, (c1, c2), shift)
@@ -806,9 +805,8 @@ class ChartSweep:
         n, dim = self.n, self.dim
         data = self.row_data[rows].T.reshape((2 * n + 1, S) + (1,) * (len(full) - 1))
         D, dv, sc2 = data[:n], data[n:2 * n], data[-1]
-        out, mask = self._work_arrays(full)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cols, singular = _CHARTS[n](D, sc2, *params, out + [mask])
+            cols, singular = _chart(D, sc2, params, self._work_arrays(full))
             if finite:
                 for col in cols:
                     singular |= ~np.isfinite(col)
@@ -831,7 +829,7 @@ class ChartSweep:
         # index in it.  A NaN maximum equals no point.
         score = s.reshape(S, outer, cells)
         m = score.max(axis=(1, 2))
-        top = np.equal(score, m[:, None, None], out=mask.reshape(S, outer, cells))
+        top = np.equal(score, m[:, None, None], out=singular.reshape(S, outer, cells))
         first = np.arange(S)
         k = top.any(axis=1).argmax(axis=1)
         o = top[first, :, k].argmax(axis=1)
@@ -844,7 +842,8 @@ class ChartSweep:
 
     def _columns(self, rows: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Coefficients c of each row's chart point p, in polygon order."""
-        cols, _ = _chart(self.delta[rows].T, self.sc2[rows], list(p.T))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            cols, _ = _chart(self.delta[rows].T, self.sc2[rows], list(p.T))
         c = np.empty((len(rows), self.n))
         c[np.arange(len(rows))[:, None], self.roll[rows]] = np.stack(cols, axis=1)
         return c
@@ -862,8 +861,7 @@ class ChartSweep:
                               np.empty(size, dtype=bool))
                 self._views = {}
             work, mask = (w[..., :size] for w in self._work)
-            views = self._views[shape] = ([w.reshape(shape) for w in work],
-                                          mask.reshape(shape))
+            views = self._views[shape] = [w.reshape(shape) for w in (*work, mask)]
         return views
 
     def refine(self, start, span: np.ndarray):

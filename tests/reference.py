@@ -9,7 +9,14 @@ the sequential loop rejected an attempt, and the closure's failed tries.
 
 ``chart_best`` is the chart scorer that ``ChartSweep.scan`` replaced: it
 masks every column for regularity and finiteness, broadcasts over tensor
-grids laid out in chart order (``grid_params``), and takes one argmax.
+grids laid out in chart order (``grid_params``), and takes one argmax.  It
+evaluates the package's chart, so that the scorer is compared bit for bit.
+
+``_chart_n5`` and ``_chart_n6`` are the hand-derived pentagon and hexagon
+charts that the chart from the monodromy (``elements._chart``) replaced.
+They fix the same coordinates, c_0 ... c_{n-4}, and are kept as an oracle
+for it.  The hexagon chart also masks its rational part q = 0, the slice
+c_0 c_1 = delta_0 delta_2, where the variety is regular.
 
 ``identity_residual_n5`` and ``identity_residual_n6`` are the (5,2) and
 (6,2) sign-contradiction identities that the verifiers once probed on one
@@ -25,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from outerlab.elements import _chart
 from outerlab.errors import DegeneratePolygon, SamplerExhausted
 from outerlab.geometry import WINDING_TOL, OrbitPolygon, det2, inner2
 from outerlab.lab import ANGLE_MARGIN, LENGTH_FLOOR
@@ -194,7 +202,9 @@ def chart_best(charts, rows: np.ndarray, params: list[np.ndarray]):
     S = len(rows)
     ext = (charts.n, S) + (1,) * (np.ndim(params[0]) - 1)
     D, dv = (x[rows].T.reshape(ext) for x in (charts.delta, charts.dvec))
-    cols, ok = _CHARTS[charts.n](D, charts.sc2[rows].reshape(ext[1:]), *params)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cols, singular = _chart(D, charts.sc2[rows].reshape(ext[1:]), params)
+    ok = ~singular
     slack = dv[0] - cols[0]
     for dk, col in zip(dv, cols):
         ok = ok & np.isfinite(col)

@@ -51,7 +51,7 @@ def rational_polygon(rng, n):
 
 def chart_point(poly, params, shift):
     """The exact point of the chart at ``shift`` (the formulas of
-    ``elements._chart_n5`` and ``_chart_n6``), in polygon order."""
+    ``reference._chart_n5`` and ``_chart_n6``), in polygon order."""
     n = len(poly.delta)
     D = poly.delta[shift:] + poly.delta[:shift]
     if n == 5:

@@ -200,6 +200,23 @@ def test_element_explicit_coefficients(tmp_path, square_poly_file):
     assert payload["curvature"] is None
 
 
+@pytest.mark.parametrize("c", ["1e155,1e155,1,1,1", "1e160,-1e160,0,0,0"])
+def test_element_with_overflowing_residuals_writes_strict_json(tmp_path, c):
+    # c_0 c_1 overflows in the variety equations: the command printed a
+    # ValueError from dumps_canonical and three RuntimeWarnings and exited 1,
+    # and the overflowed monodromy read the vector as integral
+    star = tmp_path / "star.json"
+    assert main(["sample", "5", "2", "--seed", "7", "--json", str(star)]) == 0
+    out = tmp_path / "out.json"
+    assert main(["element", str(star), "--c", c, "--json", str(out)]) == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert payload["element"]["is_valid"] is False
+    assert payload["curvature"] is None
+    residuals = payload["variety_residuals"]
+    assert len(residuals) == 5 and residuals[0] is None
+    assert all(r is None or np.isfinite(r) for r in residuals)
+
+
 def test_element_wrong_length_exit_2(tmp_path, square_poly_file):
     assert main(["element", square_poly_file, "--c", "1,2,3"]) == 2
 
