@@ -13,6 +13,7 @@ resolution-limited and documented as such.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -55,17 +56,25 @@ class ConvexCurve:
             raise InputError("curve needs at least 3 plane points")
         if not np.all(np.isfinite(p)):
             raise InputError("curve points must be finite")
-        e = np.roll(p, -1, axis=0) - p
-        e_next = np.roll(e, -1, axis=0)
-        cross = det2(e, e_next)
+        # A NaN cross product would pass the convexity test below, so
+        # products that overflow reject the curve instead.
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.roll(p, -1, axis=0) - p
+            e_next = np.roll(e, -1, axis=0)
+            cross = det2(e, e_next)
+            dot = inner2(e, e_next)
+        if not (np.all(np.isfinite(cross)) and np.all(np.isfinite(dot))):
+            raise InputError("curve is too large: its edge products overflow")
         if np.any(cross <= 0):
             raise InputError("curve must be strictly convex and counterclockwise")
         # Each turn lies in (0, pi), so the total turning is a whole number
         # of revolutions up to round-off: a star polygon or a boundary
         # sampled twice round turns at least twice.
-        if np.arctan2(cross, inner2(e, e_next)).sum() > 3.0 * np.pi:
+        if np.arctan2(cross, dot).sum() > 3.0 * np.pi:
             raise InputError("curve must wind exactly once around its interior")
         object.__setattr__(self, "points", p)
+        if not self.diameter * self.diameter < np.inf:
+            raise InputError("curve is too large: its squared diameter overflows")
         if self.kind == "smooth" and self.tangents is None:
             t = np.roll(p, -1, axis=0) - np.roll(p, 1, axis=0)
         elif self.tangents is not None:
@@ -211,35 +220,32 @@ def _support_polygon(
     return curve.point_list[best], margin
 
 
-def _bisect_crossing(a, b, ta, tb, zx: float, zy: float, ga: float) -> tuple[float, float]:
-    """Root of the sight function on the chord a-b, by at most 60 halvings.
+def _sight_root(a, b, ta, tb, zx: float, zy: float, ga: float, gb: float) -> tuple[float, float]:
+    """Root of the sight function on the chord a-b, in closed form.
 
-    a, b, ta, tb are (x, y) float pairs; the tangent is interpolated
-    linearly along the chord, and ga is the sight function at a.  The
-    operations and their order are those of the array form the tests keep
-    as reference, so the root keeps its bits.  The loop stops early once
-    mid rounds to lo or hi: the side it compares against (ga > 0) is
-    fixed, so from then on every halving repeats the same step, and after
-    all 60 of them the root is that same mid.
+    a, b, ta, tb are (x, y) float pairs; ga and gb, of opposite signs, are
+    the sight function at a and b.  Along q(s) = (1 - s) a + s b, with the
+    tangent interpolated linearly, the sight function is the Bernstein
+    quadratic ga (1 - s)^2 + m s (1 - s) + gb s^2, where
+    m = det(a - z, tb) + det(b - z, ta).  With t = s / (1 - s) the root is
+    the one positive root of ga + m t + gb t^2 (the roots' product ga / gb
+    is negative).  Its discriminant m^2 - 4 ga gb exceeds m^2, so nothing
+    cancels, and with q = -(m + sign(m) sqrt(disc)) / 2 the roots are q / gb
+    and ga / q.  The positive one gives s = q / (q + gb) or ga / (ga + q), a
+    quotient of two terms of one sign, so s stays in [0, 1] after rounding.
+    ga, gb and m are first divided by the largest of their magnitudes, so
+    that neither the square nor the product overflows or underflows.  The
+    returned point a + s (b - a) lies within 2 ulp of max |coordinate| of a
+    and b of the point at the exact root.
     """
     (ax, ay), (bx, by), (tax, tay), (tbx, tby) = a, b, ta, tb
-    pos = ga > 0
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        w = 1 - mid
-        qx = w * ax + mid * bx
-        qy = w * ay + mid * by
-        gm = (qx - zx) * (w * tay + mid * tby) - (qy - zy) * (w * tax + mid * tbx)
-        if (gm > 0) == pos:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        mid = 0.5 * (lo + hi)
-    return (1 - mid) * ax + mid * bx, (1 - mid) * ay + mid * by
+    m = ((ax - zx) * tby - (ay - zy) * tbx) + ((bx - zx) * tay - (by - zy) * tax)
+    k = max(abs(ga), abs(gb), abs(m))
+    ua, ub, um = ga / k, gb / k, m / k
+    r = math.sqrt(um * um - 4.0 * ua * ub)
+    q = -0.5 * (um + r) if um >= 0.0 else 0.5 * (r - um)
+    s = ua / (ua + q) if (q > 0.0) == (ga > 0.0) else q / (q + ub)
+    return ax + s * (bx - ax), ay + s * (by - ay)
 
 
 def _holds_both_sides(mask: np.ndarray, w: int, d: int) -> bool:
@@ -262,11 +268,11 @@ def _support_smooth(
     if np.count_nonzero(g) < n:
         # Exact zeros at samples are regular tangencies, not extra
         # crossings: count sign changes over the nonzero samples only.
-        nzi = np.flatnonzero(g)
+        nzi = g.nonzero()[0]
         if nzi.size < 2:
             raise SingularLine("sight function vanishes along the whole boundary")
         pos = pos[nzi]
-    flips = np.flatnonzero(pos[1:] != pos[:-1]).tolist()
+    flips = (pos[1:] != pos[:-1]).nonzero()[0].tolist()
     if pos[-1] != pos[0]:
         flips.append(len(pos) - 1)
     if len(flips) != 2:
@@ -274,13 +280,15 @@ def _support_smooth(
     cx, cy = curve.centroid.tolist()
     ccx, ccy = cx - zx, cy - zy
     # A root is chosen when det(q - z, c - z) > 0.  That det is affine along
-    # a chord, so at a root it is at most the larger of its chord-end values.
-    # With M >= every |coordinate| of z and the curve (a sample lies within
-    # a diameter of c), each computed det is off by under 33 u M^2
-    # (u = 2^-53), and rounding the bisected point moves it by under
+    # a chord, so at any chord point it is at most the larger of its
+    # chord-end values.  The solved root is a + s (b - a), rounded, with s
+    # in [0, 1] (_sight_root) whatever the error in s: a rounded convex
+    # combination of the chord ends.  With M >= every |coordinate| of z and
+    # the curve (a sample lies within a diameter of c), each computed det is
+    # off by under 33 u M^2 (u = 2^-53), and the rounding moves it by under
     # 13 u M^2: a bracket whose ends both sit below -80 u M^2 cannot be
-    # chosen, so it is not bisected.  The guard, 1e-13 M^2, is 11 times
-    # that; a bracket with an end above it is bisected as before.
+    # chosen, so its root is not solved.  The guard, 1e-13 M^2, is 11 times
+    # that; a bracket with an end above it is solved as before.
     m = max(abs(zx), abs(zy), abs(cx), abs(cy)) + curve.diameter
     guard = -1e-13 * m * m
     chosen = None
@@ -297,7 +305,8 @@ def _support_smooth(
                    (b[0] - zx) * ccy - (b[1] - zy) * ccx) < guard:
                 continue
             lo, hi = k, k + 1
-            qx, qy = _bisect_crossing(a, b, t[k].tolist(), t[k2].tolist(), zx, zy, float(g[k]))
+            qx, qy = _sight_root(a, b, t[k].tolist(), t[k2].tolist(), zx, zy,
+                                 float(g[k]), float(g[k2]))
         if (qx - zx) * ccy - (qy - zy) * ccx > 0:
             chosen = qx, qy, lo, hi
     if chosen is None:
@@ -395,11 +404,13 @@ def iterate(
     second boundary contact; closer than 1e-10 aborts with SingularOrbit.
 
     On a sampled smooth curve the map is that of its surrogate: the chords
-    between samples, with tangents interpolated along each chord.  A
-    certified period there certifies a periodic orbit of the surrogate, not
-    of the smooth curve.  The surrogate's one-step error is O(N^-2) in the
-    number N of samples (on the unit circle about 2.4e-4 at N = 256 and
-    3.9e-6 at N = 2048), far above the default tol of 1e-9 * diameter.
+    between samples, with tangents interpolated along each chord.  Its
+    support point on a chord is the root of a quadratic, solved in closed
+    form to within 2 ulp of the chord's coordinates.  A certified period
+    there certifies a periodic orbit of the surrogate, not of the smooth
+    curve.  The surrogate's one-step error is O(N^-2) in the number N of
+    samples (on the unit circle about 2.4e-4 at N = 256 and 3.9e-6 at
+    N = 2048), far above the default tol of 1e-9 * diameter.
     """
     if steps < 1:
         raise InputError("steps must be >= 1")

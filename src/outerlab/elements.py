@@ -236,11 +236,14 @@ def variety_equations_n6(poly: OrbitPolygon, c) -> np.ndarray:
     return np.concatenate([e1, e2])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def variety_residual_rel(poly: OrbitPolygon, c) -> float:
     """Largest equation residual, each normalized by its biggest term.
 
     The equations for different n have different polynomial degrees, so a
-    per-equation relative measure is the only scale-free choice.
+    per-equation relative measure is the only scale-free choice.  inf when a
+    term overflows, as in :func:`monodromy_residual`: the residual and its
+    term would both be inf, and their quotient NaN.
     """
     c = np.asarray(c, dtype=float)
     D = poly.delta
@@ -278,6 +281,8 @@ def variety_residual_rel(poly: OrbitPolygon, c) -> float:
         mags = np.concatenate([m1, m2])
     else:
         raise WrongPeriod("explicit equations exist only for n in {4, 5, 6}")
+    if not (np.isfinite(res).all() and np.isfinite(mags).all()):
+        return math.inf
     floor = 1e-300
     return float(np.max(np.abs(res) / np.maximum(mags, floor)))
 

@@ -1,4 +1,5 @@
-"""Reference copies of the sequential sampler, polygon derive and chart scorer.
+"""Reference copies of the sequential sampler, polygon derive, chart scorer and
+sight-root bisection.
 
 The package draws polygons in lock-step batches (``lab.sample_orbit_polygons``)
 and derives them as stacks (``geometry.derive_orbit_polygons``).  These are
@@ -17,6 +18,11 @@ charts that the chart from the monodromy (``elements._chart``) replaced.
 They fix the same coordinates, c_0 ... c_{n-4}, and are kept as an oracle
 for it.  The hexagon chart also masks its rational part q = 0, the slice
 c_0 c_1 = delta_0 delta_2, where the variety is regular.
+
+``bisect_crossing`` is the 60-halving bisection of the sight function on a
+chord that the closed-form root (``dynamics._sight_root``) replaced, in the
+array form that the support reference once used.  It is kept as an oracle
+for the closed form.
 
 ``identity_residual_n5`` and ``identity_residual_n6`` are the (5,2) and
 (6,2) sign-contradiction identities that the verifiers once probed on one
@@ -185,6 +191,22 @@ def _chart_n6(D, sc2, c1, c2, c3):
 
 
 _CHARTS = {5: _chart_n5, 6: _chart_n6}
+
+
+def bisect_crossing(a, b, ta, tb, z, ga):
+    """Root of the sight function det(q - z, t) on the chord a-b, with the
+    tangent t interpolated linearly, by 60 halvings; ga is its value at a."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        q = (1 - mid) * a + mid * b
+        tq = (1 - mid) * ta + mid * tb
+        if (det2(q - z, tq) > 0) == (ga > 0):
+            lo = mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    return (1 - mid) * a + mid * b
 
 
 def grid_params(axes: np.ndarray) -> list[np.ndarray]:

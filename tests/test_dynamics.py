@@ -6,8 +6,10 @@ alternating vertices close the hexagon exactly, winding around twice.
 """
 
 import dataclasses
+import hashlib
 import json
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from outerlab.dynamics import (
     SINGULAR_FLAG,
     ConvexCurve,
     OrbitRecord,
+    _sight_root,
     _support,
     iterate,
     orbit_polygon,
@@ -38,6 +41,7 @@ from outerlab.geometry import derive_orbit_polygon, det2, inner2, regular_star
 from outerlab.jsonio import record_to_dict
 
 from conftest import SQUARE_VERTICES, TRIANGLE_VERTICES
+from reference import bisect_crossing
 
 SQRT3 = np.sqrt(3.0)
 
@@ -89,6 +93,19 @@ def test_curve_validation_rejects_multiple_windings():
         ConvexCurve.smooth(twice)
     with pytest.raises(InputError, match="wind"):
         ConvexCurve.smooth(twice, np.column_stack([-2.0 * np.sin(th), np.cos(th)]))
+
+
+def test_curves_whose_products_overflow_are_rejected():
+    # the NaN cross products passed the convexity test, and iterate then
+    # died with an OverflowError from diameter**2
+    square = 1e160 * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for make in (lambda: ConvexCurve.circle(radius=1e160),
+                     lambda: ConvexCurve.polygon(square),
+                     lambda: ConvexCurve.circle(radius=1e154)):
+            with pytest.raises(InputError, match="too large"):
+                make()
 
 
 def test_curve_basic_queries(sq_curve):
@@ -267,9 +284,9 @@ def test_circle_orbit_stays_on_invariant_ring(circle):
         assert abs(np.hypot(*z) - radius) < 1e-4
 
 
-# Reference support: the per-vertex loop and the bisection on numpy scalars
-# that the vectorized and plain-float forms in outerlab.dynamics replace.
-# Both must give the same support point and margin, bit for bit.
+# Reference support: the per-vertex loop and the closed-form sight root on
+# numpy scalars that the vectorized and plain-float forms in outerlab.dynamics
+# replace.  Both must give the same support point and margin, bit for bit.
 
 
 def _ref_support_polygon(curve, z):
@@ -310,21 +327,7 @@ def _ref_support_smooth(curve, z):
         if gap > 1:
             q = p[(k + gap // 2) % len(p)]
         else:
-            a, b = p[k], p[k2]
-            ta, tb = t[k], t[k2]
-            ga = g[k]
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                q = (1 - mid) * a + mid * b
-                tq = (1 - mid) * ta + mid * tb
-                gm = det2(q - z, tq)
-                if (gm > 0) == (ga > 0):
-                    lo = mid
-                    ga = gm
-                else:
-                    hi = mid
-            q = (1 - 0.5 * (lo + hi)) * a + 0.5 * (lo + hi) * b
+            q = _ref_sight_root(p[k], p[k2], t[k], t[k2], z, g[k], g[k2])
         if det2(q - z, centroid - z) > 0:
             chosen = q
     if chosen is None:
@@ -339,6 +342,16 @@ def _ref_support_smooth(curve, z):
     mask = ahead & far
     margin = float(np.min(np.abs(sines[mask]))) if np.any(mask) else 1.0
     return chosen, margin
+
+
+def _ref_sight_root(a, b, ta, tb, z, ga, gb):
+    m = det2(a - z, tb) + det2(b - z, ta)
+    k = max(abs(ga), abs(gb), abs(m))
+    ua, ub, um = ga / k, gb / k, m / k
+    r = np.sqrt(um * um - 4.0 * ua * ub)
+    q = -0.5 * (um + r) if um >= 0.0 else 0.5 * (r - um)
+    s = ua / (ua + q) if (q > 0.0) == (ga > 0.0) else q / (q + ub)
+    return a + s * (b - a)
 
 
 def _ref_support(curve, z):
@@ -563,7 +576,7 @@ def test_support_matches_reference_on_smooth_curves():
         inside = curve.centroid + rng.uniform(0.0, 0.95, (10, 1)) * (pick - curve.centroid)
         assert _assert_support_matches(curve, inside) == 0
     # The tangent x = 1 touches the unit circle exactly at the sample (1, 0):
-    # the sight function is exactly zero there, the bisection is skipped.
+    # the sight function is exactly zero there, no root is solved.
     assert _assert_support_matches(circle, [np.array([1.0, -2.0])]) == 1
     assert tangency_point(circle, [1.0, -2.0]).tolist() == [1.0, 0.0]
 
@@ -573,30 +586,30 @@ def _ellipse(samples=1024):
     return ConvexCurve.smooth(np.column_stack([2.0 * np.cos(th), np.sin(th)]))
 
 
-def _count_bisections(monkeypatch):
+def _count_root_solves(monkeypatch):
     calls = []
-    real = dynamics._bisect_crossing
+    real = dynamics._sight_root
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(dynamics, "_bisect_crossing", spy)
+    monkeypatch.setattr(dynamics, "_sight_root", spy)
     return calls
 
 
 def test_support_matches_reference_near_smooth_curves(monkeypatch):
     # Within 1e-7..1e-3 diameters of the curve both roots can sit on chords
-    # that reach the z -> centroid line; the guard then bisects both.
-    calls = _count_bisections(monkeypatch)
+    # that reach the z -> centroid line; the guard then solves both.
+    calls = _count_root_solves(monkeypatch)
     rng = np.random.default_rng(19)
-    bisections = set()
+    solves = set()
     for curve in (ConvexCurve.circle(), _ellipse()):
         for z in _starts_near(curve, rng, 150):
             before = len(calls)
             if _assert_support_matches(curve, [z]):
-                bisections.add(len(calls) - before)
-    assert bisections == {1, 2}
+                solves.add(len(calls) - before)
+    assert solves == {1, 2}
 
 
 def test_support_matches_reference_on_a_coarse_circle():
@@ -763,7 +776,7 @@ def _circle_with_exact_axes(samples):
 
 
 def test_support_at_an_exact_sample_tangency(monkeypatch):
-    calls = _count_bisections(monkeypatch)
+    calls = _count_root_solves(monkeypatch)
     for samples in (16, 64, 2048):
         curve = _circle_with_exact_axes(samples)
         for s in (0.5, 2.0, 3.0, 40.0):
@@ -777,15 +790,15 @@ def test_support_at_an_exact_sample_tangency(monkeypatch):
                 assert tangency_point(curve, z).tolist() == q
                 # mirrored through q, the zero sample is the other root
                 assert _assert_support_matches(curve, [2.0 * np.array(q) - z]) == 1
-    # one bisection per pair of calls: the mirrored start's chosen root
+    # one solve per pair of calls: the mirrored start's chosen root
     assert len(calls) == 3 * 4 * 4
 
 
-def test_guard_bisects_a_bracket_that_touches_the_centroid_line(monkeypatch):
+def test_guard_solves_a_bracket_that_touches_the_centroid_line(monkeypatch):
     # Just off the curve on an axis, the axis sample shared by both brackets
     # lies within round-off of the z -> centroid line: neither bracket may
     # be skipped, whatever the sign of the det at that sample.
-    calls = _count_bisections(monkeypatch)
+    calls = _count_root_solves(monkeypatch)
     curve = _circle_with_exact_axes(2048)
     for delta in (1e-7, 1e-6, 3e-6):
         for eta in (1e-20, 0.0, -1e-20):
@@ -796,8 +809,8 @@ def test_guard_bisects_a_bracket_that_touches_the_centroid_line(monkeypatch):
                 assert len(calls) == 2, z
 
 
-def test_one_bisection_per_regular_step(monkeypatch):
-    calls = _count_bisections(monkeypatch)
+def test_one_root_solve_per_regular_step(monkeypatch):
+    calls = _count_root_solves(monkeypatch)
     rng = np.random.default_rng(29)
     for curve in (ConvexCurve.circle(), _ellipse()):
         for z0 in _starts_around(curve, rng, 15, 1.1, 3.0):
@@ -805,6 +818,90 @@ def test_one_bisection_per_regular_step(monkeypatch):
             rec = iterate(curve, z0, steps=8)
             assert len(rec.points) == 9 and len(calls) == 8
             assert _assert_support_matches(curve, rec.points[:-1]) == 8
+
+
+def _exact_sight_point(a, b, ta, tb, zx, zy):
+    """The chord point at the positive root of the sight quadratic, from
+    the float inputs taken exactly, in decimal at 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        ax, ay, bx, by, tax, tay, tbx, tby, zx, zy = map(Decimal, (*a, *b, *ta, *tb, zx, zy))
+        ga = (ax - zx) * tay - (ay - zy) * tax
+        gb = (bx - zx) * tby - (by - zy) * tbx
+        m = (ax - zx) * tby - (ay - zy) * tbx + (bx - zx) * tay - (by - zy) * tax
+        r = (m * m - 4 * ga * gb).sqrt()
+        # ga gb < 0: one root is positive
+        t = max((-m + r) / (2 * gb), (-m - r) / (2 * gb))
+        s = t / (1 + t)
+        return (1 - s) * ax + s * bx, (1 - s) * ay + s * by
+
+
+def _ulp(a, b):
+    """The ulp of the largest |coordinate| of the points a and b."""
+    return np.spacing(max(map(abs, a + b)))
+
+
+def _solved_brackets(calls, curve, starts):
+    """The arguments of every root solve made for the starts' supports."""
+    for z in starts:
+        del calls[:]
+        try:
+            _support(curve, z)
+        except SingularLine:
+            pass
+        yield from list(calls)
+
+
+def test_sight_root_is_within_two_ulp_of_the_exact_root(monkeypatch):
+    # The bound is 2 ulp of the largest |coordinate| of the chord ends.  The
+    # bisection oracle meets it on far starts.  Near the curve its halvings
+    # compare the sight function at rounded chord points, an error that
+    # grows as z nears the curve (up to about 1.7e3 ulp on such starts),
+    # while the closed form reads the chord ends alone.
+    calls = _count_root_solves(monkeypatch)
+    rng = np.random.default_rng(31)
+    curves = [ConvexCurve.circle(), ConvexCurve.circle(samples=16), _ellipse(), _thin_ellipse()]
+    brackets = 0
+    for curve in curves:
+        far = _starts_around(curve, rng, 60, 1.05, 6.0)
+        near = _starts_near(curve, rng, 100, -8.0, -1.0)
+        for args in _solved_brackets(calls, curve, np.concatenate([far, near])):
+            q = _sight_root(*args)
+            exact = _exact_sight_point(*args[:6])
+            assert max(abs(Decimal(q[j]) - exact[j]) for j in (0, 1)) <= 2 * _ulp(*args[:2])
+            brackets += 1
+        for args in _solved_brackets(calls, curve, far):
+            a, b, ta, tb, zx, zy, ga, _ = args
+            oracle = bisect_crossing(*map(np.array, (a, b, ta, tb, (zx, zy))), ga)
+            assert np.max(np.abs(np.subtract(_sight_root(*args), oracle))) <= 2 * _ulp(a, b)
+    assert brackets > 450
+
+
+@pytest.mark.parametrize("radius", [1e150, 1e-150])
+def test_smooth_orbit_at_extreme_scales(radius):
+    curve = ConvexCurve.circle(radius)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = iterate(curve, [1.7 * radius, 0.4 * radius], steps=20)
+    assert len(rec.points) == 21 and np.all(np.isfinite(rec.points))
+    r = np.hypot(rec.points[:, 0], rec.points[:, 1]) / radius
+    assert np.max(np.abs(r - r[0])) < 1e-9
+
+
+# Points of the two smooth orbits that CI runs through the command line:
+# the 2048-sample circle from (1.7, 0.4) and the 400-sample 500:1 ellipse
+# from (-499.9, 0.5), 500 steps each.  Any change to their bits shows here.
+# Re-pin only after a diff of one step at a time against the parent, each
+# version's support point from the same z: the ellipse orbit grows a
+# last-bit move to several hundred within its 500 steps.
+SMOOTH_ORBITS_SHA256 = "7655f36d2af17c2bb411b306238add9cc5dc743829406cd9b9781680338c28f6"
+
+
+def test_smooth_orbits_keep_their_bits():
+    h = hashlib.sha256()
+    for curve, z0 in ((ConvexCurve.circle(), (1.7, 0.4)), (_thin_ellipse(), (-499.9, 0.5))):
+        h.update(iterate(curve, z0, steps=500).points.tobytes())
+    assert h.hexdigest() == SMOOTH_ORBITS_SHA256
 
 
 def test_edge_extension_is_singular_in_both_supports():

@@ -813,12 +813,17 @@ def test_null_residual_matches_dense_product(sampled):
 
 def test_overflowed_monodromy_is_not_integral(sampled):
     # the scale prod max(1, |p| + |q|) overflowed to inf and read the
-    # residual as 0, so these vectors were integral elements
-    for poly in sampled[(5, 2)][:3]:
+    # residual as 0, so these vectors were integral elements; the variety
+    # residual and its largest term were both inf, and their quotient NaN
+    star = sample_orbit_polygon(OrbitSampler(n=5, m=2, seed=7))  # `outerlab sample 5 2 --seed 7`
+    for poly in sampled[(5, 2)][:3] + [star]:
         for c in ([1e155, 1e155, 1.0, 1.0, 1.0], [1e160, -1e160, 0.0, 0.0, 0.0]):
             assert monodromy_residual(poly, c) == np.inf
             assert monodromy_residuals(poly.delta[None], np.array([c])).tolist() == [np.inf]
             assert not make_element(poly, c).is_valid
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert variety_residual_rel(poly, c) == np.inf
 
 
 def test_stacked_monodromy_keeps_the_bits(sampled):
