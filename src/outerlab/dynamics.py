@@ -66,6 +66,12 @@ class ConvexCurve:
         if not (np.all(np.isfinite(cross)) and np.all(np.isfinite(dot))):
             raise InputError("curve is too large: its edge products overflow")
         if np.any(cross <= 0):
+            # Products of tiny edges underflow to 0.  Scaled by a power of
+            # two, which rounds nothing, the edges tell such a curve from a
+            # flat or reflex one.
+            es = np.ldexp(e, -np.frexp(np.max(np.abs(e)))[1])
+            if np.all(det2(es, np.roll(es, -1, axis=0)) > 0):
+                raise InputError("curve is too small: its edge products underflow")
             raise InputError("curve must be strictly convex and counterclockwise")
         # Each turn lies in (0, pi), so the total turning is a whole number
         # of revolutions up to round-off: a star polygon or a boundary
@@ -134,9 +140,11 @@ class ConvexCurve:
         return -1e-12 * self.diameter**2
 
     @cached_property
-    def point_list(self) -> tuple[tuple[float, float], ...]:
-        """points as Python float pairs."""
-        return tuple(map(tuple, self.points.tolist()))
+    def vertex_lists(self) -> tuple[list[float], ...]:
+        """x and y of points and edges as Python float lists: the hinted
+        polygon step reads a few entries, where numpy's per-call cost would
+        dominate."""
+        return tuple(c.tolist() for c in self.columns[:4])
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, ...]:
@@ -198,11 +206,87 @@ class OrbitRecord:
     polygon: Optional[OrbitPolygon] = field(default=None, compare=False, repr=False)
 
 
+def _sides(curve: ConvexCurve, zx: float, zy: float) -> tuple[np.ndarray, ...]:
+    """z - points and the edge sides of z, as in curve.sides; raises
+    InsideCurve unless a side is below curve.inside_tol."""
+    px, py, ex, ey = curve.columns[:4]
+    ux, uy = px - zx, py - zy
+    # The bits of curve.sides: IEEE subtraction and multiplication are
+    # exact under sign flips.
+    side = ey * ux - ex * uy
+    if side.min() >= curve.inside_tol:
+        raise InsideCurve("the outer map needs a point strictly outside the curve")
+    return ux, uy, side
+
+
 def _support_polygon(
-    curve: ConvexCurve, ux: np.ndarray, uy: np.ndarray, side: np.ndarray
-) -> tuple[tuple[float, float], float]:
-    # The support vertex closes the chain of edges that face z: the edge
-    # before it faces z (side < 0), its own edge does not.
+    curve: ConvexCurve, zx: float, zy: float, far: int
+) -> tuple[float, float, float, int]:
+    """Support vertex (qx, qy) of z, its tie margin and its index.
+
+    The edges that face z (side < 0) form one chain, from the far tangent
+    vertex of z to the support vertex: the edge before the support vertex
+    faces z, its own edge does not.  A hint far >= 0 claims that vertex far
+    opens the chain.  After a step z' = 2 v - z through the support vertex
+    v of z, v opens the chain of z': z' lies on the support line of z, and
+    in exact arithmetic side_{v-1}(z') = -side_{v-1}(z) > 0 and
+    side_v(z') = -side_v(z) < 0.  Two sign tests, with the bits of
+    curve.sides, check the hint.  Between edge far (faces z) and edge
+    far - 1 + n (does not) the facing flag then changes once, so a binary
+    search finds the end of the chain in about log2 n sides, in Python
+    floats.  It trusts convexity for the single chain that the full pass
+    checks.  A hinted step is outside the curve once a side it evaluated is
+    below inside_tol.
+
+    Seen from z the vertex angles rise along both chains from the support
+    vertex b to the far vertex, all within pi of b's, and sin is concave on
+    [0, pi]: the smallest |sine| against b is at b - 1, b + 1 or far, and
+    only b's neighbours can tie with b.  The hinted step takes the sines of
+    those three.  Each norm is abs(complex(ux, uy)), libm's hypot as in
+    np.hypot (math.hypot rounds differently), so each sine has the bits of
+    the full pass's; that pass could read a smaller minimum elsewhere only
+    where two sines agree to rounding.
+
+    The full pass, over every vertex with numpy, runs when there is no hint
+    (an orbit's first step, tangency_point, outer_map), when the hint fails
+    and when no evaluated side is below inside_tol.  It requires exactly one
+    chain and takes the sines of every vertex.
+    """
+    px, py, ex, ey = curve.vertex_lists
+    n = len(px)
+    if far >= 0:
+        tol = curve.inside_tol
+        j = far - 1
+        before = ey[j] * (px[j] - zx) - ex[j] * (py[j] - zy)
+        side = ey[far] * (px[far] - zx) - ex[far] * (py[far] - zy)
+        if before >= 0.0 > side:
+            outside = side < tol
+            lo, hi = far, far - 1 + n
+            while hi - lo > 1:
+                mid = (lo + hi) >> 1
+                j = mid - n if mid >= n else mid
+                side = ey[j] * (px[j] - zx) - ex[j] * (py[j] - zy)
+                if side < 0.0:
+                    lo = mid
+                    if side < tol:
+                        outside = True
+                else:
+                    hi = mid
+            if outside:
+                best = hi - n if hi >= n else hi
+                bx, by = px[best] - zx, py[best] - zy
+                hb = abs(complex(bx, by))
+                margin = math.inf
+                for j in (best - 1, best + 1 - n, far):
+                    ux, uy = px[j] - zx, py[j] - zy
+                    sine = (bx * uy - by * ux) / (abs(complex(ux, uy)) * hb)
+                    if sine < -SINGULAR_ABORT:
+                        raise SingularLine("no single clockwise-most vertex; z sees a tie")
+                    sine = abs(sine)
+                    if sine < margin:
+                        margin = sine
+                return px[best], py[best], margin, best
+    ux, uy, side = _sides(curve, zx, zy)
     faces = side < 0.0
     turn = (faces[:-1] > faces[1:]).nonzero()[0]
     wrap = bool(faces[-1] and not faces[0])
@@ -217,7 +301,7 @@ def _support_polygon(
     margin = float(np.abs(sines).min())
     if sines.min() < -SINGULAR_ABORT:
         raise SingularLine("no single clockwise-most vertex; z sees a tie")
-    return curve.point_list[best], margin
+    return px[best], py[best], margin, best
 
 
 def _sight_root(a, b, ta, tb, zx: float, zy: float, ga: float, gb: float) -> tuple[float, float]:
@@ -349,26 +433,26 @@ def _support_smooth(
     return (qx, qy), 1.0 if margin == np.inf else float(margin)
 
 
-def _support_xy(curve: ConvexCurve, zx: float, zy: float) -> tuple[float, float, float]:
-    """Support point (qx, qy) of the plane point (zx, zy), and its margin."""
-    px, py, ex, ey = curve.columns[:4]
-    ux, uy = px - zx, py - zy
-    # The bits of curve.sides: IEEE subtraction and multiplication are
-    # exact under sign flips.
-    side = ey * ux - ex * uy
-    if side.min() >= curve.inside_tol:
-        raise InsideCurve("the outer map needs a point strictly outside the curve")
+def _support_xy(
+    curve: ConvexCurve, zx: float, zy: float, far: int = -1
+) -> tuple[float, float, float, int]:
+    """Support point (qx, qy) of the plane point (zx, zy), its margin, and
+    on a polygon the index of the support vertex (-1 on a smooth curve).
+
+    far is a polygon's hint for the far tangent vertex of z: the support
+    vertex of the step before (see _support_polygon)."""
     if curve.kind == "polygon":
-        (qx, qy), margin = _support_polygon(curve, ux, uy, side)
+        qx, qy, margin, far = _support_polygon(curve, zx, zy, far)
     else:
+        ux, uy, _ = _sides(curve, zx, zy)
         (qx, qy), margin = _support_smooth(curve, zx, zy, ux, uy)
     if margin <= SINGULAR_ABORT:
         raise SingularLine("supporting line meets the curve in more than one point")
-    return qx, qy, margin
+    return qx, qy, margin, far
 
 
 def _support(curve: ConvexCurve, z: np.ndarray) -> tuple[np.ndarray, float]:
-    qx, qy, margin = _support_xy(curve, float(z[0]), float(z[1]))
+    qx, qy, margin, _ = _support_xy(curve, float(z[0]), float(z[1]))
     return np.array([qx, qy]), margin
 
 
@@ -403,6 +487,14 @@ def iterate(
     set when any supporting line came within a normalized sine of 1e-8 of a
     second boundary contact; closer than 1e-10 aborts with SingularOrbit.
 
+    On a polygon the loop carries one integer, the support vertex of the
+    step before: z_{k+1} = 2 v - z_k lies on the support line of z_k, so v
+    is the far tangent vertex of z_{k+1}.  From that hint a step finds its
+    support vertex by a binary search over the chain of edges that face
+    z_{k+1}, and its margin from three vertices, in O(log n) plain floats
+    (see _support_polygon).  Only the first step, or a step whose hint
+    fails, takes the full pass over every vertex.
+
     On a sampled smooth curve the map is that of its surrogate: the chords
     between samples, with tangents interpolated along each chord.  Its
     support point on a chord is the root of a quadratic, solved in closed
@@ -424,9 +516,10 @@ def iterate(
     flagged = False
     period = None
     closure = np.inf
+    far = -1
     for k in range(1, steps + 1):
         try:
-            qx, qy, margin = _support_xy(curve, zx, zy)
+            qx, qy, margin, far = _support_xy(curve, zx, zy, far)
         except SingularLine as exc:
             raise SingularOrbit(k - 1, str(exc)) from exc
         if margin < SINGULAR_FLAG:
@@ -443,7 +536,7 @@ def iterate(
         resid = float(np.hypot(dx, dy))
         if resid < tol:
             try:
-                qx, qy, _ = _support_xy(curve, zx, zy)
+                qx, qy, _, _ = _support_xy(curve, zx, zy, far)
             except SingularLine as exc:
                 raise SingularOrbit(k, str(exc)) from exc
             x1, y1 = pts[1]

@@ -108,6 +108,18 @@ def test_curves_whose_products_overflow_are_rejected():
                 make()
 
 
+def test_tiny_curves_name_underflow():
+    # their edge cross products underflow to 0, which read as a flat turn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert ConvexCurve.circle(radius=1e-154).diameter > 0
+        for radius in (1e-160, 1e-200):
+            with pytest.raises(InputError, match="too small: its edge products underflow"):
+                ConvexCurve.circle(radius=radius)
+        with pytest.raises(InputError, match="strictly convex and counterclockwise"):
+            ConvexCurve.polygon([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
+
+
 def test_curve_basic_queries(sq_curve):
     assert sq_curve.contains([0.0, 0.0])
     assert sq_curve.contains([1.0, 1.0])  # boundary counts as inside
@@ -491,11 +503,15 @@ def _assert_record_matches(curve, z0, steps):
     return want
 
 
-def test_iterate_matches_reference_on_lattice_orbits():
+def _lattice_reference():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
     ref = json.loads(path.read_text(encoding="utf-8"))
-    curve = ConvexCurve.polygon(ref["polygon"])
-    for entry in ref["starts"]:
+    return ConvexCurve.polygon(ref["polygon"]), ref["starts"]
+
+
+def test_iterate_matches_reference_on_lattice_orbits():
+    curve, starts = _lattice_reference()
+    for entry in starts:
         want = _assert_record_matches(curve, entry["start"], 1000)
         assert want[1:3] == (entry["period"], entry["winding"])
 
@@ -522,6 +538,136 @@ def test_iterate_matches_reference_on_random_polygons():
     assert 0 < sum(w[4] for w in regular) < len(regular)
 
 
+@pytest.mark.parametrize("n", [48, 1000])
+def test_iterate_matches_reference_on_regular_polygons(n):
+    curve = ConvexCurve.polygon(regular_star(n, 1, radius=3.0, phase=0.1))
+    rng = np.random.default_rng(n)
+    for z0 in [(7.3, 1.1), *_starts_around(curve, rng, 3, 1.1, 4.0)]:
+        _assert_record_matches(curve, z0, 200)
+
+
+def _count_full_passes(monkeypatch):
+    """Spy on the numpy pass over every edge side, which the hinted
+    polygon step skips."""
+    calls = []
+    real = dynamics._sides
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "_sides", spy)
+    return calls
+
+
+def _hinted_steps(curve, z0, steps):
+    """(zx, zy, far) at every step of iterate's orbit from z0 after the
+    first: far is the support vertex of the step before."""
+    out, far = [], -1
+    for zx, zy in iterate(curve, z0, steps).points.tolist()[:-1]:
+        if far >= 0:
+            out.append((zx, zy, far))
+        far = dynamics._support_xy(curve, zx, zy)[3]
+    return out
+
+
+def test_one_full_pass_per_iterate_call(monkeypatch):
+    curve, starts = _lattice_reference()
+    calls = _count_full_passes(monkeypatch)
+    for entry in starts:
+        calls.clear()
+        rec = iterate(curve, entry["start"], 1000)
+        assert rec.period == entry["period"]
+        assert len(calls) == 1, entry["start"]
+
+
+def test_hinted_step_keeps_the_bits_of_the_full_pass(monkeypatch):
+    # point, margin and vertex, ==, on every step of the reference orbits
+    # and of orbits around regular 48- and 1000-gons; no hint misses
+    curve, starts = _lattice_reference()
+    cases = [(curve, entry["start"], 1000) for entry in starts]
+    for n in (48, 1000):
+        regular = ConvexCurve.polygon(regular_star(n, 1, radius=3.0, phase=0.1))
+        cases += [(regular, z0, 300) for z0 in ((7.3, 1.1), (4.1, -2.9), (-3.3, 5.2))]
+    calls = _count_full_passes(monkeypatch)
+    steps = 0
+    for c, z0, cap in cases:
+        for zx, zy, far in _hinted_steps(c, z0, cap):
+            calls.clear()
+            got = dynamics._support_xy(c, zx, zy, far)
+            assert calls == []
+            assert got == dynamics._support_xy(c, zx, zy), (zx, zy)
+            steps += 1
+    assert steps > 8000
+
+
+def test_hinted_margin_at_the_far_vertex(monkeypatch):
+    # Close to a curve the far vertex can hold the smallest sine: just
+    # outside an edge (the far vertex then neighbours the support vertex)
+    # and below the kite's nearly flat vertex (two vertices from it).  The
+    # far vertex is read off the sides here.
+    rng = np.random.default_rng(43)
+    kite = ConvexCurve.polygon([[-1.0, 0.0], [0.0, -0.05], [1.0, 0.0], [0.0, 1.0]])
+    below = np.column_stack([rng.uniform(-0.3, 0.3, 100), -0.05 - 10.0 ** rng.uniform(-4, -1, 100)])
+    cases = [(kite, below)]
+    curves = [_lattice_reference()[0], ConvexCurve.polygon(SQUARE_VERTICES)]
+    curves += [ConvexCurve.polygon(regular_star(n, 1, radius=3.0, phase=0.1)) for n in (12, 48)]
+    for curve in curves:
+        e = curve.edges
+        normal = np.column_stack([e[:, 1], -e[:, 0]]) / np.sqrt(curve.edge_len2)[:, None]
+        push = curve.diameter * 10.0 ** rng.uniform(-6.0, -1.0, (len(e), 1))
+        cases.append((curve, curve.points + rng.uniform(0.2, 0.8, (len(e), 1)) * e + push * normal))
+    calls = _count_full_passes(monkeypatch)
+    at_far = {1: 0, 2: 0}
+    for curve, starts in cases:
+        n = len(curve.points)
+        for z in starts:
+            zx, zy = z.tolist()
+            faces = curve.sides(z) < 0.0
+            far = int(np.flatnonzero(faces & ~np.roll(faces, 1))[0])
+            try:
+                want = dynamics._support_xy(curve, zx, zy)
+            except SingularLine:
+                continue
+            calls.clear()
+            assert dynamics._support_xy(curve, zx, zy, far) == want, (zx, zy)
+            assert calls == []
+            u = curve.points - z
+            sines = np.abs(det2(u[want[3]], u)) / np.hypot(u[:, 0], u[:, 1])
+            sines[want[3]] = np.inf
+            if int(np.argmin(sines)) == far:
+                at_far[min((want[3] - far) % n, (far - want[3]) % n)] += 1
+    assert at_far[1] > 20 and at_far[2] > 20
+
+
+def test_wrong_hint_falls_back_to_the_full_pass(monkeypatch):
+    curve, starts = _lattice_reference()
+    calls = _count_full_passes(monkeypatch)
+    n = len(curve.points)
+    for entry in starts[::8]:
+        for zx, zy, far in _hinted_steps(curve, entry["start"], 1000)[:6]:
+            q, margin = _ref_support(curve, np.array([zx, zy]))
+            for wrong in range(n):
+                if wrong == far:
+                    continue
+                calls.clear()
+                qx, qy, got, _ = dynamics._support_xy(curve, zx, zy, wrong)
+                assert len(calls) == 1
+                assert ([qx, qy], got) == (q.tolist(), margin)
+
+
+def test_hinted_step_within_inside_tol_takes_the_full_pass(monkeypatch, sq_curve):
+    # the hint holds (edge 3, on x = 1, faces z, edge 2 does not) but no
+    # side is below inside_tol: the full pass decides, and z counts as inside
+    z = (1.0 + 1e-14, 0.5)
+    side = sq_curve.sides(np.array(z))
+    assert side[2] >= 0.0 > side[3] >= sq_curve.inside_tol
+    calls = _count_full_passes(monkeypatch)
+    with pytest.raises(InsideCurve):
+        dynamics._support_xy(sq_curve, *z, 3)
+    assert len(calls) == 1
+
+
 def test_support_matches_reference_on_random_polygons():
     rng = np.random.default_rng(2024)
     regular = total = 0
@@ -542,10 +688,8 @@ def test_support_matches_reference_on_random_polygons():
 
 
 def test_support_matches_reference_on_lattice_polygon():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-    ref = json.loads(path.read_text(encoding="utf-8"))
-    curve = ConvexCurve.polygon(ref["polygon"])
-    for entry in ref["starts"]:
+    curve, starts = _lattice_reference()
+    for entry in starts:
         z = np.asarray(entry["start"], dtype=float)
         orbit = [z]
         for _ in range(min(entry["period"], 24)):
@@ -967,3 +1111,31 @@ def test_circle_map_against_exact_rotation():
         assert np.max(np.abs(np.hypot(*rec.points.T) - r0)) < 1e-9
         worst = max(worst, float(np.max(err)))
     assert 1e-6 < worst < 1e-5
+
+
+def _period_counts(vertices):
+    curve = ConvexCurve.polygon(vertices)
+    counts = {}
+    grid = np.linspace(-3.0, 3.0, 21)
+    for x in grid:
+        for y in grid:
+            if curve.contains([x, y]):
+                continue
+            try:
+                key = iterate(curve, [x, y], 60).period
+            except SingularOrbit:
+                key = "singular"
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_period_four_needs_a_parallelogram():
+    # Period-4 orbits fill open sets only when four corners form a
+    # parallelogram (Tumanov-Zharnitsky): on a 21 x 21 grid of starts the
+    # square has them, a trapezoid and a generic quadrilateral have none.
+    square = _period_counts([[-1, -1], [1, -1], [1, 1], [-1, 1]])
+    assert square == {4: 168, 8: 144, "singular": 80}
+    trapezoid = _period_counts([[-1.2, -1], [1.2, -1], [0.7, 1], [-0.7, 1]])
+    assert trapezoid == {8: 6, None: 338, "singular": 54}
+    quad = _period_counts([[-1.1, -0.9], [1.3, -1], [0.8, 1.2], [-0.9, 0.7]])
+    assert quad == {6: 56, 8: 19, 10: 24, 14: 23, 36: 24, None: 243, "singular": 5}
