@@ -14,6 +14,7 @@ resolution-limited and documented as such.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -140,11 +141,26 @@ class ConvexCurve:
         return -1e-12 * self.diameter**2
 
     @cached_property
-    def vertex_lists(self) -> tuple[list[float], ...]:
-        """x and y of points and edges as Python float lists: the hinted
-        polygon step reads a few entries, where numpy's per-call cost would
-        dominate."""
-        return tuple(c.tolist() for c in self.columns[:4])
+    def column_lists(self) -> tuple[list[float], ...]:
+        """The columns as Python float lists: the O(log n) steps read a few
+        entries, where numpy's per-call cost would dominate."""
+        return tuple(c.tolist() for c in self.columns)
+
+    @cached_property
+    def sight_angles(self) -> Optional[tuple[list[float], int]]:
+        """The samples' polar angles about the centroid, rotated to ascend,
+        and the index of the sample with the smallest; None unless every
+        tangent lies strictly between its two chords (det(e_{k-1}, t_k) > 0
+        and det(t_k, e_k) > 0), the premise of the smooth step's binary
+        search (see _sight_run)."""
+        if self.tangents is None:
+            return None
+        e, t = self.edges, self.tangents
+        if not (np.all(det2(np.roll(e, 1, axis=0), t) > 0.0) and np.all(det2(t, e) > 0.0)):
+            return None
+        ang = np.arctan2(self.points[:, 1] - self.centroid[1], self.points[:, 0] - self.centroid[0])
+        first = int(np.argmin(ang))
+        return np.roll(ang, -first).tolist(), first
 
     @cached_property
     def columns(self) -> tuple[np.ndarray, ...]:
@@ -154,13 +170,6 @@ class ConvexCurve:
         samples: about 13 -> 9.5 us)."""
         arrays = (self.points, self.edges) + (() if self.tangents is None else (self.tangents,))
         return tuple(np.ascontiguousarray(a[:, j]) for a in arrays for j in (0, 1))
-
-    @cached_property
-    def ring(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y of points laid out three times over: sample i mod n, for
-        i in [-n, 2n), sits at index i + n, so a cyclic window is a slice."""
-        px, py = self.columns[:2]
-        return np.tile(px, 3), np.tile(py, 3)
 
     def sides(self, z) -> np.ndarray:
         """det(edge_k, z - points_k): negative where edge k faces z."""
@@ -177,13 +186,11 @@ class ConvexCurve:
         q is one point (returns a float) or an array of points with the
         last axis of length 2 (returns an array of q.shape[:-1]).
         """
-        q = np.asarray(q, dtype=float)[..., None, :]
-        a = self.points
-        ab = self.edges
-        tt = np.clip(np.sum((q - a) * ab, axis=-1) / self.edge_len2, 0.0, 1.0)
-        proj = a + tt[..., None] * ab
-        r = q - proj
-        dist = np.min(np.hypot(r[..., 0], r[..., 1]), axis=-1)
+        q = np.asarray(q, dtype=float)
+        qx, qy = q[..., 0, None], q[..., 1, None]
+        px, py, ex, ey = self.columns[:4]
+        tt = np.clip(((qx - px) * ex + (qy - py) * ey) / self.edge_len2, 0.0, 1.0)
+        dist = np.min(np.hypot(qx - (px + tt * ex), qy - (py + tt * ey)), axis=-1)
         return float(dist) if dist.ndim == 0 else dist
 
 
@@ -252,7 +259,7 @@ def _support_polygon(
     and when no evaluated side is below inside_tol.  It requires exactly one
     chain and takes the sines of every vertex.
     """
-    px, py, ex, ey = curve.vertex_lists
+    px, py, ex, ey = curve.column_lists[:4]
     n = len(px)
     if far >= 0:
         tol = curve.inside_tol
@@ -332,20 +339,83 @@ def _sight_root(a, b, ta, tb, zx: float, zy: float, ga: float, gb: float) -> tup
     return ax + s * (bx - ax), ay + s * (by - ay)
 
 
-def _holds_both_sides(mask: np.ndarray, w: int, d: int) -> bool:
-    """True when mask, on a window of w samples backward from lo and w
-    forward from hi = lo + d, is set on each side: in mask[:w] and in
-    mask[w - 1 + d:]."""
-    hit = mask.nonzero()[0]
-    return hit.size > 0 and hit[0] < w and hit[-1] >= w - 1 + d
+def _sight_run(curve: ConvexCurve, zx: float, zy: float) -> Optional[list[tuple]]:
+    """The two ends of the sight function's negative run, found by binary
+    search in Python floats, or None where the full pass must decide.
+
+    g_k = det(p_k - z, t_k) is negative exactly where z lies strictly right
+    of the line through p_k along t_k.  Where every tangent lies strictly
+    between its two chords (curve.sight_angles is not None), that line
+    supports the sample polygon, and its outward normal turns once round,
+    strictly monotonically, as k goes round.  The directions that separate
+    an exterior z from the polygon form an open arc shorter than pi, so
+    {k : g_k < 0} is a single cyclic run.  Between a sample of negative g
+    and one of positive g each end of the run is a single sign change, and
+    two binary searches find both in about 2 log2 n evaluations of g, with
+    the bits of the full pass's g.
+
+    The ray centroid -> z crosses an edge that faces z; it is found by
+    bisecting the samples' polar angles, and its side below inside_tol
+    proves z outside, as the full pass's inside test would.  One end sample
+    of that edge starts the searches with g < 0, and the sample at the
+    opposite polar angle with g > 0.  None is returned when the premise
+    fails, when that side is not below inside_tol, when a start sample has
+    the wrong sign, and when a bracket ends on a sample where g == 0 (the
+    full pass then brackets the crossing across the zeros).  Like the
+    polygon step, this trusts the single run that the full pass checks.
+
+    The brackets come as (k, k + 1, g_k, g_{k+1}) in increasing k, the
+    full pass's order.
+    """
+    index = curve.sight_angles
+    if index is None:
+        return None
+    ang, first = index
+    px, py, ex, ey, tx, ty = curve.column_lists
+    n = len(px)
+    cx, cy = curve.centroid.tolist()
+    th = math.atan2(zy - cy, zx - cx)
+    j = (bisect_right(ang, th) - 1 + first) % n
+    if not ey[j] * (px[j] - zx) - ex[j] * (py[j] - zy) < curve.inside_tol:
+        return None
+    a = j
+    ga = (px[a] - zx) * ty[a] - (py[a] - zy) * tx[a]
+    if not ga < 0.0:
+        a = (j + 1) % n
+        ga = (px[a] - zx) * ty[a] - (py[a] - zy) * tx[a]
+        if not ga < 0.0:
+            return None
+    o = (bisect_right(ang, th - math.pi if th > 0.0 else th + math.pi) - 1 + first) % n
+    go = (px[o] - zx) * ty[o] - (py[o] - zy) * tx[o]
+    if not go > 0.0:
+        return None
+    brackets = []
+    for lo, hi, glo, ghi in ((a, o, ga, go), (o, a, go, ga)):
+        neg = glo < 0.0
+        if hi < lo:
+            lo -= n
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            g = (px[mid] - zx) * ty[mid] - (py[mid] - zy) * tx[mid]
+            if (g < 0.0) == neg:
+                lo, glo = mid, g
+            else:
+                hi, ghi = mid, g
+        if glo == 0.0 or ghi == 0.0:
+            return None
+        brackets.append((lo % n, hi % n, glo, ghi))
+    brackets.sort()
+    return brackets
 
 
-def _support_smooth(
-    curve: ConvexCurve, zx: float, zy: float, ux: np.ndarray, uy: np.ndarray
-) -> tuple[tuple[float, float], float]:
-    p, t = curve.points, curve.tangents
+def _sight_flips(curve: ConvexCurve, zx: float, zy: float) -> list[tuple]:
+    """The brackets of the sight function's two sign changes, by a numpy
+    pass over every sample: (k, k2, g_k, g_k2) in increasing k, where k2 is
+    the next sample with g != 0.  Raises InsideCurve as _sides does, and
+    SingularLine unless the sign changes exactly twice."""
+    ux, uy, _ = _sides(curve, zx, zy)
     tx, ty = curve.columns[4:]
-    n = len(p)
+    n = len(ux)
     g = ux * ty - uy * tx
     pos = g > 0
     nzi = None
@@ -361,6 +431,62 @@ def _support_smooth(
         flips.append(len(pos) - 1)
     if len(flips) != 2:
         raise SingularLine("tangency condition is not a pair of simple roots")
+    if nzi is None:
+        ends = [(f, (f + 1) % n) for f in flips]
+    else:
+        ends = [(int(nzi[f]), int(nzi[(f + 1) % nzi.size])) for f in flips]
+    return [(k, k2, float(g[k]), float(g[k2])) for k, k2 in ends]
+
+
+def _margin_walk(
+    curve: ConvexCurve, zx: float, zy: float, qx: float, qy: float,
+    start: int, step: int, limit: int,
+) -> tuple[float, int]:
+    """The smallest |sine| against z -> q over the samples start,
+    start + step, ... that lie ahead of z (u.uc > 0) and farther than reach
+    from q, and the number of samples read.  The walk stops after its first
+    far sample whose sine is >= 0, or after limit samples; inf when no
+    sample counted.  Each sine has the bits of a numpy pass over the
+    samples: abs(complex(x, y)) is libm's hypot, as np.hypot is."""
+    px, py = curve.column_lists[:2]
+    ucx, ucy = qx - zx, qy - zy
+    huc = abs(complex(ucx, ucy))
+    reach = 2.0 * curve.diameter / len(px) * 4.0
+    margin = math.inf
+    read = 0
+    for i in range(start, start + step * limit, step):
+        read += 1
+        x, y = px[i], py[i]
+        if abs(complex(x - qx, y - qy)) > reach:
+            vx, vy = x - zx, y - zy
+            num = ucx * vy - ucy * vx
+            if vx * ucx + vy * ucy > 0.0:
+                sine = abs(num / (huc * abs(complex(vx, vy))))
+                if sine < margin:
+                    margin = sine
+            if num >= 0.0:
+                break
+    return margin, read
+
+
+def _support_smooth(curve: ConvexCurve, zx: float, zy: float) -> tuple[tuple[float, float], float]:
+    """Support point of z on a sampled smooth curve and its tie margin.
+
+    The sight function g_k = det(p_k - z, t_k) changes sign twice round the
+    curve, and the support point is the root on one of its two brackets.
+    Where every tangent lies strictly between its two chords, g < 0 on a
+    single run of samples, and _sight_run finds the brackets at its ends by
+    two binary searches.  The full pass of _sight_flips, over every sample,
+    runs where that premise fails, and where _sight_run cannot decide: the
+    edge toward z is not below inside_tol, a start sample has the wrong
+    sign, or a bracket ends on a sample where g == 0.  Both give the same
+    brackets in the same order, and the code below, the same for both,
+    takes the root, the choice between the brackets and the margin."""
+    brackets = _sight_run(curve, zx, zy)
+    if brackets is None:
+        brackets = _sight_flips(curve, zx, zy)
+    px, py, _, _, tx, ty = curve.column_lists
+    n = len(px)
     cx, cy = curve.centroid.tolist()
     ccx, ccy = cx - zx, cy - zy
     # A root is chosen when det(q - z, c - z) > 0.  That det is affine along
@@ -376,21 +502,19 @@ def _support_smooth(
     m = max(abs(zx), abs(zy), abs(cx), abs(cy)) + curve.diameter
     guard = -1e-13 * m * m
     chosen = None
-    for f in flips:
-        k, k2 = (f, (f + 1) % n) if nzi is None else (int(nzi[f]), int(nzi[(f + 1) % nzi.size]))
+    for k, k2, ga, gb in brackets:
         gap = (k2 - k) % n
         if gap > 1:
             # the crossing passes through sampled zeros; take their middle
             lo = hi = (k + gap // 2) % n
-            qx, qy = p[lo].tolist()
+            qx, qy = px[lo], py[lo]
         else:
-            a, b = p[k].tolist(), p[k2].tolist()
+            a, b = (px[k], py[k]), (px[k2], py[k2])
             if max((a[0] - zx) * ccy - (a[1] - zy) * ccx,
                    (b[0] - zx) * ccy - (b[1] - zy) * ccx) < guard:
                 continue
             lo, hi = k, k + 1
-            qx, qy = _sight_root(a, b, t[k].tolist(), t[k2].tolist(), zx, zy,
-                                 float(g[k]), float(g[k2]))
+            qx, qy = _sight_root(a, b, (tx[k], ty[k]), (tx[k2], ty[k2]), zx, zy, ga, gb)
         if (qx - zx) * ccy - (qy - zy) * ccx > 0:
             chosen = qx, qy, lo, hi
     if chosen is None:
@@ -405,32 +529,15 @@ def _support_smooth(
     # sample with sine >= 0 is thus on the rising part (or its sine is 0),
     # and past it, up to T', |sine| only grows while samples are ahead, and
     # no sample is ahead again once one is not.  The two sides reach T' from
-    # both ends, so a window that holds a far sample of sine >= 0 on each
-    # side holds the minimum.  The window takes w samples backward from lo
-    # and w forward from hi, for w = 16, 32, ... up to the whole curve; a
-    # sine has the sign of its numerator, and a side with no far sample
-    # doubles before any sine is taken.  The sines are those of a
-    # whole-curve pass, sample by sample, so the margin keeps its bits.
+    # both ends, so the walk backward from lo and the walk forward from hi,
+    # each up to its first far sample with sine >= 0 (a sine has the sign of
+    # its numerator), hold the minimum of a whole-curve pass, bit for bit.
+    # Between them they read at most the whole curve, once.
     qx, qy, lo, hi = chosen
-    ucx, ucy = qx - zx, qy - zy
-    huc = np.hypot(ucx, ucy)
-    reach = 2.0 * curve.diameter / n * 4.0
-    rx, ry = curve.ring
-    w = 16
-    while True:
-        whole = 2 * w + hi - lo > n
-        i0, i1 = (0, n) if whole else (lo + n - w + 1, hi + n + w)
-        x, y = rx[i0:i1], ry[i0:i1]
-        far = np.hypot(x - qx, y - qy) > reach
-        if whole or _holds_both_sides(far, w, hi - lo):
-            vx, vy = x - zx, y - zy
-            num = ucx * vy - ucy * vx
-            if whole or _holds_both_sides(far & (num >= 0.0), w, hi - lo):
-                break
-        w *= 2
-    far &= vx * ucx + vy * ucy > 0
-    margin = np.minimum.reduce(np.abs(num / (huc * np.hypot(vx, vy))), where=far, initial=np.inf)
-    return (qx, qy), 1.0 if margin == np.inf else float(margin)
+    back, read = _margin_walk(curve, zx, zy, qx, qy, lo, -1, n)
+    ahead, _ = _margin_walk(curve, zx, zy, qx, qy, hi - n, 1, n - read + 1 - (hi - lo))
+    margin = min(back, ahead)
+    return (qx, qy), 1.0 if margin == math.inf else margin
 
 
 def _support_xy(
@@ -444,8 +551,7 @@ def _support_xy(
     if curve.kind == "polygon":
         qx, qy, margin, far = _support_polygon(curve, zx, zy, far)
     else:
-        ux, uy, _ = _sides(curve, zx, zy)
-        (qx, qy), margin = _support_smooth(curve, zx, zy, ux, uy)
+        (qx, qy), margin = _support_smooth(curve, zx, zy)
     if margin <= SINGULAR_ABORT:
         raise SingularLine("supporting line meets the curve in more than one point")
     return qx, qy, margin, far
@@ -498,11 +604,17 @@ def iterate(
     On a sampled smooth curve the map is that of its surrogate: the chords
     between samples, with tangents interpolated along each chord.  Its
     support point on a chord is the root of a quadratic, solved in closed
-    form to within 2 ulp of the chord's coordinates.  A certified period
-    there certifies a periodic orbit of the surrogate, not of the smooth
-    curve.  The surrogate's one-step error is O(N^-2) in the number N of
-    samples (on the unit circle about 2.4e-4 at N = 256 and 3.9e-6 at
-    N = 2048), far above the default tol of 1e-9 * diameter.
+    form to within 2 ulp of the chord's coordinates.  Where every tangent
+    lies strictly between its two chords, the samples where z lies right of
+    the tangent line form one run, and a step finds the chords at its two
+    ends by binary search and its margin by two short walks, in O(log n)
+    plain floats (see _sight_run and _support_smooth); elsewhere, and where
+    that search cannot decide, the step takes the full pass over every
+    sample.  A certified period there certifies a periodic orbit of the
+    surrogate, not of the smooth curve.  The surrogate's one-step error is
+    O(N^-2) in the number N of samples (on the unit circle about 2.4e-4 at
+    N = 256 and 3.9e-6 at N = 2048), far above the default tol of
+    1e-9 * diameter.
     """
     if steps < 1:
         raise InputError("steps must be >= 1")

@@ -548,7 +548,7 @@ def test_iterate_matches_reference_on_regular_polygons(n):
 
 def _count_full_passes(monkeypatch):
     """Spy on the numpy pass over every edge side, which the hinted
-    polygon step skips."""
+    polygon step and the smooth step's binary search skip."""
     calls = []
     real = dynamics._sides
 
@@ -825,10 +825,11 @@ def _whole_curve_margin(curve, z, q):
 
 
 def test_windowed_margin_equals_the_whole_curve_pass():
-    # Over 10 000 regular starts, far and near.  Distant starts along the
-    # thin ellipse's axis see its flat sides nearly edge-on, with margins
-    # down to 1e-12; the margin is read before the abort test, so those
-    # are compared as well.
+    # Over 10 000 regular starts, far and near, through both bracket
+    # finders (the turned circles take the full pass).  Distant starts along
+    # the thin ellipse's axis see its flat sides nearly edge-on, with
+    # margins down to 1e-12; the margin is read before the abort test, so
+    # those are compared as well.
     rng = np.random.default_rng(43)
     cases = [(curve, np.concatenate([_starts_around(curve, rng, 1500, 1.0, 5.0),
                                      _starts_near(curve, rng, 1000)]))
@@ -838,13 +839,11 @@ def test_windowed_margin_equals_the_whole_curve_pass():
     cases.append((cases[0][0], axis))
     compared, smallest = 0, 1.0
     for curve, starts in cases:
-        px, py = curve.columns[:2]
         for z in starts:
             if curve.contains(z):
                 continue
-            zx, zy = z.tolist()
             try:
-                q, margin = dynamics._support_smooth(curve, zx, zy, px - zx, py - zy)
+                q, margin = dynamics._support_smooth(curve, *z.tolist())
             except SingularLine:
                 continue
             assert margin == _whole_curve_margin(curve, z, np.array(q)), z.tolist()
@@ -854,59 +853,94 @@ def test_windowed_margin_equals_the_whole_curve_pass():
     assert smallest < SINGULAR_ABORT
 
 
-def test_window_sides():
-    # w = 4 samples backward from lo and 4 forward from hi = lo + d: with
-    # d = 1 the sides are window[:4] and window[4:], with d = 0 they share
-    # the sample lo = hi at window[3]
-    def holds(d, *hits):
-        mask = np.zeros(7 + d, dtype=bool)
-        mask[list(hits)] = True
-        return dynamics._holds_both_sides(mask, 4, d)
+def _count_walked(monkeypatch):
+    """The number of samples each margin walk reads, in call order."""
+    reads = []
+    real = dynamics._margin_walk
 
-    assert holds(1, 0, 7) and holds(1, 3, 4)
-    assert not holds(1, 3) and not holds(1, 4) and not holds(1, 0, 1, 2, 3) and not holds(1)
-    assert holds(0, 3) and holds(0, 0, 6) and holds(0, 2, 4)
-    assert not holds(0, 0, 1, 2) and not holds(0, 4, 5, 6)
+    def spy(*args):
+        margin, read = real(*args)
+        reads.append(read)
+        return margin, read
 
-
-class _CountedSlices(np.ndarray):
-    """An array that records the length of every slice taken from it."""
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            self.reads.append(len(range(*key.indices(len(self)))))
-        return super().__getitem__(key).view(np.ndarray)
+    monkeypatch.setattr(dynamics, "_margin_walk", spy)
+    return reads
 
 
-def _count_reads(curve):
-    """The lengths of the windows the margin reads from curve.ring (its x
-    column; y is read with the same slices)."""
-    rx, ry = curve.ring
-    spy = rx.view(_CountedSlices)
-    spy.reads = []
-    curve.__dict__["ring"] = (spy, ry)
-    return spy.reads
-
-
-def test_margin_reads_the_samples_next_to_the_support_point():
+def test_margin_reads_the_samples_next_to_the_support_point(monkeypatch):
     rng = np.random.default_rng(47)
+    reads = _count_walked(monkeypatch)
     circle = ConvexCurve.circle()
-    reads = _count_reads(circle)
     for z in _starts_around(circle, rng, 40, 1.05, 4.0):
         del reads[:]
         assert _assert_support_matches(circle, [z]) == 1
-        assert 0 < sum(reads) <= 2 * 64
-    # near a tip of the thin ellipse the first 16 samples on a side all lie
-    # within reach of q: the window doubles, and the margin still matches
+        assert len(reads) == 2 and 0 < sum(reads) <= 2 * 64
+    # near a tip of the thin ellipse more than 16 samples on a side lie
+    # within reach of q: the walk goes on, and the margin still matches
     thin = _thin_ellipse()
-    reads = _count_reads(thin)
     widened = 0
     for z in [*_starts_around(thin, rng, 30, 1.05, 3.0), *_starts_near(thin, rng, 30)]:
         del reads[:]
         if _assert_support_matches(thin, [z]):
-            assert reads and reads[-1] < len(thin.points)
-            widened += len(reads) > 1
+            assert len(reads) == 2 and sum(reads) < len(thin.points)
+            widened += max(reads) > 16
     assert widened > 10
+
+
+def test_sight_premise_holds_where_tangents_lie_between_chords():
+    # central differences on a strictly convex sampling and the analytic
+    # tangents of the circle and the ellipse lie between their chords; the
+    # turned tangents do not, and a polygon has no tangents
+    th = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    analytic = ConvexCurve.smooth(np.column_stack([2.0 * np.cos(th), np.sin(th)]),
+                                  np.column_stack([-2.0 * np.sin(th), np.cos(th)]))
+    for curve in (ConvexCurve.circle(), ConvexCurve.circle(samples=16), _ellipse(),
+                  _thin_ellipse(), _uneven_ellipse(), analytic):
+        ang, first = curve.sight_angles
+        assert len(ang) == len(curve.points) and ang == sorted(ang)
+        c = curve.points[first] - curve.centroid
+        assert ang[0] == np.arctan2(c[1], c[0])
+    for curve in (_turned_circle(0.3), _turned_circle(-0.3), ConvexCurve.polygon(SQUARE_VERTICES)):
+        assert curve.sight_angles is None
+
+
+def test_far_smooth_starts_take_no_full_pass(monkeypatch):
+    rng = np.random.default_rng(53)
+    calls = _count_full_passes(monkeypatch)
+    for curve in (ConvexCurve.circle(), _ellipse(), _uneven_ellipse()):
+        for z in _starts_around(curve, rng, 100, 1.5, 6.0):
+            if curve.contains(z):
+                continue
+            del calls[:]
+            assert _assert_support_matches(curve, [z]) == 1
+            assert calls == [], z.tolist()
+    # every step around a turned circle takes the full pass (with the
+    # tangents turned by +0.3 the orbit spirals inward, with -0.3 outward)
+    turned = _turned_circle(0.3)
+    for z in _starts_around(turned, rng, 40, 1.5, 6.0):
+        del calls[:]
+        assert _assert_support_matches(turned, [z]) == 1
+        assert len(calls) == 1
+    del calls[:]
+    iterate(_turned_circle(-0.3), [1.7, 0.4], steps=40)
+    assert len(calls) == 40
+
+
+def test_smooth_step_within_inside_tol_takes_the_full_pass(monkeypatch):
+    # 1e-10 diameters out along the normal of a sample's tangent, z lies
+    # right of that tangent (g < 0 there) but within inside_tol of every
+    # chord: the binary search may not decide, the full pass finds z inside
+    circle = ConvexCurve.circle()
+    calls = _count_full_passes(monkeypatch)
+    for k in range(0, 2048, 97):
+        p, t = circle.points[k], circle.tangents[k]
+        z = p + 1e-10 * circle.diameter * np.array([t[1], -t[0]])
+        assert det2(p - z, t) < 0.0
+        assert np.all(circle.sides(z) >= circle.inside_tol)
+        del calls[:]
+        with pytest.raises(InsideCurve):
+            _support(circle, z)
+        assert len(calls) == 1
 
 
 def _circle_with_exact_axes(samples):
@@ -921,6 +955,7 @@ def _circle_with_exact_axes(samples):
 
 def test_support_at_an_exact_sample_tangency(monkeypatch):
     calls = _count_root_solves(monkeypatch)
+    passes = _count_full_passes(monkeypatch)
     for samples in (16, 64, 2048):
         curve = _circle_with_exact_axes(samples)
         for s in (0.5, 2.0, 3.0, 40.0):
@@ -936,6 +971,9 @@ def test_support_at_an_exact_sample_tangency(monkeypatch):
                 assert _assert_support_matches(curve, [2.0 * np.array(q) - z]) == 1
     # one solve per pair of calls: the mirrored start's chosen root
     assert len(calls) == 3 * 4 * 4
+    # a bracket of the binary search ends on the zero sample: every call
+    # takes the full pass, which brackets the crossing across the zero
+    assert len(passes) == 3 * 4 * 4 * 3
 
 
 def test_guard_solves_a_bracket_that_touches_the_centroid_line(monkeypatch):
