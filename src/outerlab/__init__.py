@@ -1,7 +1,7 @@
 """outerlab: a numerical laboratory for outer (dual) billiards.
 
 Orbit polygons and their cyclic invariants, the band-cyclic matrix C and
-its integral elements, explicit variety equations for short periods, the
+its integral elements (decided by the monodromy of its recurrence), the
 outer billiard map itself, and randomized verifiers that corroborate the
 scarcity of convex integral elements.
 """
@@ -32,12 +32,8 @@ from .elements import (
     paradox_margin,
     special_element_minus,
     special_element_plus,
-    variety_equations_n4,
-    variety_equations_n5,
-    variety_equations_n6,
     variety_point_n5,
     variety_point_n6,
-    variety_residual_rel,
 )
 from .dynamics import (
     ConvexCurve,
@@ -72,8 +68,7 @@ __all__ = [
     "build_matrix_C", "numerical_rank", "make_element",
     "special_element_minus", "special_element_plus",
     "is_integral_element", "is_convex_element",
-    "variety_equations_n4", "variety_equations_n5", "variety_equations_n6",
-    "variety_point_n5", "variety_point_n6", "variety_residual_rel",
+    "variety_point_n5", "variety_point_n6",
     "curvature_from_element", "element_from_curvature",
     "convex_element_search", "classify_paradoxical", "paradox_margin",
     "ConvexCurve", "OrbitRecord",

@@ -22,9 +22,7 @@ from .elements import (
     INTEGRAL_TOL,
     curvature_from_element,
     make_element,
-    variety_equations_n4,
-    variety_equations_n5,
-    variety_equations_n6,
+    monodromy_residual,
 )
 from .errors import (
     InputError,
@@ -32,7 +30,6 @@ from .errors import (
     SingularLine,
     SingularOrbit,
 )
-from .geometry import OrbitPolygon
 from .lab import (
     DEFAULT_SEED,
     OrbitSampler,
@@ -59,12 +56,10 @@ VERIFIERS = {
 
 
 def _emit(payload: dict, path: Optional[str]) -> None:
-    text = jsonio.dumps_canonical(payload)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        jsonio.save_json(path, payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(jsonio.dumps_canonical(payload))
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -102,18 +97,6 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _variety_residuals(poly: OrbitPolygon, c) -> Optional[list[Optional[float]]]:
-    """The variety equations' raw residuals; None for a residual that
-    overflowed, as for an orbit's closure_residual."""
-    table = {4: variety_equations_n4, 5: variety_equations_n5, 6: variety_equations_n6}
-    fn = table.get(poly.n)
-    if fn is None:
-        return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = fn(poly, c)
-    return [float(v) if math.isfinite(v) else None for v in res]
-
-
 def cmd_element(args: argparse.Namespace) -> int:
     for flag, tol in (("--tol-integral", args.tol_integral),
                       ("--tol-convex", args.tol_convex)):
@@ -135,7 +118,8 @@ def cmd_element(args: argparse.Namespace) -> int:
         "n": poly.n,
         "winding": poly.winding,
         "element": jsonio.element_to_dict(el),
-        "variety_residuals": _variety_residuals(poly, el.c),
+        # the quantity make_element compared with --tol-integral
+        "monodromy_residual": jsonio._number(monodromy_residual(poly, el.c)),
         "curvature": None,
     }
     if el.is_convex:

@@ -49,7 +49,6 @@ class ConvexCurve:
     kind: str
     points: np.ndarray
     tangents: Optional[np.ndarray] = None
-    corners: tuple[int, ...] = ()
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=float)
@@ -97,8 +96,7 @@ class ConvexCurve:
 
     @staticmethod
     def polygon(vertices: Sequence) -> "ConvexCurve":
-        v = np.asarray(vertices, dtype=float)
-        return ConvexCurve(kind="polygon", points=v, corners=tuple(range(len(v))))
+        return ConvexCurve(kind="polygon", points=np.asarray(vertices, dtype=float))
 
     @staticmethod
     def smooth(points: Sequence, tangents: Sequence | None = None) -> "ConvexCurve":

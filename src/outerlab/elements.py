@@ -8,15 +8,15 @@ are exactly the candidates compatible with a convex billiard curve, equality
 c_i = d_i encoding a corner of the curve at the edge midpoint.
 
 Integrality is decided in O(n) by the 2 x 2 monodromy of the recurrence
-(``monodromy_residual``); the dense matrix, its SVD and the variety
-equations remain as reference and reporting tools.
+(``monodromy_residual``), the package's one integrality measure; the dense
+matrix and its SVD remain for the rank margin and as reference tools.  The
+paper's explicit variety equations for n = 4, 5, 6 are kept in the test
+suite, as an oracle for the monodromy.
 
-For n = 4, 5, 6 the rank condition is also equivalent to explicit
-polynomial systems (the variety equations).  The monodromy gives the variety
-a rational chart for every n >= 5 (``_chart``), and the convex-element
-search (n = 5, 6) walks it and its cyclic shifts instead of raw coefficient
-space, so every candidate it scores already sits on the variety to machine
-precision.
+The monodromy gives the variety a rational chart for every n >= 5
+(``_chart``), and the convex-element search (n = 5, 6) walks it and its
+cyclic shifts instead of raw coefficient space, so every candidate it
+scores already sits on the variety to machine precision.
 """
 
 from __future__ import annotations
@@ -188,103 +188,6 @@ def monodromy_residuals(delta: np.ndarray, c: np.ndarray) -> np.ndarray:
         res = np.max(np.abs([a - 1.0, b, e, f - 1.0]), axis=0) / scale
     res[~np.isfinite([a, b, e, f, scale]).all(axis=0)] = np.inf
     return res
-
-
-# ---------------------------------------------------------------------------
-# Variety equations for small n (raw residuals; relative form used for tests)
-
-def variety_equations_n4(poly: OrbitPolygon, c) -> np.ndarray:
-    """Residuals (c_1 + c_3, c_2 + c_4, c_1 c_2 + D_2 D_4 - D_1 D_3)."""
-    if poly.n != 4:
-        raise WrongPeriod("n = 4 required")
-    c = np.asarray(c, dtype=float)
-    D = poly.delta
-    return np.array([
-        c[0] + c[2],
-        c[1] + c[3],
-        c[0] * c[1] + D[1] * D[3] - D[0] * D[2],
-    ])
-
-
-def variety_equations_n5(poly: OrbitPolygon, c) -> np.ndarray:
-    """The five cyclic shifts of c_i c_{i+1} - c_{i+3} D_{i+1} - D_i D_{i+2}."""
-    if poly.n != 5:
-        raise WrongPeriod("n = 5 required")
-    c = np.asarray(c, dtype=float)
-    D = poly.delta
-    k = np.arange(5)
-    return (c[k] * c[(k + 1) % 5]
-            - c[(k + 3) % 5] * D[(k + 1) % 5]
-            - D[k] * D[(k + 2) % 5])
-
-
-def variety_equations_n6(poly: OrbitPolygon, c) -> np.ndarray:
-    """Both displayed hexagon equations and their six cyclic shifts (12 total).
-
-    The system is redundant; the variety it cuts out is the rank n - 2 locus.
-    """
-    if poly.n != 6:
-        raise WrongPeriod("n = 6 required")
-    c = np.asarray(c, dtype=float)
-    D = poly.delta
-    k = np.arange(6)
-    ab = c[(3 + k) % 6] * c[(4 + k) % 6] - D[(3 + k) % 6] * D[(5 + k) % 6]
-    e1 = D[(4 + k) % 6] * (c[k] * c[(1 + k) % 6] - D[k] * D[(2 + k) % 6]) \
-        + D[(1 + k) % 6] * ab
-    e2 = D[(4 + k) % 6] * (c[k] * D[(3 + k) % 6] - c[(4 + k) % 6] * D[(2 + k) % 6]) \
-        + c[(2 + k) % 6] * ab
-    return np.concatenate([e1, e2])
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def variety_residual_rel(poly: OrbitPolygon, c) -> float:
-    """Largest equation residual, each normalized by its biggest term.
-
-    The equations for different n have different polynomial degrees, so a
-    per-equation relative measure is the only scale-free choice.  inf when a
-    term overflows, as in :func:`monodromy_residual`: the residual and its
-    term would both be inf, and their quotient NaN.
-    """
-    c = np.asarray(c, dtype=float)
-    D = poly.delta
-    n = poly.n
-    if n == 4:
-        res = variety_equations_n4(poly, c)
-        mags = np.array([
-            max(abs(c[0]), abs(c[2])),
-            max(abs(c[1]), abs(c[3])),
-            max(abs(c[0] * c[1]), abs(D[1] * D[3]), abs(D[0] * D[2])),
-        ])
-    elif n == 5:
-        res = variety_equations_n5(poly, c)
-        k = np.arange(5)
-        mags = np.max(np.abs(np.stack([
-            c[k] * c[(k + 1) % 5],
-            c[(k + 3) % 5] * D[(k + 1) % 5],
-            D[k] * D[(k + 2) % 5],
-        ])), axis=0)
-    elif n == 6:
-        res = variety_equations_n6(poly, c)
-        k = np.arange(6)
-        ab = np.abs(c[(3 + k) % 6] * c[(4 + k) % 6]) \
-            + np.abs(D[(3 + k) % 6] * D[(5 + k) % 6])
-        m1 = np.max(np.abs(np.stack([
-            D[(4 + k) % 6] * c[k] * c[(1 + k) % 6],
-            D[(4 + k) % 6] * D[k] * D[(2 + k) % 6],
-            D[(1 + k) % 6] * ab,
-        ])), axis=0)
-        m2 = np.max(np.abs(np.stack([
-            D[(4 + k) % 6] * c[k] * D[(3 + k) % 6],
-            D[(4 + k) % 6] * c[(4 + k) % 6] * D[(2 + k) % 6],
-            c[(2 + k) % 6] * ab,
-        ])), axis=0)
-        mags = np.concatenate([m1, m2])
-    else:
-        raise WrongPeriod("explicit equations exist only for n in {4, 5, 6}")
-    if not (np.isfinite(res).all() and np.isfinite(mags).all()):
-        return math.inf
-    floor = 1e-300
-    return float(np.max(np.abs(res) / np.maximum(mags, floor)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,13 @@ for the closed form.
 (6,2) sign-contradiction identities that the verifiers once probed on one
 float variety point per trial.  They index plain sequences, so on Fraction
 data their residual is exact.
+
+``variety_equations_n4``, ``variety_equations_n5`` and
+``variety_equations_n6`` are the paper's displayed equations of the variety
+(the rank n - 2 locus of C(c)) for n = 4, 5, 6, and ``variety_residual_rel``
+is their largest residual, each scaled by its biggest term.  The package
+decides integrality by the monodromy alone (``elements.monodromy_residual``);
+these equations are kept as an oracle for it.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from outerlab.elements import _chart
-from outerlab.errors import DegeneratePolygon, SamplerExhausted
+from outerlab.errors import DegeneratePolygon, SamplerExhausted, WrongPeriod
 from outerlab.geometry import WINDING_TOL, OrbitPolygon, det2, inner2
 from outerlab.lab import ANGLE_MARGIN, LENGTH_FLOOR
 
@@ -262,3 +269,97 @@ def identity_residual_n6(poly, c) -> float:
     mag = max(abs(D[4] * c[0] * c[1]), abs(D[4] * d[0] * d[1]),
               abs(D[1] * c[3] * c[4]), abs(D[1] * d[3] * d[4]), 1e-300)
     return abs(t1 + t2) / mag
+
+
+def variety_equations_n4(poly: OrbitPolygon, c) -> np.ndarray:
+    """Residuals (c_1 + c_3, c_2 + c_4, c_1 c_2 + D_2 D_4 - D_1 D_3)."""
+    if poly.n != 4:
+        raise WrongPeriod("n = 4 required")
+    c = np.asarray(c, dtype=float)
+    D = poly.delta
+    return np.array([
+        c[0] + c[2],
+        c[1] + c[3],
+        c[0] * c[1] + D[1] * D[3] - D[0] * D[2],
+    ])
+
+
+def variety_equations_n5(poly: OrbitPolygon, c) -> np.ndarray:
+    """The five cyclic shifts of c_i c_{i+1} - c_{i+3} D_{i+1} - D_i D_{i+2}."""
+    if poly.n != 5:
+        raise WrongPeriod("n = 5 required")
+    c = np.asarray(c, dtype=float)
+    D = poly.delta
+    k = np.arange(5)
+    return (c[k] * c[(k + 1) % 5]
+            - c[(k + 3) % 5] * D[(k + 1) % 5]
+            - D[k] * D[(k + 2) % 5])
+
+
+def variety_equations_n6(poly: OrbitPolygon, c) -> np.ndarray:
+    """Both displayed hexagon equations and their six cyclic shifts (12 total).
+
+    The system is redundant; the variety it cuts out is the rank n - 2 locus.
+    """
+    if poly.n != 6:
+        raise WrongPeriod("n = 6 required")
+    c = np.asarray(c, dtype=float)
+    D = poly.delta
+    k = np.arange(6)
+    ab = c[(3 + k) % 6] * c[(4 + k) % 6] - D[(3 + k) % 6] * D[(5 + k) % 6]
+    e1 = D[(4 + k) % 6] * (c[k] * c[(1 + k) % 6] - D[k] * D[(2 + k) % 6]) \
+        + D[(1 + k) % 6] * ab
+    e2 = D[(4 + k) % 6] * (c[k] * D[(3 + k) % 6] - c[(4 + k) % 6] * D[(2 + k) % 6]) \
+        + c[(2 + k) % 6] * ab
+    return np.concatenate([e1, e2])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def variety_residual_rel(poly: OrbitPolygon, c) -> float:
+    """Largest equation residual, each normalized by its biggest term.
+
+    The equations for different n have different polynomial degrees, so a
+    per-equation relative measure is the only scale-free choice.  inf when a
+    term overflows, as in :func:`monodromy_residual`: the residual and its
+    term would both be inf, and their quotient NaN.
+    """
+    c = np.asarray(c, dtype=float)
+    D = poly.delta
+    n = poly.n
+    if n == 4:
+        res = variety_equations_n4(poly, c)
+        mags = np.array([
+            max(abs(c[0]), abs(c[2])),
+            max(abs(c[1]), abs(c[3])),
+            max(abs(c[0] * c[1]), abs(D[1] * D[3]), abs(D[0] * D[2])),
+        ])
+    elif n == 5:
+        res = variety_equations_n5(poly, c)
+        k = np.arange(5)
+        mags = np.max(np.abs(np.stack([
+            c[k] * c[(k + 1) % 5],
+            c[(k + 3) % 5] * D[(k + 1) % 5],
+            D[k] * D[(k + 2) % 5],
+        ])), axis=0)
+    elif n == 6:
+        res = variety_equations_n6(poly, c)
+        k = np.arange(6)
+        ab = np.abs(c[(3 + k) % 6] * c[(4 + k) % 6]) \
+            + np.abs(D[(3 + k) % 6] * D[(5 + k) % 6])
+        m1 = np.max(np.abs(np.stack([
+            D[(4 + k) % 6] * c[k] * c[(1 + k) % 6],
+            D[(4 + k) % 6] * D[k] * D[(2 + k) % 6],
+            D[(1 + k) % 6] * ab,
+        ])), axis=0)
+        m2 = np.max(np.abs(np.stack([
+            D[(4 + k) % 6] * c[k] * D[(3 + k) % 6],
+            D[(4 + k) % 6] * c[(4 + k) % 6] * D[(2 + k) % 6],
+            c[(2 + k) % 6] * ab,
+        ])), axis=0)
+        mags = np.concatenate([m1, m2])
+    else:
+        raise WrongPeriod("explicit equations exist only for n in {4, 5, 6}")
+    if not (np.isfinite(res).all() and np.isfinite(mags).all()):
+        return math.inf
+    floor = 1e-300
+    return float(np.max(np.abs(res) / np.maximum(mags, floor)))

@@ -15,6 +15,7 @@ import outerlab
 from outerlab import cli, jsonio
 from outerlab.cli import main
 from outerlab.dynamics import ConvexCurve
+from outerlab.elements import INTEGRAL_TOL
 from outerlab.geometry import derive_orbit_polygon, regular_star
 
 from conftest import SQUARE_VERTICES, TRIANGLE_VERTICES
@@ -174,7 +175,7 @@ def test_element_special_minus_square(tmp_path, square_poly_file):
     assert el["c"] == [0.0, -0.0, 0.0, -0.0] or all(v == 0 for v in el["c"])
     assert el["is_valid"] is True
     assert el["is_convex"] is True
-    assert max(abs(v) for v in payload["variety_residuals"]) < 1e-12
+    assert payload["monodromy_residual"] < 1e-12
     # flat edges everywhere means every curvature is a corner value
     assert payload["curvature"]["kappa"] == ["inf"] * 4
 
@@ -189,7 +190,7 @@ def test_element_explicit_coefficients(tmp_path, square_poly_file):
     assert payload["element"]["is_valid"] is True
     assert payload["element"]["is_convex"] is False
     assert payload["curvature"] is None
-    assert max(abs(v) for v in payload["variety_residuals"]) < 1e-12
+    assert payload["monodromy_residual"] < 1e-12
     # inside the box but off the variety: flagged invalid
     code, payload = run_json(
         tmp_path,
@@ -202,9 +203,8 @@ def test_element_explicit_coefficients(tmp_path, square_poly_file):
 
 @pytest.mark.parametrize("c", ["1e155,1e155,1,1,1", "1e160,-1e160,0,0,0"])
 def test_element_with_overflowing_residuals_writes_strict_json(tmp_path, c):
-    # c_0 c_1 overflows in the variety equations: the command printed a
-    # ValueError from dumps_canonical and three RuntimeWarnings and exited 1,
-    # and the overflowed monodromy read the vector as integral
+    # c_0 c_1 overflows: the payload stays strict JSON, and the overflowed
+    # monodromy reads as inf, never as integral
     star = tmp_path / "star.json"
     assert main(["sample", "5", "2", "--seed", "7", "--json", str(star)]) == 0
     out = tmp_path / "out.json"
@@ -212,9 +212,23 @@ def test_element_with_overflowing_residuals_writes_strict_json(tmp_path, c):
     payload = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert payload["element"]["is_valid"] is False
     assert payload["curvature"] is None
-    residuals = payload["variety_residuals"]
-    assert len(residuals) == 5 and residuals[0] is None
-    assert all(r is None or np.isfinite(r) for r in residuals)
+    assert payload["monodromy_residual"] == "inf"
+
+
+def test_element_reports_the_monodromy_residual_for_every_n(tmp_path):
+    # the residual make_element compares with --tol-integral, also where the
+    # paper displays no variety equations
+    star = tmp_path / "star.json"
+    assert main(["sample", "7", "2", "--seed", "7", "--json", str(star)]) == 0
+    code, payload = run_json(tmp_path, ["element", str(star), "--special-minus"])
+    assert code == 0 and payload["n"] == 7
+    assert payload["element"]["is_valid"] is True
+    assert 0.0 <= payload["monodromy_residual"] <= INTEGRAL_TOL
+    # --tol-integral below the residual turns the same vector invalid
+    tol = payload["monodromy_residual"] / 2
+    code, payload = run_json(tmp_path, ["element", str(star), "--special-minus",
+                                        f"--tol-integral={tol!r}"])
+    assert code == 0 and payload["element"]["is_valid"] is False
 
 
 def test_element_wrong_length_exit_2(tmp_path, square_poly_file):

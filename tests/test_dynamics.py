@@ -926,6 +926,23 @@ def test_far_smooth_starts_take_no_full_pass(monkeypatch):
     assert len(calls) == 40
 
 
+def test_binary_search_brackets_come_in_the_full_pass_order():
+    # _support_smooth reads the brackets in order: where both roots pass the
+    # centroid test the later one wins, so _sight_run must return the full
+    # pass's (k, k2, g_k, g_k2) tuples in the same order, with the same bits
+    rng = np.random.default_rng(59)
+    decided = 0
+    for curve in (ConvexCurve.circle(), ConvexCurve.circle(samples=16), _ellipse()):
+        far = _starts_around(curve, rng, 250, 1.05, 6.0)
+        near = _starts_near(curve, rng, 250)
+        for zx, zy in np.concatenate([far, near]).tolist():
+            run = dynamics._sight_run(curve, zx, zy)
+            if run is not None:
+                assert run == dynamics._sight_flips(curve, zx, zy), (zx, zy)
+                decided += 1
+    assert decided > 1000
+
+
 def test_smooth_step_within_inside_tol_takes_the_full_pass(monkeypatch):
     # 1e-10 diameters out along the normal of a sample's tangent, z lies
     # right of that tangent (g < 0 there) but within inside_tol of every

@@ -36,12 +36,8 @@ from outerlab.elements import (
     special_element_minus,
     special_element_plus,
     special_plus_certified,
-    variety_equations_n4,
-    variety_equations_n5,
-    variety_equations_n6,
     variety_point_n5,
     variety_point_n6,
-    variety_residual_rel,
 )
 from outerlab.dynamics import ConvexCurve, iterate
 from outerlab.errors import (
@@ -59,6 +55,12 @@ from outerlab import lab
 from outerlab.lab import ANGLE_MARGIN, LENGTH_FLOOR, OrbitSampler, sample_orbit_polygon
 
 import reference
+from reference import (
+    variety_equations_n4,
+    variety_equations_n5,
+    variety_equations_n6,
+    variety_residual_rel,
+)
 
 
 def test_matrix_layout_square(square):
