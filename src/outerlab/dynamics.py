@@ -51,6 +51,8 @@ class ConvexCurve:
     tangents: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if self.kind not in ("polygon", "smooth"):
+            raise InputError(f"unknown curve kind {self.kind!r}")
         p = np.asarray(self.points, dtype=float)
         if p.ndim != 2 or p.shape[1] != 2 or len(p) < 3:
             raise InputError("curve needs at least 3 plane points")

@@ -12,15 +12,15 @@ and, up to ties and the g condition, every non-paradoxical (6,2) star has
 one).  So an uncertified (5,2) trial is a failure and is not searched; the
 grid search runs only on uncertified (6,2) trials and on the controls.
 
-All verifier trials are pure functions of per-trial seeds spawned from the
-master seed.  Every verifier first draws the polygons of all its trials in
-one lock-step batch (:func:`sample_orbit_polygons`), each trial from its own
-generator; the (6,2) verifier tests each round of draws for paradoxical
-angles as one stack and redraws those trials.  The convex-element search
-draws nothing: it is a pure function of the polygon.  The (5,2) and (6,2)
-verifiers certify all trials at once, then run one batched search.  The
-paradoxical scan shares one generator between its draws, so it samples one
-polygon at a time.
+All verifier trials and scan samples are pure functions of per-draw seeds
+spawned from the master seed.  Every verifier first draws the polygons of
+all its trials in one lock-step batch (:func:`sample_orbit_polygons`), each
+trial from its own generator; the (6,2) verifier tests each round of draws
+for paradoxical angles as one stack and redraws those trials.  The paradoxical
+scan draws its plain and its spiked samples in one batch each.  The
+convex-element search draws nothing: it is a pure function of the polygon.
+The (5,2) and (6,2) verifiers certify all trials at once, then run one
+batched search.
 """
 
 from __future__ import annotations
@@ -32,17 +32,15 @@ import numpy as np
 
 from .elements import (
     IntegralElement,
-    convex_element_search,
     convex_element_search_batch,
     gap_signs,
     make_element,
-    paradox_margin,
     paradox_margins,
     skip_signs,
     special_plus_certified,
 )
-from .errors import InputError, SamplerExhausted
-from .geometry import OrbitPolygon, derive_orbit_polygon, derive_orbit_polygons, polygon_area
+from .errors import InputError, SamplerExhausted, ValidationFailed
+from .geometry import OrbitPolygon, derive_orbit_polygons, polygon_area
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 1000
@@ -120,12 +118,12 @@ def sample_orbit_polygons(n: int, m: int, rngs: list[np.random.Generator],
     return [polys[k] for k in range(len(rngs))]
 
 
-def _build(m: int, delta: np.ndarray, clear: np.ndarray, rngs: list, placed=True) -> list:
+def _build(m: int, delta: np.ndarray, clear: np.ndarray, rngs: list) -> list:
     """A closed polygon per row of turning angles ``delta`` (k, n), or why
     it was rejected: "angle wall" (row not ``clear``; draws nothing),
     "non-positive closure", or "convexity or winding" (winding not ``m``).
-    A row draws a phase and closure weights, then, when ``placed``, a
-    length scale and a first vertex; else the first vertex is the origin."""
+    A row draws a phase and closure weights, then a length scale and a
+    first vertex."""
     # A clear row keeps the closure reason unless it closes into a polygon.
     built: list = ["non-positive closure" if c else "angle wall" for c in clear]
     rows = clear.nonzero()[0]
@@ -140,8 +138,8 @@ def _build(m: int, delta: np.ndarray, clear: np.ndarray, rngs: list, placed=True
     failed = np.isnan(s[:, 0])
     if failed.any():
         rows, s, U = rows[~failed], s[~failed], U[~failed]
-    z0 = np.zeros((len(rows), 2))
-    for j, i in enumerate(rows if placed else ()):
+    z0 = np.empty((len(rows), 2))
+    for j, i in enumerate(rows):
         s[j] *= rngs[i].lognormal(0.0, 0.25)
         z0[j] = rngs[i].uniform(-1.0, 1.0, 2)
     polys = derive_orbit_polygons(_vertices(z0, s[..., None] * U.transpose(0, 2, 1)))
@@ -251,29 +249,32 @@ def verify_theorem_n3(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
 # ---------------------------------------------------------------------------
 # Theorem n = 4: the conic sweep pins the only convex element to c = d.
 
-def _random_trapezoid(rng: np.random.Generator) -> OrbitPolygon:
-    for _ in range(100):
+def _random_trapezoids(rngs: list[np.random.Generator]) -> list[OrbitPolygon]:
+    """A turned trapezoid per generator.  With 0 < b < a and h > 0 it is a
+    counterclockwise convex quadrilateral, so no draw is rejected."""
+    z = np.empty((len(rngs), 4, 2))
+    for k, rng in enumerate(rngs):
         a = rng.uniform(0.8, 1.6)
         b = rng.uniform(0.3, 0.95) * a
         shift = rng.uniform(-0.3, 0.3)
         h = rng.uniform(0.5, 1.5)
-        z = np.array([[-a, 0.0], [a, 0.0], [shift + b, h], [shift - b, h]])
         ang = rng.uniform(0.0, 2.0 * np.pi)
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-        poly = derive_orbit_polygon(z @ rot.T)
-        if poly.locally_convex and poly.winding == 1:
-            return poly
-    raise SamplerExhausted("trapezoid construction failed")
+        z[k] = np.array([[-a, 0.0], [a, 0.0], [shift + b, h], [shift - b, h]]) @ rot.T
+    polys = derive_orbit_polygons(z)
+    if not all(p.locally_convex and p.winding == 1 for p in polys):
+        raise ValidationFailed("a trapezoid is not a convex quadrilateral")
+    return polys
 
 
 def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> VerifierReport:
     rngs = _spawned_rngs(seed, trials)
     sampled = iter(sample_orbit_polygons(4, 1, [g for k, g in enumerate(rngs) if k % 5 != 4]))
     # Every fifth trial is a trapezoid, to exercise the degenerate conic.
-    polys = [_random_trapezoid(g) if k % 5 == 4 else next(sampled) for k, g in enumerate(rngs)]
+    trapezoids = iter(_random_trapezoids(rngs[4::5]))
+    polys = [next(trapezoids if k % 5 == 4 else sampled) for k in range(trials)]
 
-    def trial(poly: OrbitPolygon) -> dict:
-        el = convex_element_search(poly)
+    def trial(poly: OrbitPolygon, el: Optional[IntegralElement]) -> dict:
         sc2 = poly.scale**2
         if el is None:
             return {"failures": 1, "margin": np.inf,
@@ -285,7 +286,7 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
             out["bundles"] = [_bundle(poly, el.c, "n4-off-d-element")]
         return out
 
-    results = [trial(poly) for poly in polys]
+    results = [trial(poly, el) for poly, el in zip(polys, convex_element_search_batch(polys))]
     return _collect(
         results, "n4", seed, trials,
         "every convex element found by the conic sweep coincides with d "
@@ -492,61 +493,44 @@ class ParadoxicalScan:
     seed: int
 
 
-def _spiked_62(rng: np.random.Generator) -> Optional[OrbitPolygon]:
-    """Angle vector engineered to make one vertex paradoxical."""
-    e1 = rng.uniform(0.02, 0.5)
-    g0, g2 = rng.uniform(0.05, 0.6, 2)
-    a = np.empty(6)
-    a[1] = np.pi - e1
-    a[0] = e1 + g0
-    a[2] = e1 + g2
-    rest = 2.0 * np.pi - a[0] - a[1] - a[2]
-    if rest <= 0.1:
-        return None
-    a[3:] = rng.dirichlet(np.ones(3)) * rest
-    clear = ANGLE_MARGIN < np.min(a) and np.max(a) < np.pi - ANGLE_MARGIN
-    poly = _build(2, (np.pi - a)[None], np.array([clear]), [rng], placed=False)[0]
-    return None if isinstance(poly, str) else poly
+def _spiked_62(rngs: list[np.random.Generator]) -> list[Optional[OrbitPolygon]]:
+    """Per generator, a (6,2) polygon whose angle vector is engineered to
+    make vertex 1 paradoxical, or None where the draw was rejected."""
+    a = np.empty((len(rngs), 6))
+    for k, rng in enumerate(rngs):
+        e1 = rng.uniform(0.02, 0.5)
+        g0, g2 = rng.uniform(0.05, 0.6, 2)
+        a[k, :3] = e1 + g0, np.pi - e1, e1 + g2
+        # The rest is at least pi - 1.7, so every draw leaves room for three angles.
+        a[k, 3:] = rng.dirichlet(np.ones(3)) * (2.0 * np.pi - a[k, 0] - a[k, 1] - a[k, 2])
+    clear = ((a > ANGLE_MARGIN) & (a < np.pi - ANGLE_MARGIN)).all(axis=1)
+    return [None if isinstance(p, str) else p for p in _build(2, np.pi - a, clear, rngs)]
 
 
 def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> ParadoxicalScan:
     """Scan (6,2) polygons for paradoxical angle patterns.
 
-    Half the draws are plain sampler output, half are spiked constructions
-    with one angle near pi.  Whatever is found is reported descriptively:
-    existence for an actual convex curve is an open question, so neither an
-    empty nor a non-empty find list is a failure.
+    Each sample draws from its own generator, spawned from ``seed``.  The
+    even samples are plain sampler output, drawn in one batch, and the odd
+    ones spiked constructions with one angle near pi, built in one stack;
+    a plain sample that exhausts the sampler raises SamplerExhausted, as in
+    the verifiers.  Whatever is found is reported descriptively: existence
+    for an actual convex curve is an open question, so neither an empty nor
+    a non-empty find list is a failure.
     """
-    _require_non_negative(samples=samples)
-    sampler = OrbitSampler(6, 2, seed)
-    hits: list[tuple[OrbitPolygon, float]] = []
-    best = -np.inf
-    spiked_hits = 0
-    for k in range(samples):
-        if k % 2 == 0:
-            try:
-                poly = sample_orbit_polygon(sampler)
-            except SamplerExhausted:
-                continue
-        else:
-            poly = _spiked_62(sampler.rng)
-            if poly is None:
-                continue
-        margin = paradox_margin(poly)
-        best = max(best, margin)
-        if margin > 0.0:
-            if k % 2 == 1:
-                spiked_hits += 1
-            # An unused draw, kept so that the later draws keep their values.
-            sampler.rng.integers(0, 2**63 - 1)
-            hits.append((poly, margin))
-    # The search draws nothing from rng, so it runs once, after the scan.
-    found = convex_element_search_batch([poly for poly, _ in hits])
+    rngs = _spawned_rngs(seed, samples, "samples")
+    plain, spiked = sample_orbit_polygons(6, 2, rngs[0::2]), _spiked_62(rngs[1::2])
+    drawn = [(k, poly) for k in range(samples)
+             if (poly := (spiked if k % 2 else plain)[k // 2]) is not None]
+    margins = paradox_margins([poly for _, poly in drawn])
+    hits = [(k, poly, float(margin)) for (k, poly), margin in zip(drawn, margins) if margin > 0.0]
+    found = convex_element_search_batch([poly for _, poly, _ in hits])
     finds = tuple(ParadoxicalFind(polygon=poly, margin=margin, element=el)
-                  for (poly, margin), el in zip(hits, found))
+                  for (_, poly, margin), el in zip(hits, found))
+    spiked_hits = sum(k % 2 for k, _, _ in hits)
     return ParadoxicalScan(
         samples=samples,
-        best_margin=float(best),
+        best_margin=float(margins.max(initial=-np.inf)),
         finds=finds,
         notes=(f"{len(finds)} paradoxical polygons ({spiked_hits} from spiked "
                "angles); existence for a convex curve remains open, results "

@@ -5,8 +5,13 @@ The package draws polygons in lock-step batches (``lab.sample_orbit_polygons``)
 and derives them as stacks (``geometry.derive_orbit_polygons``).  These are
 the one-polygon-at-a-time versions the batches replaced, kept as they were
 so that tests can require the same bits and the same draws from each
-generator.  The only addition: ``rejected``, when given, counts the reasons
-the sequential loop rejected an attempt, and the closure's failed tries.
+generator.  Two changes: ``rejected``, when given, counts the reasons the
+sequential loop rejected an attempt, and the closure's failed tries; and
+``spiked_62``, the one-generator draw of the paradoxical scan's spiked
+hexagons (``lab._spiked_62``), now draws a length scale and a first vertex,
+as every sampled polygon does.  ``random_trapezoid`` is the n4 verifier's
+trapezoid with the retry loop that the batch (``lab._random_trapezoids``)
+dropped.
 
 ``chart_best`` is the chart scorer that ``ChartSweep.scan`` replaced: it
 masks every column for regularity and finiteness, broadcasts over tensor
@@ -172,10 +177,26 @@ def spiked_62(rng: np.random.Generator) -> Optional[OrbitPolygon]:
     s = positive_closure(U, rng)
     if s is None:
         return None
-    poly = derive_orbit_polygon(vertices(np.zeros(2), s[:, None] * U.T))
+    s = s * rng.lognormal(0.0, 0.25)
+    poly = derive_orbit_polygon(vertices(rng.uniform(-1.0, 1.0, 2), s[:, None] * U.T))
     if poly.locally_convex and poly.winding == 2:
         return poly
     return None
+
+
+def random_trapezoid(rng: np.random.Generator) -> OrbitPolygon:
+    for _ in range(100):
+        a = rng.uniform(0.8, 1.6)
+        b = rng.uniform(0.3, 0.95) * a
+        shift = rng.uniform(-0.3, 0.3)
+        h = rng.uniform(0.5, 1.5)
+        z = np.array([[-a, 0.0], [a, 0.0], [shift + b, h], [shift - b, h]])
+        ang = rng.uniform(0.0, 2.0 * np.pi)
+        rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+        poly = derive_orbit_polygon(z @ rot.T)
+        if poly.locally_convex and poly.winding == 1:
+            return poly
+    raise SamplerExhausted("trapezoid construction failed")
 
 
 def _chart_n5(D, sc2, c1, c2):

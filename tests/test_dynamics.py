@@ -80,6 +80,14 @@ def test_curve_validation_rejects_nonconvex():
         ConvexCurve.polygon([[0.0, 0.0], [1.0, 0.0]])
 
 
+def test_curve_validation_rejects_unknown_kinds():
+    # a kind other than polygon or smooth was accepted, and iterate then
+    # died with a bare ValueError in _sight_flips
+    for kind in ("foo", "Polygon", None):
+        with pytest.raises(InputError, match="unknown curve kind"):
+            ConvexCurve(kind=kind, points=SQUARE_VERTICES)
+
+
 def test_curve_validation_rejects_multiple_windings():
     # Every turn of a star polygon is to the left, but the boundary goes
     # round more than once.

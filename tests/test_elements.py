@@ -591,7 +591,7 @@ def test_stacked_paradox_margins_keep_the_bits_of_one_polygon(sampled):
     # on spiked hexagons, of which about half are paradoxical
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(11).spawn(300)]
     polys = lab.sample_orbit_polygons(6, 2, rngs)
-    spiked = (lab._spiked_62(np.random.default_rng(s)) for s in range(300))
+    spiked = lab._spiked_62([np.random.default_rng(s) for s in range(300)])
     polys += [p for p in spiked if p is not None]
     want = []
     for p in polys:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from outerlab import cli, lab
-from outerlab.elements import classify_paradoxical, make_element
-from outerlab.errors import InputError, SamplerExhausted
+from outerlab.elements import classify_paradoxical, make_element, paradox_margin
+from outerlab.errors import InputError, SamplerExhausted, ValidationFailed
 from outerlab.jsonio import dumps_canonical, report_to_dict
 from outerlab.lab import (
     OrbitSampler,
@@ -105,8 +105,11 @@ def test_verifier_thread_determinism(theorem, kwargs, monkeypatch, tmp_path):
 # Re-pinned again (from 463a5cea...) when the chart from the monodromy
 # replaced the hand-derived charts: the two verifier reports are the same,
 # and in the scan only element.c (19 entries) and element.rank_margin (4)
-# moved, by at most 5.5e-16 relative.
-GOLDEN_REPORTS_SHA256 = "3d831a7772b9c5678ca691584ec475f87500032d81934fcd7baef378adb020bd"
+# moved, by at most 5.5e-16 relative.  Re-pinned again (from 3d831a77...)
+# when each scan sample got its own spawned generator: the two verifier
+# reports are the same, and every scan byte moved; the scan found 21
+# paradoxical polygons (20 spiked) against 20 (20 spiked), all at c = d.
+GOLDEN_REPORTS_SHA256 = "279f2f8cfb79245d7d9eb125eb80c5caa636a56d234b2acbbddefe235c674271"
 
 
 def test_verifier_reports_match_golden_bytes(capsys):
@@ -330,12 +333,65 @@ def test_builder_reports_each_rejection():
 
 
 def test_spiked_hexagons_match_sequential():
-    for seed in range(300):
-        a = lab._spiked_62(np.random.default_rng(seed))
-        b = reference.spiked_62(np.random.default_rng(seed))
+    # each row of the stack is the one-generator draw of its own generator,
+    # and each generator drew exactly what that draw drew; seeds 845 and
+    # 1333 are rejected draws, mixed in among accepted ones
+    seeds = [*range(150), 845, *range(150, 300), 1333]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    again = [np.random.default_rng(seed) for seed in seeds]
+    stacked = lab._spiked_62(rngs)
+    assert stacked[150] is None and stacked[-1] is None
+    for a, rng in zip(stacked, again):
+        b = reference.spiked_62(rng)
         assert (a is None) == (b is None)
         if a is not None:
             assert_same_polygon(a, b)
+    assert [g.integers(2**62) for g in rngs] == [g.integers(2**62) for g in again]
+    assert lab._spiked_62([]) == []
+
+
+def test_trapezoids_match_the_retry_loop():
+    # the batch makes each generator's draws in the loop's order, and no
+    # trapezoid needs the retry that the batch dropped
+    rngs, again = generators(4, 250), generators(4, 250)
+    for poly, rng in zip(lab._random_trapezoids(rngs), again):
+        assert_same_polygon(poly, reference.random_trapezoid(rng))
+    assert [g.integers(2**62) for g in rngs] == [g.integers(2**62) for g in again]
+    assert lab._random_trapezoids([]) == []
+
+
+def test_trapezoid_that_is_not_convex_is_an_error(monkeypatch):
+    real = lab.derive_orbit_polygons
+    monkeypatch.setattr(lab, "derive_orbit_polygons", lambda z: real(z[:, ::-1]))
+    with pytest.raises(ValidationFailed):
+        lab._random_trapezoids(generators(4, 3))
+
+
+def test_scan_finds_are_the_draws_of_their_own_generators():
+    # sample k draws from the k-th generator spawned from the seed: a plain
+    # sampler draw when k is even, a spiked hexagon when k is odd
+    scan = search_paradoxical(samples=200, seed=7)
+    want, margins = [], []
+    for k, rng in enumerate(generators(7, 200)):
+        poly = reference.spiked_62(rng) if k % 2 else reference.sample_orbit_polygon(6, 2, rng)
+        if poly is not None:
+            margins.append(paradox_margin(poly))
+            if margins[-1] > 0.0:
+                want.append((k, poly))
+    assert len(scan.finds) == len(want)
+    assert any(k % 2 == 0 for k, _ in want)  # a plain draw among the finds
+    for find, (_, poly) in zip(scan.finds, want):
+        assert_same_polygon(find.polygon, poly)
+        assert find.margin == paradox_margin(poly)
+    assert scan.best_margin == max(margins)
+    assert search_paradoxical(samples=0).best_margin == -np.inf
+
+
+def test_scan_sampler_exhaustion_propagates(monkeypatch):
+    exhausted = functools.partial(lab.sample_orbit_polygons, attempts=0)
+    monkeypatch.setattr(lab, "sample_orbit_polygons", exhausted)
+    with pytest.raises(SamplerExhausted):
+        search_paradoxical(samples=4, seed=1)
 
 
 def test_batch_exhaustion_in_one_trial():
@@ -402,9 +458,6 @@ def drawn_polygons_sha256(monkeypatch) -> str:
         searched.append(poly)
         return real_make(poly, c, *args, **kwargs)
 
-    def search(poly):
-        searched.append(poly)
-
     def search_batch(polys):
         searched.extend(polys)
         return [None] * len(polys)
@@ -420,7 +473,6 @@ def drawn_polygons_sha256(monkeypatch) -> str:
         return np.where([p.vertices[0, 0] > 0.5 for p in polys], 1.0, real_margins(polys))
 
     monkeypatch.setattr(lab, "make_element", make)
-    monkeypatch.setattr(lab, "convex_element_search", search)
     monkeypatch.setattr(lab, "convex_element_search_batch", search_batch)
     monkeypatch.setattr(lab, "_sign_certificates", certify)
     monkeypatch.setattr(lab, "paradox_margins", paradoxical)
