@@ -205,13 +205,14 @@ def monodromy_residuals(delta: np.ndarray, c: np.ndarray) -> np.ndarray:
 #   c_{n-3} = (delta_{n-3} delta_{n-1} - delta_0 delta_{n-2} q_f) / c_{n-2}.
 #
 # The one pole, c_{n-2} = 0, is masked at |c_{n-2}| <= 1e-12 scale^2.  Q
-# depends on the leading parameters alone: once per block of a tensor grid
-# laid out by _grid_params.  The derived columns go in place into ``out``
+# depends on the leading parameters alone: on a tensor grid laid out by
+# _grid_params it is formed at their shape.  The derived columns go into ``out``
 # (three float arrays of the parameters' broadcast shape, then the mask).
 # Each operation is elementwise, in a fixed order, so a point keeps its bits
 # at any shape.  Divisions are not guarded: callers run the chart under
 # np.errstate.  The mask misses a NaN c_{n-2} (<= is false on NaN); the
-# columns there are non-finite, which callers test.
+# columns there are non-finite, which callers test.  With sc2 None the mask
+# is not formed, and None stands in its place.
 
 def _chart(D, sc2, params, out=None):
     """Columns c_0 ... c_{n-1} and singular mask of the chart at ``params``
@@ -226,11 +227,12 @@ def _chart(D, sc2, params, out=None):
         qa, qb, qe, qf = qe, qf, x[j] * qe - r[j] * qa, x[j] * qf - r[j] * qb
     cm2 = np.multiply(x[-1], D[0] * qf, out=cm2)
     cm2 -= D[0] * r[-1] * qb
-    singular = np.less_equal(np.abs(cm2, out=cm1), 1e-12 * sc2, out=singular)
+    singular = None if sc2 is None else np.less_equal(
+        np.abs(cm2, out=cm1), 1e-12 * sc2, out=singular)
     cm3 = np.divide(D[n - 3] * D[n - 1] - D[0] * D[n - 2] * qf, cm2, out=cm3)
-    # The numerator x_{n-4} g + h of c_{n-1} holds no x_0, so on pentagons
-    # it varies with the last parameter alone.  It is formed at its own
-    # shape, in cm1 when that is full: a fresh full array costs more.
+    # The numerator x_{n-4} g + h of c_{n-1} holds no x_0: on a tensor grid
+    # it has the shape of the parameters after x_0, formed at that shape, in
+    # cm1 when that is full (a fresh full array costs more).
     g, h = D[0] * D[n - 1] * qe, D[0] * (D[n - 2] - D[n - 1] * r[-1] * qa)
     shape = np.broadcast_shapes(np.shape(x[-1]), np.shape(g), np.shape(h))
     num = np.multiply(x[-1], g, out=cm1 if shape == cm2.shape else None)
@@ -525,10 +527,11 @@ def gap_signs(polys: Sequence[OrbitPolygon]) -> np.ndarray:
 # Points that one scorer call may evaluate: four hexagon charts on the coarse
 # grid.  Batched stages are split at that size, so it bounds the work arrays
 # that a ChartSweep keeps between scorer calls (three float arrays and one
-# mask, 25 bytes a point, 0.93 MB), and with them peak memory, whatever the
-# number of polygons.  A call has a fixed cost of some 60 numpy dispatches
-# (about 80 us on a 2-core x86-64 host, half of a one-chart call), so the
-# charts are scored in few, large calls.
+# mask, 25 bytes a point, 0.93 MB; the mask is written only when rows are
+# scored again), and with them peak memory, whatever the number of polygons.
+# A call has a fixed cost of some 60 numpy dispatches (about 80 us on a 2-core
+# x86-64 host, half of a one-chart call), so the charts are scored in few,
+# large calls.
 MAX_CHART_POINTS = 4 * GRID**3
 
 
@@ -571,38 +574,55 @@ def convex_element_search_batch(
         if n == 3:
             els = [make_element(p, np.roll(p.delta, 1)) for p in group]
             els = [el if (el.is_valid and el.is_convex) else None for el in els]
+        elif n == 4:
+            cands = [np.array(_candidates_n4(p)) for p in group]
+            els = _most_convex_each(group, np.concatenate(cands),
+                                    np.repeat(np.arange(len(group)), [len(c) for c in cands]))
         else:
-            if n == 4:
-                cands = [np.array(_candidates_n4(p)) for p in group]
-            else:
-                cands = _candidates_chart(group)
-                cands = [np.vstack([c, -p.dvec, p.dvec] if n == 6 else [c, -p.dvec])
-                         for p, c in zip(group, cands)]
-            els = [_most_convex(p, c) for p, c in zip(group, cands)]
+            cands, owner = _candidates_chart(group)
+            d, each = np.stack([p.dvec for p in group]), np.arange(len(group))
+            extra = [-d, d] if n == 6 else [-d]
+            els = _most_convex_each(group, np.concatenate([cands, *extra]),
+                                    np.concatenate([owner] + [each] * len(extra)))
         for i, el in zip(idx, els):
             found[i] = el
     return found
 
 
-def _most_convex(poly: OrbitPolygon, cands: np.ndarray) -> Optional[IntegralElement]:
-    """The convex integral element of largest slack min(d - c) among the
-    candidate rows, ties to the first row; None when no row is one."""
-    margins = np.min(poly.dvec - cands, axis=1)
-    eps = convexity_tol(poly)
-    for k in np.argsort(-margins, kind="stable"):
-        if margins[k] < -eps:
-            break
-        el = make_element(poly, cands[k])
-        if el.is_valid and el.is_convex:
-            return el
-    return None
+def _most_convex_each(polys: list[OrbitPolygon], cands: np.ndarray,
+                      owner: np.ndarray) -> list[Optional[IntegralElement]]:
+    """Per polygon, the convex integral element of largest slack min(d - c)
+    among the candidate rows that it owns (``owner`` holds its index), ties
+    to its first such row; None when no row is one.  All rows are classified
+    at once, each with the bits that :func:`make_element` gives it."""
+    d = np.stack([p.dvec for p in polys])[owner]
+    eps = np.array([convexity_tol(p) for p in polys])[owner]
+    margins = np.min(d - cands, axis=1)
+    ok = (~(margins < -eps) & np.all(cands <= d + eps[:, None], axis=1)
+          & (monodromy_residuals(np.stack([p.delta for p in polys])[owner], cands) <= INTEGRAL_TOL))
+    order = np.argsort(-margins, kind="stable")
+    order = order[ok[order]]
+    win = order[np.unique(owner[order], return_index=True)[1]]
+    c, d = cands[win], d[win]
+    tol = np.array([1e-9 * p.scale**2 for p in polys])[owner[win]]
+    minus = np.max(np.abs(c + d), axis=1) <= tol
+    plus = (polys[0].n % 2 == 0) & (np.max(np.abs(c - d), axis=1) <= tol)
+    found: list[Optional[IntegralElement]] = [None] * len(polys)
+    for k, ck, mk, pk in zip(owner[win], c, minus, plus):
+        found[k] = IntegralElement(base=polys[k], c=ck.copy(), is_valid=True, is_convex=True,
+                                   is_special_minus=bool(mk), is_special_plus=bool(pk))
+    return found
 
 
 def search_box(poly: OrbitPolygon) -> tuple[np.ndarray, np.ndarray]:
     """The box lo <= c <= d that the search samples.  Its lower side is a
     heuristic bound, not a proved one."""
-    d = poly.dvec
-    return -3.0 * np.abs(d) - 3.0 * float(np.mean(poly.delta)), d
+    return _search_box(poly.dvec, poly.delta)
+
+
+def _search_box(d: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`search_box` of stacked d and delta, of shape (..., n)."""
+    return -3.0 * np.abs(d) - 3.0 * np.mean(delta, axis=-1, keepdims=True), d
 
 
 def _candidates_n4(poly: OrbitPolygon) -> list[np.ndarray]:
@@ -628,16 +648,15 @@ def _candidates_n4(poly: OrbitPolygon) -> list[np.ndarray]:
 
 def _grid_params(axes: np.ndarray) -> list[np.ndarray]:
     """Coordinates of per-chart tensor grids: ``axes[:, s, a]`` holds the
-    samples of coordinate a on the s-th chart of the batch.  The last
-    coordinate varies along axis 1, the outer axis of :meth:`ChartSweep.scan`.
-    The others are read-only views of one shape, the block, in which each
-    varies along its own axis after that one, in order; what depends on them
-    alone is then computed once per block, in contiguous passes."""
+    samples of coordinate a on the s-th chart of the batch, and coordinate a
+    varies along axis a + 1, so that the grids' C order is the order in
+    which :meth:`ChartSweep.scan` breaks ties.  Each is broadcast only where
+    used: what the chart forms from some coordinates alone (the product Q
+    from the leading ones, c_{n-1}'s numerator from all but c_0) stays at
+    their shape."""
     g, S, dim = axes.shape
-    block = (S, 1) + (g,) * (dim - 1)
-    return [np.broadcast_to(axes[:, :, a].T.reshape(
-                (S, 1) + (1,) * a + (g,) + (1,) * (dim - 2 - a)), block)
-            for a in range(dim - 1)] + [axes[:, :, -1].T.reshape((S, g) + (1,) * (dim - 1))]
+    return [axes[:, :, a].T.reshape((S,) + (1,) * a + (g,) + (1,) * (dim - 1 - a))
+            for a in range(dim)]
 
 
 class ChartSweep:
@@ -654,17 +673,15 @@ class ChartSweep:
 
         def rolled(vectors, k=n):
             """Row p n + s: vectors[p] rolled by -s, its first k entries."""
-            return np.stack(vectors)[:, roll[:, :k]].reshape(-1, k)
+            return vectors[:, roll[:, :k]].reshape(-1, k)
 
-        self.delta = rolled([p.delta for p in polys])
-        self.dvec = rolled([p.dvec for p in polys])
+        delta, dvec = np.stack([p.delta for p in polys]), np.stack([p.dvec for p in polys])
+        self.delta, self.dvec = rolled(delta), rolled(dvec)
         self.sc2 = np.repeat([p.scale**2 for p in polys], n)
-        boxes = [search_box(p) for p in polys]
-        self.lo = rolled([lo for lo, _ in boxes], self.dim)
-        self.hi = rolled([hi for _, hi in boxes], self.dim)
-        # Per row, for the scorer: the local areas, the skip determinants
-        # and scale^2.
-        self.row_data = np.hstack([self.delta, self.dvec, self.sc2[:, None]])
+        self.lo, self.hi = (rolled(x, self.dim) for x in _search_box(dvec, delta))
+        # For the scorer, one row each: the local areas, the skip
+        # determinants and scale^2; a call's columns of it come out C-ordered.
+        self.row_data = np.vstack([self.delta.T, self.dvec.T, self.sc2])
         self._work = (np.empty((n - self.dim, 0)), np.empty(0, dtype=bool))
         self._views: dict[tuple, tuple] = {}
 
@@ -682,18 +699,18 @@ class ChartSweep:
         every column is an elementwise function of its row's local areas and
         parameters, so it keeps the bits it had on the grid.
 
-        Points are masked for regularity only.  A row whose winner has a
-        non-finite column, or a NaN slack, is scored again with its
-        non-finite points masked too.  That is exact: the unmasked score is
-        never below the masked one, and it equals the masked one wherever
-        the columns are finite."""
+        The first pass masks no point.  A row whose winner is singular, has
+        a non-finite column or a NaN slack is scored again with its singular
+        and non-finite points masked.  That is exact: a mask only lowers
+        points to -inf, so a regular, finite winner of the unmasked pass,
+        which every point before it scores below, is also the masked one."""
         m, p = self._calls(rows, params, finite=False)
-        c = self._columns(rows, p)
-        redo = np.isnan(m) | ~np.isfinite(c).all(axis=1)
+        c, singular = self._columns(rows, p)
+        redo = singular | np.isnan(m) | ~np.isfinite(c).all(axis=1)
         if redo.any():
             rows, params = rows[redo], [x[redo] for x in params]
             m[redo], p[redo] = self._calls(rows, params, finite=True)
-            c[redo] = self._columns(rows, p[redo])
+            c[redo] = self._columns(rows, p[redo])[0]
         return m, c, p
 
     def _calls(self, rows: np.ndarray, params: list[np.ndarray], finite: bool):
@@ -707,59 +724,61 @@ class ChartSweep:
 
     def _best(self, rows: np.ndarray, params: list[np.ndarray], finite: bool):
         """One scorer call: the slack and the parameters of each row's first
-        best point; the slack is NaN where the row's maximum is NaN."""
+        best point; the slack is NaN where the row holds a NaN.  Without
+        ``finite`` no point is masked; with it, singular and non-finite
+        points score -inf."""
         full = np.broadcast(*params).shape
-        S, outer, cells = full[0], full[1], math.prod(full[2:])
+        S = full[0]
         n, dim = self.n, self.dim
-        data = self.row_data[rows].T.reshape((2 * n + 1, S) + (1,) * (len(full) - 1))
+        params = [np.ascontiguousarray(x) for x in params]  # C-ordered, <= 66 kB a call
+        data = self.row_data[:, rows].reshape((2 * n + 1, S) + (1,) * (len(full) - 1))
         D, dv, sc2 = data[:n], data[n:2 * n], data[-1]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cols, singular = _chart(D, sc2, params, self._work_arrays(full))
+            cols, singular = _chart(D, sc2 if finite else None, params, self._work_arrays(full))
             if finite:
                 for col in cols:
                     singular |= ~np.isfinite(col)
             # Each derived column becomes its slack term d_k - c_k in place,
             # and the first of them the slack: the minimum of those terms,
-            # then of the parameters' terms.  The order of a minimum shows
-            # only in the sign of a zero and the payload of a NaN.  d_k - c_k
-            # is -0.0 only where d_k is, and a row with a NaN slack is scored
-            # again, so unless d holds a -0.0 the slack keeps the bits of the
+            # then of the leading parameters' terms (taken at their shape),
+            # then of the last one's.  The order of a minimum shows only in
+            # the sign of a zero and the payload of a NaN.  d_k - c_k is -0.0
+            # only where d_k is, and a row with a NaN slack is scored again,
+            # so unless d holds a -0.0 the slack keeps the bits of the
             # minimum taken in column order.
             terms = [np.subtract(dk, col, out=col) for dk, col in zip(dv[dim:], cols[dim:])]
             s = terms[0]
             for t in terms[1:]:
                 np.minimum(s, t, out=s)
-            for dk, col in zip(dv[:dim], cols):
-                np.minimum(s, dk - col, out=s)
-        np.copyto(s, -np.inf, where=singular)
-        # The first maximum in C order over (inner axes, outer axis): the
-        # first inner cell that holds the row's maximum, then the first outer
-        # index in it.  A NaN maximum equals no point.
-        score = s.reshape(S, outer, cells)
-        m = score.max(axis=(1, 2))
-        top = np.equal(score, m[:, None, None], out=singular.reshape(S, outer, cells))
+            lead = dv[0] - cols[0]
+            for dk, col in zip(dv[1:dim - 1], cols[1:dim - 1]):
+                lead = np.minimum(lead, dk - col)
+            np.minimum(s, lead, out=s)
+            np.minimum(s, dv[dim - 1] - cols[dim - 1], out=s)
+            if finite:
+                np.copyto(s, -np.inf, where=singular)
+        # The first maximum of each row in C order; argmax stops at the first
+        # NaN, so a row that holds one gets a NaN slack.
+        score = s.reshape(S, math.prod(full[1:]))
         first = np.arange(S)
-        k = top.any(axis=1).argmax(axis=1)
-        o = top[first, :, k].argmax(axis=1)
-        m = np.where(np.isnan(m), m, score[first, o, k])  # the winner's signed zero
-        at = (o,) + np.unravel_index(k, full[2:])
-        p = np.empty((S, dim))
-        for i, x in enumerate(params):
-            p[:, i] = x[(first,) + tuple(a if e > 1 else 0 for a, e in zip(at, x.shape[1:]))]
-        return m, p
+        k = score.argmax(axis=1)
+        at = np.unravel_index(k, full[1:])  # parameter i varies along axis i + 1
+        p = np.stack([x.reshape(S, g)[first, a] for x, g, a in zip(params, full[1:], at)], axis=-1)
+        return score[first, k], p
 
-    def _columns(self, rows: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Coefficients c of each row's chart point p, in polygon order."""
+    def _columns(self, rows: np.ndarray, p: np.ndarray):
+        """Coefficients c of each row's chart point p, in polygon order, and
+        whether the point is singular."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cols, _ = _chart(self.delta[rows].T, self.sc2[rows], list(p.T))
+            cols, singular = _chart(self.delta[rows].T, self.sc2[rows], list(p.T))
         c = np.empty((len(rows), self.n))
         c[np.arange(len(rows))[:, None], self.roll[rows]] = np.stack(cols, axis=1)
-        return c
+        return c, singular
 
     def _work_arrays(self, shape: tuple):
         """Work arrays of one shape, kept for the next call: the derived
         columns, which become their slack terms and the slack, and the
-        singular mask, which becomes the mask of the maxima.  All shapes
+        singular mask, written only when rows are scored again.  All shapes
         share one set of buffers, grown to the largest size asked for."""
         views = self._views.get(shape)
         if views is None:
@@ -793,14 +812,14 @@ class ChartSweep:
         return np.stack([c, zoom_c], axis=1), np.stack([m > -np.inf, zoom_found], axis=1)
 
 
-def _candidates_chart(polys: list[OrbitPolygon]) -> list[np.ndarray]:
-    """Chart candidates of pentagons, or of hexagons: per polygon, the
-    coarse sweep's best regular point of each chart followed by its
-    refinement, in chart order."""
+def _candidates_chart(polys: list[OrbitPolygon]) -> tuple[np.ndarray, np.ndarray]:
+    """Chart candidates of pentagons, or of hexagons, and the index of the
+    polygon of each: per polygon, the coarse sweep's best regular point of
+    each chart followed by its refinement, in chart order."""
     charts = ChartSweep(*polys)
     n = charts.n
     coarse = charts.scan(np.arange(len(charts.lo)),
                          _grid_params(np.linspace(charts.lo, charts.hi, GRID)))
     c, keep = charts.refine(coarse, (charts.hi - charts.lo) / (GRID - 1))
-    c, keep = c.reshape(-1, 2 * n, n), keep.reshape(-1, 2 * n)
-    return [cp[kp] for cp, kp in zip(c, keep)]
+    keep = keep.ravel()
+    return c.reshape(-1, n)[keep], np.repeat(np.arange(len(polys)), 2 * n)[keep]

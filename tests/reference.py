@@ -18,6 +18,11 @@ masks every column for regularity and finiteness, broadcasts over tensor
 grids laid out in chart order (``grid_params``), and takes one argmax.  It
 evaluates the package's chart, so that the scorer is compared bit for bit.
 
+``most_convex`` is the one-polygon candidate selection that the stacked one
+(``elements._most_convex_each``) replaced: it walks the candidates by
+falling slack and classifies each through ``make_element`` until one is a
+convex integral element.
+
 ``_chart_n5`` and ``_chart_n6`` are the hand-derived pentagon and hexagon
 charts that the chart from the monodromy (``elements._chart``) replaced.
 They fix the same coordinates, c_0 ... c_{n-4}, and are kept as an oracle
@@ -50,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from outerlab.elements import _chart
+from outerlab.elements import IntegralElement, _chart, convexity_tol, make_element
 from outerlab.errors import DegeneratePolygon, SamplerExhausted, WrongPeriod
 from outerlab.geometry import WINDING_TOL, OrbitPolygon, det2, inner2
 from outerlab.lab import ANGLE_MARGIN, LENGTH_FLOOR
@@ -270,6 +275,20 @@ def chart_best(charts, rows: np.ndarray, params: list[np.ndarray]):
     c = np.empty_like(win)
     c[first[:, None], charts.roll[rows]] = win
     return score[first, k], c, win[:, :charts.dim]
+
+
+def most_convex(poly: OrbitPolygon, cands: np.ndarray) -> Optional[IntegralElement]:
+    """The convex integral element of largest slack min(d - c) among the
+    candidate rows, ties to the first row; None when no row is one."""
+    margins = np.min(poly.dvec - cands, axis=1)
+    eps = convexity_tol(poly)
+    for k in np.argsort(-margins, kind="stable"):
+        if margins[k] < -eps:
+            break
+        el = make_element(poly, cands[k])
+        if el.is_valid and el.is_convex:
+            return el
+    return None
 
 
 def identity_residual_n5(poly, c) -> float:

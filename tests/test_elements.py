@@ -476,6 +476,50 @@ def test_chart_scorer_ties_go_to_first_point():
     assert _dense_best(poly, 0, nodes)[0] == m[0]
 
 
+def test_chart_scan_rescores_a_singular_winner():
+    # the first pass masks no pole.  On the lattice hexagon every delta_i
+    # and d_i is 1, so chart 0 reads c4 = c0 - c2 (c0 c1 - 1),
+    # c3 = (2 - c0 c1) / c4 and c5 = (2 - c1 c2) / c4, exactly at these
+    # nodes.  With c0 = -0.0 and c1 = -0.5, c2 = -0.0 is the pole c4 = -0.0
+    # with c3 = c5 = -inf, and c2 = -1e-13 lies inside the pole's mask with
+    # finite columns; both score d0 - c0 = 1 unmasked, above c2 = 0.5
+    # (rows 0 and 1) and tied with c2 = -0.5 (rows 2 and 3), which comes
+    # after them in C order.  Every row must be scored again, and the
+    # masked winner returned: the regular node.
+    poly = derive_orbit_polygon(np.array([[2, 0], [1, 2], [-1, 2], [-2, 0], [-1, -2], [1, -2]],
+                                         dtype=float))
+    assert np.all(poly.delta == 1.0) and np.all(poly.dvec == 1.0)
+    charts = ChartSweep(poly)
+    poles, regular = [-0.0, -1e-13, -0.0, -1e-13], [0.5, 0.5, -0.5, -0.5]
+    axes = np.array([[[-0.0, -0.5, pole] for pole in poles],
+                     [[-0.0, -0.5, reg] for reg in regular]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row, (pole, reg) in enumerate(zip(poles, regular)):
+            c, ok = variety_point_n6(poly, -0.0, -0.5, np.array([pole, reg]))
+            slack = np.min(poly.dvec - c, axis=1)
+            assert ok.tolist() == [False, True]
+            assert np.isfinite(c[0]).all() == (pole != 0.0)
+            assert slack[0] == 1.0 and (slack[0] > slack[1] if row < 2 else slack[1] == 1.0)
+        rows = np.zeros(len(poles), dtype=int)
+        passes = []
+        scorer = charts._best
+
+        def spy(rows, params, finite):
+            passes.append((len(rows), finite))
+            return scorer(rows, params, finite)
+
+        charts._best = spy
+        m, c, p = charts.scan(rows, _grid_params(axes))
+    assert passes == [(4, False), (4, True)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        want_m, want_c, want_p = reference.chart_best(charts, rows, reference.grid_params(axes))
+    assert m.tobytes() == want_m.tobytes()
+    assert c.tobytes() == want_c.tobytes()
+    assert p.tobytes() == want_p.tobytes()
+    assert p[:, 2].tolist() == regular
+
+
 def test_variety_point_singular_nodes_are_quiet(sampled):
     # the chart's one pole is c_{n-2} = 0: c1 c2 = D0 D2 on pentagons (the
     # second node only nearly), and on hexagons, where those nodes are
@@ -706,6 +750,80 @@ def test_batched_search_matches_single_searches():
             assert np.array_equal(got.c, want.c)
     assert {el is None for el in batched} == {True, False}
     assert convex_element_search_batch([]) == []
+
+
+def _selection_sets(poly, rng):
+    """Three candidate sets of one polygon for the selection, and a row
+    that ties an integral element: the search's own rows behind an invalid
+    top row, that tie, NaN rows and the element; then variety points of
+    slack within a few eps = convexity_tol of 0, above and below -eps (the
+    conic, or the chart at c_0 = d_0 + t and d elsewhere); then those of
+    them below -eps."""
+    n, d, D, eps = poly.n, poly.dvec, poly.delta, convexity_tol(poly)
+    own = (_candidates_n4(poly) if n == 4 else
+           list(_candidates_chart([poly])[0]) + [-d] + ([d] if n == 6 else []))
+    base = d if n % 2 == 0 else -d  # an integral element
+    j = int(np.argmax(d - base))  # an entry off the argmin of the slack
+    tie = base.copy()
+    tie[j] = np.nextafter(tie[j], -np.inf)  # the same slack, other bits
+    made = [tie, base.copy(), np.full(n, np.nan), np.where(np.arange(n) == 1, np.nan, base)]
+    made = [made[k] for k in rng.permutation(len(made))]
+    a = d[0] + eps * np.array([-4.0, -2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0, 4.0])
+    # and the floor's float neighbours, where d - c >= -eps and c <= d + eps part
+    a = rng.permutation(np.append(a, np.nextafter(a[-3], [-np.inf, np.inf])))
+    if n == 4:
+        K = D[0] * D[2] - D[1] * D[3]
+        near = np.stack([a, K / a, -a, -K / a], axis=1)
+    else:
+        near = _variety_point(poly, [a] + [np.full_like(a, x) for x in d[1:n - 3]], 0)[0]
+    invalid = d - poly.scale**2  # the top slack, off the variety
+    below = near[np.min(d - near, axis=1) < -eps]
+    return [np.array([invalid] + made + own), near, below], tie
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_stacked_selection_matches_the_one_polygon_loop(sampled, n):
+    # the stacked selection keeps the bits of the one-polygon loop it
+    # replaced (reference.most_convex): the same row, c and flags, or None,
+    # with the rows of the polygons interleaved
+    rng = np.random.default_rng(53 + n)
+    polys, sets, ties = [], [], []
+    for poly in (p for m in range(1, (n + 1) // 2) for p in sampled[(n, m)][:6]):
+        rows, tie = _selection_sets(poly, rng)
+        polys += [poly] * len(rows)
+        sets += rows
+        ties.append(tie.tobytes())
+    owner = np.repeat(np.arange(len(polys)), [len(r) for r in sets])
+    slots = np.argsort(rng.permutation(owner), kind="stable")
+    cands = np.empty((len(owner), n))
+    cands[slots], owner[slots] = np.concatenate(sets), owner.copy()
+    got = outerlab.elements._most_convex_each(polys, cands, owner)
+    seen = set()
+    for k, (poly, rows, el) in enumerate(zip(polys, sets, got)):
+        want = reference.most_convex(poly, rows)
+        assert (el is None) == (want is None)
+        if k % 3 == 2:
+            seen.add(("valid below", any(make_element(poly, c).is_valid for c in rows)))
+        if want is None:
+            continue
+        assert el.base is poly
+        assert el.c.tobytes() == want.c.tobytes()
+        assert [el.is_valid, el.is_convex, el.is_special_minus, el.is_special_plus] == [
+            want.is_valid, want.is_convex, want.is_special_minus, want.is_special_plus]
+        seen.add(("found", k % 3))
+        seen.add(("tie", el.c.tobytes() in ties))
+        if k % 3 == 0:
+            assert not make_element(poly, rows[0]).is_valid
+        if k % 3 == 1:
+            seen.add(("inside", -convexity_tol(poly) <= np.min(poly.dvec - el.c) < 0))
+    assert ("found", 0) in seen and ("found", 2) not in seen
+    if n % 2 == 0:
+        # a tie, a winner within the floor and integral rows below it were met
+        assert {("tie", True), ("inside", True), ("valid below", True)} <= seen
+        assert ("inside", False) not in seen
+    found = [el.c for el in got if el is not None]
+    assert all(c.flags.owndata for c in found)
+    assert not any(np.shares_memory(a, b) for a in found for b in found + [cands] if a is not b)
 
 
 # ---------------------------------------------------------------------------
