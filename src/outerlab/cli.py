@@ -117,7 +117,9 @@ def cmd_element(args: argparse.Namespace) -> int:
     payload = {
         "n": poly.n,
         "winding": poly.winding,
-        "element": jsonio.element_to_dict(el),
+        # with the special-element flags, which the scan's finds leave out
+        "element": {**jsonio.element_to_dict(el), "is_special_minus": el.is_special_minus,
+                    "is_special_plus": el.is_special_plus},
         # the quantity make_element compared with --tol-integral
         "monodromy_residual": jsonio._number(monodromy_residual(poly, el.c)),
         "curvature": None,

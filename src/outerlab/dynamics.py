@@ -130,6 +130,11 @@ class ConvexCurve:
         return np.mean(self.points, axis=0)
 
     @cached_property
+    def centroid_xy(self) -> tuple[float, float]:
+        """The centroid as Python floats, for the O(log n) steps."""
+        return tuple(self.centroid.tolist())
+
+    @cached_property
     def diameter(self) -> float:
         p = self.points
         lo, hi = np.min(p, axis=0), np.max(p, axis=0)
@@ -373,7 +378,7 @@ def _sight_run(curve: ConvexCurve, zx: float, zy: float) -> Optional[list[tuple]
     ang, first = index
     px, py, ex, ey, tx, ty = curve.column_lists
     n = len(px)
-    cx, cy = curve.centroid.tolist()
+    cx, cy = curve.centroid_xy
     th = math.atan2(zy - cy, zx - cx)
     j = (bisect_right(ang, th) - 1 + first) % n
     if not ey[j] * (px[j] - zx) - ex[j] * (py[j] - zy) < curve.inside_tol:
@@ -469,8 +474,11 @@ def _margin_walk(
     return margin, read
 
 
-def _support_smooth(curve: ConvexCurve, zx: float, zy: float) -> tuple[tuple[float, float], float]:
-    """Support point of z on a sampled smooth curve and its tie margin.
+def _support_smooth(
+    curve: ConvexCurve, zx: float, zy: float, far: int = -1
+) -> tuple[float, float, float, int]:
+    """Support point (qx, qy) of z on a sampled smooth curve, its tie margin
+    and -1, the signature of _support_polygon (far is not used).
 
     The sight function g_k = det(p_k - z, t_k) changes sign twice round the
     curve, and the support point is the root on one of its two brackets.
@@ -487,7 +495,7 @@ def _support_smooth(curve: ConvexCurve, zx: float, zy: float) -> tuple[tuple[flo
         brackets = _sight_flips(curve, zx, zy)
     px, py, _, _, tx, ty = curve.column_lists
     n = len(px)
-    cx, cy = curve.centroid.tolist()
+    cx, cy = curve.centroid_xy
     ccx, ccy = cx - zx, cy - zy
     # A root is chosen when det(q - z, c - z) > 0.  That det is affine along
     # a chord, so at any chord point it is at most the larger of its
@@ -537,7 +545,13 @@ def _support_smooth(curve: ConvexCurve, zx: float, zy: float) -> tuple[tuple[flo
     back, read = _margin_walk(curve, zx, zy, qx, qy, lo, -1, n)
     ahead, _ = _margin_walk(curve, zx, zy, qx, qy, hi - n, 1, n - read + 1 - (hi - lo))
     margin = min(back, ahead)
-    return (qx, qy), 1.0 if margin == math.inf else margin
+    return qx, qy, 1.0 if margin == math.inf else margin, -1
+
+
+# The support step of each curve kind: (curve, zx, zy, far) -> (qx, qy,
+# margin, far).
+_SUPPORT = {"polygon": _support_polygon, "smooth": _support_smooth}
+_TIED = "supporting line meets the curve in more than one point"
 
 
 def _support_xy(
@@ -548,12 +562,9 @@ def _support_xy(
 
     far is a polygon's hint for the far tangent vertex of z: the support
     vertex of the step before (see _support_polygon)."""
-    if curve.kind == "polygon":
-        qx, qy, margin, far = _support_polygon(curve, zx, zy, far)
-    else:
-        (qx, qy), margin = _support_smooth(curve, zx, zy)
+    qx, qy, margin, far = _SUPPORT[curve.kind](curve, zx, zy, far)
     if margin <= SINGULAR_ABORT:
-        raise SingularLine("supporting line meets the curve in more than one point")
+        raise SingularLine(_TIED)
     return qx, qy, margin, far
 
 
@@ -563,8 +574,11 @@ def _support(curve: ConvexCurve, z: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _plane_point(z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (2,) or not np.isfinite(z).all():
+    """z as a float (2,) array, checked in plain floats; InputError unless
+    it is one finite plane point.  A float64 array is taken as it is."""
+    if not (type(z) is np.ndarray and z.dtype == np.float64):
+        z = np.asarray(z, dtype=float)
+    if z.shape != (2,) or not all(map(math.isfinite, z.tolist())):
         raise InputError("z must be one finite plane point")
     return z
 
@@ -629,9 +643,12 @@ def iterate(
     period = None
     closure = np.inf
     far = -1
+    support = _SUPPORT[curve.kind]
     for k in range(1, steps + 1):
         try:
-            qx, qy, margin, far = _support_xy(curve, zx, zy, far)
+            qx, qy, margin, far = support(curve, zx, zy, far)
+            if margin <= SINGULAR_ABORT:
+                raise SingularLine(_TIED)
         except SingularLine as exc:
             raise SingularOrbit(k - 1, str(exc)) from exc
         if margin < SINGULAR_FLAG:

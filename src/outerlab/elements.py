@@ -13,6 +13,16 @@ matrix and its SVD remain for the rank margin and as reference tools.  The
 paper's explicit variety equations for n = 4, 5, 6 are kept in the test
 suite, as an oracle for the monodromy.
 
+One polygon is classified in plain Python floats: ``make_element``,
+``special_element_minus`` and ``special_element_plus`` read the polygon's
+local areas, skip determinants and half-edge vectors as float lists, and
+take the monodromy residual, the convexity box, the special-element tests
+and the null-vector certificate in one pass over them, where numpy's cost
+per call would dominate arrays of 3 to 12 entries.  Stacks of polygons stay
+in numpy (``monodromy_residuals``, ``special_plus_certified`` and the
+search's candidate selection), each row with the bits of the one-polygon
+pass.
+
 The monodromy gives the variety a rational chart for every n >= 5
 (``_chart``), and the convex-element search (n = 5, 6) walks it and its
 cyclic shifts instead of raw coefficient space, so every candidate it
@@ -24,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,8 +117,8 @@ class CurvatureProfile:
     kappa: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.kappa, dtype=float)
-        if np.any(k[np.isfinite(k)] <= 0):
+        # NaN fails k > 0 and is rejected; +inf passes.
+        if np.any(~(np.asarray(self.kappa, dtype=float) > 0)):
             raise ValidationFailed("curvatures must be positive or infinite")
 
 
@@ -160,16 +171,30 @@ def monodromy_residual(poly: OrbitPolygon, c) -> float:
     in the product; inf when that scale or M is not finite, since a scale
     overflowed to inf would read every product as integral.
     """
-    d = poly.delta.tolist()
+    return _monodromy(poly.delta.tolist(), _coefficients(poly, c).tolist())
+
+
+def _monodromy(delta: list[float], c: list[float]) -> float:
+    """:func:`monodromy_residual` of the float lists of delta and c."""
     a, b, e, f = 1.0, 0.0, 0.0, 1.0  # M = [[a, b], [e, f]]
     scale = 1.0
-    for dj, dn, cj in zip(d, d[1:] + d[:1], _coefficients(poly, c).tolist()):
+    for dj, dn, cj in zip(delta, delta[1:] + delta[:1], c):
         p, q = -dn / dj, -cj / dj
         a, b, e, f = e, f, p * a + q * e, p * b + q * f
-        scale *= max(1.0, abs(p) + abs(q))
+        # scale *= max(1.0, |p| + |q|): a factor 1.0 leaves every bit of scale.
+        if (t := abs(p) + abs(q)) > 1.0:
+            scale *= t
     if not all(map(math.isfinite, (a, b, e, f, scale))):
         return math.inf
     return max(abs(a - 1.0), abs(b), abs(e), abs(f - 1.0)) / scale
+
+
+def _max_abs(values) -> float:
+    """max |v| over the floats, NaN when one is NaN, as np.max(np.abs(v)):
+    Python's max skips a NaN that is not first, their sum does not."""
+    a = list(map(abs, values))
+    total = sum(a)
+    return max(a) if total == total else total
 
 
 def monodromy_residuals(delta: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -283,20 +308,18 @@ def make_element(
     its own copy of c, so that a later change to the caller's array cannot
     reach ``c`` or the margin computed from it."""
     c = _coefficients(poly, c).copy()
-    n = poly.n
-    valid = monodromy_residual(poly, c) <= tol
+    # Each test takes the float operations of its numpy form, on float lists.
+    cl, d = c.tolist(), poly.dvec.tolist()
+    valid = _monodromy(poly.delta.tolist(), cl) <= tol
     eps = convexity_tol(poly) if convex_tol is None else convex_tol
-    convex = valid and bool(np.all(c <= poly.dvec + eps))
     special_tol = 1e-9 * poly.scale**2
-    minus = bool(np.max(np.abs(c + poly.dvec)) <= special_tol)
-    plus = n % 2 == 0 and bool(np.max(np.abs(c - poly.dvec)) <= special_tol)
     return IntegralElement(
         base=poly,
         c=c,
         is_valid=valid,
-        is_convex=convex,
-        is_special_minus=minus,
-        is_special_plus=plus,
+        is_convex=valid and all(ci <= di + eps for ci, di in zip(cl, d)),
+        is_special_minus=_max_abs(map(add, cl, d)) <= special_tol,
+        is_special_plus=poly.n % 2 == 0 and _max_abs(map(sub, cl, d)) <= special_tol,
     )
 
 
@@ -331,7 +354,7 @@ def special_element_plus(poly: OrbitPolygon, tol: float = INTEGRAL_TOL) -> Integ
         raise OddPeriod("c = +d is an integral element only for even n")
     poly.require_locally_convex()
     el = make_element(poly, poly.dvec, tol)
-    _certify_null(poly, el, _alternating(poly.r))
+    _certify_null(poly, el, poly.r, alternate=True)
     return el
 
 
@@ -375,15 +398,30 @@ def _null_bound(delta: np.ndarray, c: np.ndarray, vecs: np.ndarray) -> np.ndarra
     return 1e-10 * scale_C * np.maximum(np.max(np.abs(vecs), axis=(-2, -1)), 1e-300)
 
 
-def _certify_null(poly: OrbitPolygon, el: IntegralElement, vecs: np.ndarray):
+def _certify_null(poly: OrbitPolygon, el: IntegralElement, vecs: np.ndarray,
+                  alternate: bool = False):
+    """Raise ValidationFailed unless el is valid and C(el.c) v = 0 within
+    :func:`_null_bound` for every column v of ``vecs`` (n, k), signed
+    (-1)^j when ``alternate``.  The residual and the bound take the float
+    operations of :func:`_null_residual` and :func:`_null_bound` in plain
+    floats; a NaN residual fails, as in :func:`special_plus_certified`."""
     if not el.is_valid:
         raise ValidationFailed(
             f"special element has rank margin {el.rank_margin:.3e}; "
             "input polygon is numerically degenerate"
         )
-    resid = float(_null_residual(poly.delta, el.c, vecs))
-    bound = float(_null_bound(poly.delta, el.c, vecs))
-    if resid > bound:
+    d, c = poly.delta.tolist(), el.c.tolist()
+    dn = d[1:] + d[:1]
+    rows, vals = [], []
+    for v in vecs.T.tolist():
+        if alternate:
+            v[1::2] = [-x for x in v[1::2]]  # -x is (-1.0) * x, bit for bit
+        vals += v
+        rows += [a * vp + cj * vj + b * vq
+                 for a, vp, cj, vj, b, vq in zip(dn, v[-1:] + v[:-1], c, v, d, v[1:] + v[:1])]
+    resid = _max_abs(rows)
+    bound = 1e-10 * _max_abs(c + d) * max(_max_abs(vals), 1e-300)
+    if not resid <= bound:
         raise ValidationFailed(f"null-vector residual {resid:.3e} exceeds {bound:.3e}")
 
 

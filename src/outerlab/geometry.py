@@ -9,6 +9,13 @@ frozen.
 Index convention: all arrays are 0-based and cyclic, aligned so that entry
 ``i`` of ``delta`` is the determinant of half-edges ``i-1`` and ``i``
 (indices mod n).  Angles live at the shared vertex of those two half-edges.
+
+The bundle is derived in numpy for a stack of polygons, a single polygon
+included (``derive_orbit_polygons``): its cost is the number of array calls,
+not their size, so the neighbours are cyclic slices and the determinants are
+written on x and y columns.  Code that reads a few entries of one polygon,
+such as the one-polygon classification in ``elements``, converts the arrays
+to Python floats first.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ class OrbitPolygon:
     def scale(self) -> float:
         """Length scale of the polygon: the largest half-edge length (computed
         once: the polygon is frozen and its arrays are read-only)."""
-        return float(np.max(self.s))
+        return float(self.s.max())
 
     def require_locally_convex(self) -> "OrbitPolygon":
         if not self.locally_convex:
@@ -124,23 +131,27 @@ def derive_orbit_polygons(
     if not np.isfinite(z).all():
         raise DegeneratePolygon("vertices must be finite")
 
-    n = z.shape[1]
-    # Negative indices wrap: entry i of nxt is i + 1 and of prv i - 1, mod n.
-    nxt, prv = np.arange(1 - n, 1), np.arange(-1, n - 1)
-    zn = z[:, nxt]
-    r = (z - zn) / 2.0
-    rbar = (z + zn) / 2.0
-    s = np.hypot(r[..., 0], r[..., 1])
-    smax = s.max(axis=1)
-    if (s <= 1e-15 * smax[:, None]).any():
+    # Cyclic slices, not rolls: zc[:, i] = z_{i-1} for i = 0 .. n + 2, and
+    # rc[:, i] = r_{i-1} for i = 0 .. n + 1, so r is rc[:, 1:-1] and the
+    # columns of r_{i-1}, r_i and r_{i+1} are slices of rc's x and y columns.
+    zc = np.concatenate((z[:, -1:], z, z[:, :2]), axis=1)
+    rc = (zc[:, :-1] - zc[:, 1:]) / 2.0
+    r = rc[:, 1:-1]
+    rbar = (z + zc[:, 2:-1]) / 2.0
+    x, y = rc[..., 0], rc[..., 1]
+    px, py, cx, cy = x[:, :-2], y[:, :-2], x[:, 1:-1], y[:, 1:-1]
+    s = np.hypot(cx, cy)
+    smax = s.max(axis=1, keepdims=True)
+    if (s <= 1e-15 * smax).any():
         raise DegeneratePolygon("repeated consecutive vertices")
 
-    rp = r[:, prv]
-    delta = det2(rp, r)
-    dvec = det2(rp, r[:, nxt])
+    # det2 and inner2 written on the columns: delta_i = det(r_{i-1}, r_i),
+    # d_i = det(r_{i-1}, r_{i+1}).
+    delta = px * cy - py * cx
+    dvec = px * y[:, 2:] - py * x[:, 2:]
 
     # Signed turning from r_{i-1} to r_i; interior angle is its complement.
-    exterior = np.arctan2(delta, inner2(rp, r))
+    exterior = np.arctan2(delta, px * cx + py * cy)
     alpha = np.pi - exterior
 
     turns = exterior.sum(axis=1) / (2.0 * np.pi)
@@ -150,7 +161,7 @@ def derive_orbit_polygons(
                                 "revolutions, not an integer")
 
     tol = 1e-12 * smax * smax if convexity_tol is None else convexity_tol
-    convex = (delta.T > tol).all(axis=0)
+    convex = (delta > tol).all(axis=1)
 
     arrays = (z, r, rbar, s, delta, dvec, alpha, exterior)
     for a in arrays:

@@ -23,6 +23,15 @@ evaluates the package's chart, so that the scorer is compared bit for bit.
 falling slack and classifies each through ``make_element`` until one is a
 convex integral element.
 
+``make_element``, ``special_element_minus``, ``special_element_plus`` and
+``certify_null`` are the numpy classification of one polygon that the
+package's plain-float pass replaced: each test is a numpy expression over
+the polygon's arrays, the monodromy residual is the stacked
+``elements.monodromy_residuals`` of a one-row stack, and the null residual
+and its bound are the stacked ``_null_residual`` and ``_null_bound``.  One
+change: a NaN null residual fails the certificate (``not resid <= bound``),
+as it does in ``elements.special_plus_certified``; it passed before.
+
 ``_chart_n5`` and ``_chart_n6`` are the hand-derived pentagon and hexagon
 charts that the chart from the monodromy (``elements._chart``) replaced.
 They fix the same coordinates, c_0 ... c_{n-4}, and are kept as an oracle
@@ -55,8 +64,24 @@ from typing import Optional
 
 import numpy as np
 
-from outerlab.elements import IntegralElement, _chart, convexity_tol, make_element
-from outerlab.errors import DegeneratePolygon, SamplerExhausted, WrongPeriod
+from outerlab.elements import (
+    INTEGRAL_TOL,
+    IntegralElement,
+    _alternating,
+    _chart,
+    _coefficients,
+    _null_bound,
+    _null_residual,
+    convexity_tol,
+    monodromy_residuals,
+)
+from outerlab.errors import (
+    DegeneratePolygon,
+    OddPeriod,
+    SamplerExhausted,
+    ValidationFailed,
+    WrongPeriod,
+)
 from outerlab.geometry import WINDING_TOL, OrbitPolygon, det2, inner2
 from outerlab.lab import ANGLE_MARGIN, LENGTH_FLOOR
 
@@ -289,6 +314,48 @@ def most_convex(poly: OrbitPolygon, cands: np.ndarray) -> Optional[IntegralEleme
         if el.is_valid and el.is_convex:
             return el
     return None
+
+
+def make_element(poly: OrbitPolygon, c, tol: float = INTEGRAL_TOL,
+                 convex_tol: float | None = None) -> IntegralElement:
+    c = _coefficients(poly, c).copy()
+    n = poly.n
+    valid = bool(monodromy_residuals(poly.delta[None], c[None])[0] <= tol)
+    eps = convexity_tol(poly) if convex_tol is None else convex_tol
+    convex = valid and bool(np.all(c <= poly.dvec + eps))
+    special_tol = 1e-9 * poly.scale**2
+    minus = bool(np.max(np.abs(c + poly.dvec)) <= special_tol)
+    plus = n % 2 == 0 and bool(np.max(np.abs(c - poly.dvec)) <= special_tol)
+    return IntegralElement(base=poly, c=c, is_valid=valid, is_convex=convex,
+                           is_special_minus=minus, is_special_plus=plus)
+
+
+def special_element_minus(poly: OrbitPolygon, tol: float = INTEGRAL_TOL) -> IntegralElement:
+    poly.require_locally_convex()
+    el = make_element(poly, -poly.dvec, tol)
+    certify_null(poly, el, poly.r)
+    return el
+
+
+def special_element_plus(poly: OrbitPolygon, tol: float = INTEGRAL_TOL) -> IntegralElement:
+    if poly.n % 2:
+        raise OddPeriod("c = +d is an integral element only for even n")
+    poly.require_locally_convex()
+    el = make_element(poly, poly.dvec, tol)
+    certify_null(poly, el, _alternating(poly.r))
+    return el
+
+
+def certify_null(poly: OrbitPolygon, el: IntegralElement, vecs: np.ndarray):
+    if not el.is_valid:
+        raise ValidationFailed(
+            f"special element has rank margin {el.rank_margin:.3e}; "
+            "input polygon is numerically degenerate"
+        )
+    resid = float(_null_residual(poly.delta, el.c, vecs))
+    bound = float(_null_bound(poly.delta, el.c, vecs))
+    if not resid <= bound:
+        raise ValidationFailed(f"null-vector residual {resid:.3e} exceeds {bound:.3e}")
 
 
 def identity_residual_n5(poly, c) -> float:

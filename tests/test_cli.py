@@ -231,6 +231,21 @@ def test_element_reports_the_monodromy_residual_for_every_n(tmp_path):
     assert code == 0 and payload["element"]["is_valid"] is False
 
 
+def test_element_reports_the_special_flags(tmp_path):
+    # c = -d and c = +d are flagged as such, an odd n never has c = +d,
+    # and a vector off both is neither
+    for n, m in ((8, 3), (7, 2)):
+        poly = tmp_path / f"poly{n}.json"
+        assert main(["sample", str(n), str(m), "--seed", "7", "--json", str(poly)]) == 0
+        for argv, flags in ((["--special-minus"], [True, False]), (["--special-plus"], [False, n % 2 == 0]),
+                            (["--c", ",".join(["1"] * n)], [False, False])):
+            code, payload = run_json(tmp_path, ["element", str(poly), *argv])
+            el = payload["element"]
+            assert code == 0 and [el["is_special_minus"], el["is_special_plus"]] == flags, (n, argv)
+            assert sorted(el) == ["c", "is_convex", "is_special_minus", "is_special_plus",
+                                  "is_valid", "rank_margin"]
+
+
 def test_element_wrong_length_exit_2(tmp_path, square_poly_file):
     assert main(["element", square_poly_file, "--c", "1,2,3"]) == 2
 

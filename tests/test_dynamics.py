@@ -261,6 +261,26 @@ def test_nonfinite_start_rejected(sq_curve, circle):
                 tangency_point(curve, z)
 
 
+def test_start_points_are_checked_alike_in_every_form(sq_curve):
+    # a float64 (2,) array, the common start, is checked in plain floats
+    # and kept as it is; every other form is converted first, and a bad
+    # point of any form raises the same InputError
+    z = np.array([2.3, 0.7])
+    assert dynamics._plane_point(z) is z
+    assert iterate(sq_curve, z, steps=3).start is z
+    for good in ([2.3, 0.7], (2.3, 0.7), np.array([2.3, 0.7], dtype=np.float32),
+                 np.array([2, 1]), z[::-1][::-1]):
+        assert dynamics._plane_point(good).dtype == np.float64
+    strided = np.array([[2.3, 9.0], [0.7, 9.0]])[:, 0]
+    assert dynamics._plane_point(strided) is strided
+    for bad in (np.array([np.nan, 0.7]), np.array([2.3, -np.inf]), np.array([np.inf, np.nan], dtype=np.float32),
+                [0.0, np.nan], np.zeros(3), np.zeros((1, 2)), [1.0], np.array(2.0)):
+        with pytest.raises(InputError, match="one finite plane point"):
+            dynamics._plane_point(bad)
+        with pytest.raises(InputError, match="one finite plane point"):
+            iterate(sq_curve, bad, steps=1)
+
+
 def test_smooth_curve_rejects_bad_tangents():
     th = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
     pts = np.column_stack([np.cos(th), np.sin(th)])
@@ -851,7 +871,7 @@ def test_windowed_margin_equals_the_whole_curve_pass():
             if curve.contains(z):
                 continue
             try:
-                q, margin = dynamics._support_smooth(curve, *z.tolist())
+                *q, margin, _ = dynamics._support_smooth(curve, *z.tolist())
             except SingularLine:
                 continue
             assert margin == _whole_curve_margin(curve, z, np.array(q)), z.tolist()

@@ -1,5 +1,6 @@
 """Rank tests, variety equations, charts, curvature transfer, search."""
 
+import functools
 import hashlib
 import warnings
 
@@ -13,8 +14,11 @@ from outerlab.elements import (
     ChartSweep,
     CurvatureProfile,
     _candidates_chart,
+    _alternating,
     _candidates_n4,
+    _certify_null,
     _grid_params,
+    _null_bound,
     _null_residual,
     _variety_point,
     build_matrix_C,
@@ -45,6 +49,7 @@ from outerlab.errors import (
     NotIntegralElement,
     NotLocallyConvex,
     OddPeriod,
+    OuterLabError,
     UnsupportedPeriod,
     ValidationFailed,
     WrongPeriod,
@@ -595,6 +600,24 @@ def test_curvature_profile_validation():
     with pytest.raises(ValidationFailed):
         CurvatureProfile(kappa=np.array([1.0, -2.0, 3.0]))
     CurvatureProfile(kappa=np.array([1.0, np.inf, 3.0]))  # corners are fine
+    for bad in (np.nan, -np.inf, 0.0):
+        with pytest.raises(ValidationFailed):
+            CurvatureProfile(kappa=np.array([1.0, bad, 3.0]))
+
+
+def test_curvature_transfer_rejects_nan(sampled):
+    # a NaN curvature fails k > 0: the transfer raises instead of handing
+    # an all-NaN profile, or a NaN entry of c, to the caller
+    poly = sampled[(6, 1)][0]
+    with pytest.raises(ValidationFailed):
+        curvature_from_element(poly, [np.nan] * poly.n)
+    kappa = np.full(poly.n, 1.0 / poly.scale)
+    kappa[2] = np.nan
+    with pytest.raises(ValidationFailed):
+        element_from_curvature(poly, CurvatureProfile(kappa=kappa))
+    kappa[2] = np.inf  # a corner
+    c = element_from_curvature(poly, CurvatureProfile(kappa=kappa))
+    assert np.isfinite(c).all() and c[2] == poly.dvec[2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -870,6 +893,11 @@ def _skinny_pool(n, m, draws=60):
     return polys[0], polys[int(np.argmin(turn))], polys[int(np.argmin(length))]
 
 
+@functools.cache
+def _skinny_pool_cached(n, m):
+    return _skinny_pool(n, m)
+
+
 def _oracle_cases():
     """(poly, c) pairs: exact elements, conic and chart candidates, and -d
     with one entry moved by 1e-2, 1e-3, 1e-6 and a decade sweep down to
@@ -877,7 +905,7 @@ def _oracle_cases():
     eps = sorted({1e-2, 1e-3, 1e-6, *10.0 ** -np.arange(4, 14)}, reverse=True)
     floors = [np.inf, np.inf]
     for n, m in PAIRS_3_12:
-        for poly in _skinny_pool(n, m):
+        for poly in _skinny_pool_cached(n, m):
             x = poly.exterior / np.pi
             floors[0] = min(floors[0], min(x.min(), 1.0 - x.max()) / ANGLE_MARGIN)
             floors[1] = min(floors[1], poly.s.min() / poly.s.max() / LENGTH_FLOOR)
@@ -915,6 +943,113 @@ def test_monodromy_verdict_matches_svd_reference():
     assert cases > 2500
     # a threshold moved 100x either way meets decided cases it gets wrong
     assert near[True] > 0 and near[False] > 0, near
+
+
+def _outcome(fn, *args):
+    """The element's c bits, flags and base, or the error's type and text."""
+    try:
+        el = fn(*args)
+    except OuterLabError as exc:
+        return type(exc), str(exc)
+    if el is None:
+        return None
+    flags = (el.is_valid, el.is_convex, el.is_special_minus, el.is_special_plus)
+    assert all(type(f) is bool for f in flags)
+    return el.c.tobytes(), flags, el.base
+
+
+def _classification_vectors(poly):
+    """c = -d and +d, -d with one entry moved by 1e-2, 1e-6 and 1e-13 of
+    max|d|, d with one entry half and twice the convexity slack above,
+    -d with one entry +0.0, -0.0, NaN, +inf or -inf, and a normal draw."""
+    d, n = poly.dvec, poly.n
+    big, eps = np.max(np.abs(d)), convexity_tol(poly)
+    rng = np.random.default_rng(n)
+    yield -d
+    yield d.copy()
+    for j in (0, n // 2):
+        for e in (1e-2, 1e-6, 1e-13):
+            c = -d.copy()
+            c[j] += e * big
+            yield c
+        for e in (0.5, 2.0):
+            c = d.copy()
+            c[j] += e * eps
+            yield c
+        for x in (0.0, -0.0, np.nan, np.inf, -np.inf):
+            c = -d.copy()
+            c[j] = x
+            yield c
+    yield rng.normal(size=n) * poly.scale**2
+
+
+def test_one_polygon_classification_matches_the_numpy_reference():
+    # the plain-float classification keeps every flag, c bit and raised
+    # error of the numpy classification it replaced (reference), on
+    # sampler draws for n = 3..12 with the draws closest to the angle and
+    # length floors, at the default tolerances and at tight ones
+    verdicts = set()
+    for n, m in PAIRS_3_12:
+        for poly in _skinny_pool_cached(n, m):
+            for c in _classification_vectors(poly):
+                for tols in ((), (INTEGRAL_TOL, None), (1e-16, 0.0)):
+                    got = _outcome(make_element, poly, c, *tols)
+                    assert got == _outcome(reference.make_element, poly, c, *tols), (n, m, c, tols)
+                    verdicts.add(got[1])
+            for tol in (INTEGRAL_TOL, 1e-17):
+                for fn in ("special_element_minus", "special_element_plus"):
+                    got = _outcome(getattr(outerlab.elements, fn), poly, tol)
+                    assert got == _outcome(getattr(reference, fn), poly, tol), (n, m, fn, tol)
+                    verdicts.add(got[0])
+    # valid and invalid, convex and not, both specials, and every error met
+    assert {(True, True, False, True), (True, False, True, False), (False, False, False, False),
+            (True, True, False, False), OddPeriod, ValidationFailed} <= verdicts, verdicts
+    square = derive_orbit_polygon([[0, 0], [1, 0], [1, 1], [0, 1]][::-1])
+    for fn in ("make_element", "special_element_minus", "special_element_plus"):
+        args = (square, np.zeros(4)) if fn == "make_element" else (square,)
+        assert _outcome(getattr(outerlab.elements, fn), *args) == (
+            NotLocallyConvex, str(pytest.raises(NotLocallyConvex, getattr(reference, fn), *args).value))
+    poly = _skinny_pool_cached(5, 2)[0]
+    assert _outcome(make_element, poly, np.zeros(4)) == _outcome(reference.make_element, poly, np.zeros(4))
+
+
+def _null_vectors(poly):
+    """The half-edge vectors, moved by 1e-6 of the scale, and with one entry
+    +0.0, -0.0, NaN, +inf or -inf."""
+    yield poly.r
+    yield poly.r + 1e-6 * poly.scale
+    for x in (0.0, -0.0, np.nan, np.inf, -np.inf):
+        v = poly.r.copy()
+        v[1, 0] = x
+        yield v
+
+
+def test_null_certificate_matches_the_numpy_reference():
+    for n, m in PAIRS_3_12:
+        for poly in _skinny_pool_cached(n, m):
+            for el in [special_element_minus(poly)] + ([special_element_plus(poly)] if n % 2 == 0 else []):
+                for vecs in _null_vectors(poly):
+                    for alternate in (False, True):
+                        got = _outcome(_certify_null, poly, el, vecs, alternate)
+                        want = _outcome(reference.certify_null, poly, el,
+                                        _alternating(vecs) if alternate else vecs)
+                        assert got == want, (n, m, vecs, alternate)
+
+
+def test_null_certificates_fail_a_nan_residual(sampled):
+    # a NaN residual fails the one-polygon certificate, as it fails the
+    # stacked one (special_plus_certified compares with <=)
+    poly = sampled[(6, 2)][0]
+    el = special_element_plus(poly)
+    vecs = _alternating(poly.r)
+    _certify_null(poly, el, vecs)
+    bad = vecs.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(ValidationFailed, match="null-vector residual nan"):
+        _certify_null(poly, el, bad)
+    assert not _null_residual(poly.delta, el.c, bad) <= _null_bound(poly.delta, el.c, bad)
+    with pytest.raises(ValidationFailed, match="null-vector residual nan"):
+        _certify_null(poly, el, np.full_like(vecs, np.nan))
 
 
 def test_null_residual_matches_dense_product(sampled):
