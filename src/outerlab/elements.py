@@ -63,13 +63,12 @@ RANK_REL_DEFAULT = 1e-9
 # fixed threshold on it would depend on the polygon's conditioning.
 INTEGRAL_TOL = 1e-13
 
-# Effort of the convex-element search on n = 4, 5, 6.  GRID is the number of
+# Effort of the convex-element search on n = 5, 6.  GRID is the number of
 # samples per chart axis of the coarse sweep, which scores every shifted
-# chart on a tensor grid over the search box (search_box; on n = 4 it is the
-# number of conic samples per branch).  The best regular point of each chart
-# is refined by ZOOM_ROUNDS rounds of a ZOOM_GRID-per-axis local grid,
-# starting one coarse cell wide and shrinking fourfold per round.  The
-# search has no other stage and no random input.
+# chart on a tensor grid over the search box (search_box).  The best regular
+# point of each chart is refined by ZOOM_ROUNDS rounds of a ZOOM_GRID-per-axis
+# local grid, starting one coarse cell wide and shrinking fourfold per round.
+# The search has no other stage and no random input.
 GRID = 21
 ZOOM_ROUNDS = 3
 ZOOM_GRID = 9
@@ -576,13 +575,14 @@ MAX_CHART_POINTS = 4 * GRID**3
 def convex_element_search(poly: OrbitPolygon) -> Optional[IntegralElement]:
     """Look for a convex integral element; None when none is found.
 
-    Strategy per n: n = 3 has a single closed-form element; n = 4 sweeps the
-    one-parameter conic under the convexity box; n = 5, 6 sweep every shifted
-    rational chart of the variety on a grid, scoring candidates by their
-    worst convexity slack min_i (d_i - c_i), and refine each chart's best
-    point with shrinking local grids.  The element maximizing that slack is
-    returned, so a strictly interior element is preferred over the
-    ever-present corner element c = d of even n.  A None for odd n is
+    Strategy per n: n = 3 has a single closed-form element; on n = 4 the
+    convexity box pins the one-parameter conic to two closed-form points
+    (:func:`_candidates_n4`), so n = 3 and 4 are exact.  n = 5, 6 sweep every
+    shifted rational chart of the variety on a grid, scoring candidates by
+    their worst convexity slack min_i (d_i - c_i), and refine each chart's
+    best point with shrinking local grids.  The element maximizing that slack
+    is returned, so a strictly interior element is preferred over the
+    ever-present corner element c = d of even n.  On n = 5, 6 a None is
     evidence of absence, not proof; verifiers aggregate over many samples.
     The search is a pure function of the polygon.  This is the one-polygon
     case of :func:`convex_element_search_batch`.
@@ -664,19 +664,20 @@ def _search_box(d: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _candidates_n4(poly: OrbitPolygon) -> list[np.ndarray]:
-    """Conic sweep c = (t, K/t, -t, -K/t) plus its degenerate branches."""
-    D = poly.delta
-    lo, d = search_box(poly)
+    """c = d, and the points of the conic c = (t, K/t, -t, -K/t) at
+    c_0 = d_0 and at c_1 = d_1, plus its degenerate lines when K is tiny.
+    dvec forms d_2 from the products of d_0, swapped, so d_2 = -d_0 in
+    floats, and c_0 <= d_0, c_2 = -c_0 <= d_2 pin c_0 = d_0; likewise
+    c_1 = d_1.  So no other point of the conic is convex."""
+    D, d = poly.delta, poly.dvec
     K = D[0] * D[2] - D[1] * D[3]
     sc2 = poly.scale**2
     tiny = 1e-12 * sc2
     cands = [d.copy()]
-    for t in np.linspace(lo[0], d[0], GRID):
-        if abs(t) > tiny:
-            cands.append(np.array([t, K / t, -t, -K / t]))
-    for t in np.linspace(lo[1], d[1], GRID):
-        if abs(t) > tiny:
-            cands.append(np.array([K / t, t, -K / t, -t]))
+    if abs(d[0]) > tiny:
+        cands.append(np.array([d[0], K / d[0], -d[0], -K / d[0]]))
+    if abs(d[1]) > tiny:
+        cands.append(np.array([K / d[1], d[1], -K / d[1], -d[1]]))
     if abs(K) <= tiny * sc2:
         # degenerate conic: the union of the two coordinate lines
         cands.append(np.array([d[0], 0.0, -d[0], 0.0]))

@@ -17,7 +17,8 @@ class InputError(OuterLabError):
 
 
 class DegeneratePolygon(InputError):
-    """Polygon has a repeated consecutive vertex or non-closing turning data."""
+    """Polygon has a coordinate that is not finite or too large, a repeated
+    consecutive vertex, or non-closing turning data."""
 
 
 class NotLocallyConvex(OuterLabError):

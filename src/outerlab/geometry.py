@@ -31,6 +31,11 @@ from .errors import DegeneratePolygon, NotLocallyConvex
 # Accept a turning sum as a winding number only this close to an integer.
 WINDING_TOL = 1e-9
 
+# The largest vertex coordinate accepted.  Half-edge coordinates are then at
+# most 2^511 in size, so the determinants and inner products of two of them,
+# at most 2^1023, cannot overflow.
+MAX_COORDINATE = 2.0**511
+
 
 def det2(u, v):
     """2x2 determinant det(u, v) = u_x v_y - u_y v_x.
@@ -106,30 +111,29 @@ class OrbitPolygon:
         return self.locally_convex and 0 < 2 * self.winding < self.n
 
 
-def derive_orbit_polygon(
-    vertices: Sequence, convexity_tol: float | None = None
-) -> OrbitPolygon:
+def derive_orbit_polygon(vertices: Sequence) -> OrbitPolygon:
     """The derived bundle of one closed polygon: the one-polygon case of
     :func:`derive_orbit_polygons`."""
-    return derive_orbit_polygons([vertices], convexity_tol)[0]
+    return derive_orbit_polygons([vertices])[0]
 
 
-def derive_orbit_polygons(
-    vertices: Sequence, convexity_tol: float | None = None
-) -> list[OrbitPolygon]:
+def derive_orbit_polygons(vertices: Sequence) -> list[OrbitPolygon]:
     """Build the full derived bundle for each polygon of a (k, n, 2) stack.
 
-    ``convexity_tol`` is the area floor below which a polygon is flagged as
-    not locally convex; default 1e-12 * (its max half-edge length)^2.
+    A polygon is flagged as not locally convex unless every local area
+    exceeds 1e-12 * (its max half-edge length)^2.
 
-    Raises DegeneratePolygon when consecutive vertices of any polygon
-    coincide or its turning angles do not sum to an integer multiple of 2 pi.
+    Raises DegeneratePolygon when a coordinate is not finite or exceeds
+    MAX_COORDINATE, or when consecutive vertices of any polygon coincide or
+    its turning angles do not sum to an integer multiple of 2 pi.
     """
     z = np.array(vertices, dtype=float)
     if z.ndim != 3 or z.shape[2] != 2 or z.shape[1] < 3:
         raise DegeneratePolygon("need at least 3 plane points")
-    if not np.isfinite(z).all():
-        raise DegeneratePolygon("vertices must be finite")
+    if not abs(z).max(initial=0.0) <= MAX_COORDINATE:
+        if not np.isfinite(z).all():
+            raise DegeneratePolygon("vertices must be finite")
+        raise DegeneratePolygon("vertices are too large: their edge products overflow")
 
     # Cyclic slices, not rolls: zc[:, i] = z_{i-1} for i = 0 .. n + 2, and
     # rc[:, i] = r_{i-1} for i = 0 .. n + 1, so r is rc[:, 1:-1] and the
@@ -160,8 +164,7 @@ def derive_orbit_polygons(
         raise DegeneratePolygon(f"turning angles sum to {turns[off][0]:.12f} "
                                 "revolutions, not an integer")
 
-    tol = 1e-12 * smax * smax if convexity_tol is None else convexity_tol
-    convex = (delta > tol).all(axis=1)
+    convex = (delta > 1e-12 * smax * smax).all(axis=1)
 
     arrays = (z, r, rbar, s, delta, dvec, alpha, exterior)
     for a in arrays:

@@ -4,8 +4,9 @@ The sampler draws (n, m) orbit polygons: turning angles with the exact
 angle budget 2 pi m, edge directions by cumulative sums, and edge lengths
 solved from the two closure constraints by exact projection onto the null
 space (never approximated).  Verifiers check the nonexistence statements
-for n = 3, 4, (5,2), (6,2) over many samples and report margins; a failure
-is stored with a replay bundle instead of being hidden.  A (5,2) or (6,2)
+for n = 3, 4, (5,2), (6,2) over many samples.  Each gathers one margin per
+trial and one replay bundle per failure, so a failure is never hidden; the
+report counts the bundles and keeps the first MAX_BUNDLES.  A (5,2) or (6,2)
 trial is decided exactly by the sign certificate of its float vertices
 (:func:`_sign_certificates`, which proves that every admissible (5,2) star
 and, up to ties and the g condition, every non-paradoxical (6,2) star has
@@ -13,14 +14,12 @@ one).  So an uncertified (5,2) trial is a failure and is not searched; the
 grid search runs only on uncertified (6,2) trials and on the controls.
 
 All verifier trials and scan samples are pure functions of per-draw seeds
-spawned from the master seed.  Every verifier first draws the polygons of
-all its trials in one lock-step batch (:func:`sample_orbit_polygons`), each
-trial from its own generator; the (6,2) verifier tests each round of draws
-for paradoxical angles as one stack and redraws those trials.  The paradoxical
-scan draws its plain and its spiked samples in one batch each.  The
-convex-element search draws nothing: it is a pure function of the polygon.
-The (5,2) and (6,2) verifiers certify all trials at once, then run one
-batched search.
+spawned from the master seed.  Every verifier draws the polygons of all its
+trials in one lock-step batch (:func:`sample_orbit_polygons`), each from its
+own generator; the (6,2) verifier redraws its paradoxical trials a round at
+a time.  Certificates and searches each run once, on a stack.  The paradoxical
+scan draws its plain and its spiked samples in one batch each.  The search
+draws nothing: it is a pure function of the polygon.
 """
 
 from __future__ import annotations
@@ -195,16 +194,14 @@ MAX_BUNDLES = 10
 MAX_PARADOXICAL_DRAWS = 1000
 
 
-def _collect(results: list[dict], theorem: str, seed: int, samples: int,
-             notes: str) -> VerifierReport:
-    failures = sum(r["failures"] for r in results)
-    bundles = [b for r in results for b in r.get("bundles", ())]
-    worst = max(r["margin"] for r in results) if results else 0.0
+def _report(theorem: str, seed: int, samples: int, margins: list, bundles: list,
+            notes: str) -> VerifierReport:
+    """A verifier's report: one bundle per failure; worst margin 0.0 if none."""
     return VerifierReport(
         theorem=theorem,
         samples=samples,
-        failures=failures,
-        worst_margin=float(worst),
+        failures=len(bundles),
+        worst_margin=float(max(margins, default=0.0)),
         notes=notes,
         seed=seed,
         failure_bundles=tuple(bundles[:MAX_BUNDLES]),
@@ -219,35 +216,39 @@ def _bundle(poly: OrbitPolygon, c, label: str) -> dict:
     }
 
 
+def _off_d(poly: OrbitPolygon, c) -> float:
+    """|c - d| / scale^2, the distance of an element from the corner c = d."""
+    return float(np.max(np.abs(c - poly.dvec)) / poly.scale**2)
+
+
+def _control_misses(polys: list[OrbitPolygon], found: list, label: str) -> list[dict]:
+    """A bundle per control whose search found no element."""
+    return [_bundle(poly, None, label) for poly, el in zip(polys, found) if el is None]
+
+
 # ---------------------------------------------------------------------------
 # Theorem n = 3: the single integral element is never convex.
 
 def verify_theorem_n3(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> VerifierReport:
-    def trial(poly: OrbitPolygon) -> dict:
+    margins, bundles = [], []
+    for poly in sample_orbit_polygons(3, 1, _spawned_rngs(seed, trials)):
         cstar = np.roll(poly.delta, 1)
         el = make_element(poly, cstar)
         half_area = 0.5 * polygon_area(poly.vertices)
-        rel_dev = float(np.max(np.abs(cstar - half_area)) / abs(half_area))
-        perturbed = cstar * np.array([1.0, 1.0, 2.0])
-        bad = make_element(poly, perturbed)
-        ok = (el.is_valid and not el.is_convex and rel_dev < 1e-9
-              and not bad.is_valid
-              and bool(np.all(cstar > poly.dvec)))
-        out = {"failures": 0 if ok else 1, "margin": rel_dev}
-        if not ok:
-            out["bundles"] = [_bundle(poly, cstar, "n3-element-check")]
-        return out
-
-    results = [trial(poly) for poly in sample_orbit_polygons(3, 1, _spawned_rngs(seed, trials))]
-    return _collect(
-        results, "n3", seed, trials,
+        margins.append(float(np.max(np.abs(cstar - half_area)) / abs(half_area)))
+        bad = make_element(poly, cstar * np.array([1.0, 1.0, 2.0]))
+        if not (el.is_valid and not el.is_convex and margins[-1] < 1e-9
+                and not bad.is_valid and np.all(cstar > poly.dvec)):
+            bundles.append(_bundle(poly, cstar, "n3-element-check"))
+    return _report(
+        "n3", seed, trials, margins, bundles,
         "unique element equals the half area on every triangle and is never "
         "convex; margin is the worst relative deviation from the half area",
     )
 
 
 # ---------------------------------------------------------------------------
-# Theorem n = 4: the conic sweep pins the only convex element to c = d.
+# Theorem n = 4: the only convex element is the corner c = d.
 
 def _random_trapezoids(rngs: list[np.random.Generator]) -> list[OrbitPolygon]:
     """A turned trapezoid per generator.  With 0 < b < a and h > 0 it is a
@@ -274,21 +275,15 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
     trapezoids = iter(_random_trapezoids(rngs[4::5]))
     polys = [next(trapezoids if k % 5 == 4 else sampled) for k in range(trials)]
 
-    def trial(poly: OrbitPolygon, el: Optional[IntegralElement]) -> dict:
-        sc2 = poly.scale**2
+    margins, bundles = [], []
+    for poly, el in zip(polys, convex_element_search_batch(polys)):
+        margins.append(np.inf if el is None else _off_d(poly, el.c))
         if el is None:
-            return {"failures": 1, "margin": np.inf,
-                    "bundles": [_bundle(poly, None, "n4-no-element")]}
-        dev = float(np.max(np.abs(el.c - poly.dvec)) / sc2)
-        ok = dev <= 1e-8
-        out = {"failures": 0 if ok else 1, "margin": dev}
-        if not ok:
-            out["bundles"] = [_bundle(poly, el.c, "n4-off-d-element")]
-        return out
-
-    results = [trial(poly, el) for poly, el in zip(polys, convex_element_search_batch(polys))]
-    return _collect(
-        results, "n4", seed, trials,
+            bundles.append(_bundle(poly, None, "n4-no-element"))
+        elif not margins[-1] <= 1e-8:
+            bundles.append(_bundle(poly, el.c, "n4-off-d-element"))
+    return _report(
+        "n4", seed, trials, margins, bundles,
         "every convex element found by the conic sweep coincides with d "
         "(margin = worst |c - d| / scale^2); every fifth sample is a "
         "trapezoid to exercise the degenerate branch",
@@ -364,25 +359,11 @@ def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     stars = sample_orbit_polygons(5, 2, _spawned_rngs(seed, trials))
     convex = sample_orbit_polygons(5, 1, _spawned_rngs(seed + 1, controls, "controls"))
     certified, margins = _sign_certificates(stars)
-
-    def trial(poly: OrbitPolygon, certified: bool, margin: float) -> dict:
-        if certified:
-            return {"failures": 0, "margin": float(margin)}
-        return {"failures": 1, "margin": float(margin),
-                "bundles": [_bundle(poly, None, "n52-nonneg-d")]}
-
-    def control(poly: OrbitPolygon, el) -> dict:
-        ok = el is not None
-        out = {"failures": 0 if ok else 1, "margin": -np.inf}
-        if not ok:
-            out["bundles"] = [_bundle(poly, None, "n51-control-miss")]
-        return out
-
-    results = [trial(*args) for args in zip(stars, certified, margins)]
-    results += [control(poly, el) for poly, el in zip(convex, convex_element_search_batch(convex))]
+    bundles = [_bundle(poly, None, "n52-nonneg-d") for poly, ok in zip(stars, certified) if not ok]
+    bundles += _control_misses(convex, convex_element_search_batch(convex), "n51-control-miss")
     uncertified = trials - int(certified.sum())
-    return _collect(
-        results, "n52", seed, trials,
+    return _report(
+        "n52", seed, trials, margins.tolist() + [-np.inf] * controls, bundles,
         f"no convex element on any (5,2) sample: {trials - uncertified}/{trials} "
         f"certified exactly by d_i < 0 for all i; margin is the worst "
         f"max_i d_i/(s_(i-1) s_(i+1)) = -sin(alpha_i + alpha_(i+1)) (negative "
@@ -412,63 +393,50 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             discarded[k] += 1
     convex = sample_orbit_polygons(6, 1, _spawned_rngs(seed + 1, controls, "controls"))
     kept = [polys[k] for k, lost in enumerate(discarded) if lost < MAX_PARADOXICAL_DRAWS]
-    certified, margins = _sign_certificates(kept)
-    certs = iter(zip(certified, margins))
+    certified, cert_margins = _sign_certificates(kept)
+    certs = iter(zip(certified, cert_margins))
     corner = iter(special_plus_certified([p for p, ok in zip(kept, certified) if ok]))
     # Uncertified trials take the first search results, in order; the controls the rest.
     found = iter(convex_element_search_batch(
         [p for p, ok in zip(kept, certified) if not ok] + convex))
 
-    def capped(poly: OrbitPolygon, discarded: int) -> dict:
-        return {"failures": 1, "margin": 0.0, "discarded": discarded,
-                "bundles": [_bundle(poly, None, "n62-paradoxical-cap")]}
-
-    def trial(poly: OrbitPolygon, discarded: int, certified: bool, margin: float) -> dict:
-        out = {"failures": 0, "margin": float(margin), "discarded": discarded}
-        if certified:
-            if next(corner):
-                return out
-            bundle = _bundle(poly, None, "n62-missing-corner-element")
+    margins, bundles = [], []
+    for k, lost in enumerate(discarded):
+        poly = polys[k]
+        if lost == MAX_PARADOXICAL_DRAWS:
+            margins.append(0.0)
+            bundles.append(_bundle(poly, None, "n62-paradoxical-cap"))
+            continue
+        ok, margin = next(certs)
+        if ok:
+            margins.append(float(margin))
+            if not next(corner):
+                bundles.append(_bundle(poly, None, "n62-missing-corner-element"))
         elif (el := next(found)) is None:
-            out["margin"] = np.inf
-            bundle = _bundle(poly, None, "n62-missing-corner-element")
+            margins.append(np.inf)
+            bundles.append(_bundle(poly, None, "n62-missing-corner-element"))
         else:
-            out["margin"] = float(np.max(np.abs(el.c - poly.dvec)) / poly.scale**2)
-            if out["margin"] <= 1e-8:
-                return out
-            bundle = _bundle(poly, el.c, "n62-off-d-element")
-        out.update(failures=1, bundles=[bundle])
-        return out
-
-    def control(poly: OrbitPolygon, el) -> dict:
-        if el is None:
-            return {"failures": 1, "margin": -np.inf,
-                    "bundles": [_bundle(poly, None, "n61-control-miss")]}
-        dev = float(np.max(np.abs(el.c - poly.dvec)) / poly.scale**2)
-        return {"failures": 0, "margin": -np.inf, "control_dev": dev}
-
-    results = [capped(polys[k], lost) if lost == MAX_PARADOXICAL_DRAWS
-               else trial(polys[k], lost, *next(certs))
-               for k, lost in enumerate(discarded)]
-    control_results = [control(poly, el) for poly, el in zip(convex, found)]
-    devs = [r.get("control_dev", 0.0) for r in control_results]
-    interior_hits = sum(1 for v in devs if v > 1e-3)
+            margins.append(_off_d(poly, el.c))
+            if not margins[-1] <= 1e-8:
+                bundles.append(_bundle(poly, el.c, "n62-off-d-element"))
+    # The controls test the search, not the theorem: their margins are -inf.
+    found = list(found)
+    bundles += _control_misses(convex, found, "n61-control-miss")
+    margins += [-np.inf] * controls
+    interior_hits = sum(el is not None and _off_d(poly, el.c) > 1e-3
+                        for poly, el in zip(convex, found))
     if interior_hits == 0:
-        control_results.append({
-            "failures": 1, "margin": -np.inf,
-            "bundles": [{"label": "n61-no-interior-element",
-                         "vertices": [], "candidate_c": None}],
-        })
-    discarded = sum(r.get("discarded", 0) for r in results)
+        margins.append(-np.inf)
+        bundles.append({"label": "n61-no-interior-element", "vertices": [], "candidate_c": None})
     searched = len(kept) - int(certified.sum())
-    return _collect(
-        results + control_results, "n62", seed, trials,
+    return _report(
+        "n62", seed, trials, margins, bundles,
         f"c = d is the only convex element on every non-paradoxical (6,2) "
         f"sample: {len(kept) - searched}/{trials} certified exactly by a shift "
         f"k with d_k, d_(k+1), d_(k+3), d_(k+4) < 0 and c = d checked by its "
         f"null vectors (margin = the best shift's max d_i/(s_(i-1) s_(i+1)), "
         f"negative = certified); {searched} uncertified samples grid-searched "
-        f"(margin = |c - d|/scale^2, bound 1e-8); {discarded} paradoxical "
+        f"(margin = |c - d|/scale^2, bound 1e-8); {sum(discarded)} paradoxical "
         f"samples discarded; {interior_hits}/{controls} convex-hexagon controls "
         f"gave an interior element in the grid search (|c - d| > 1e-3 scale^2)",
     )

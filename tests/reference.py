@@ -32,6 +32,10 @@ and its bound are the stacked ``_null_residual`` and ``_null_bound``.  One
 change: a NaN null residual fails the certificate (``not resid <= bound``),
 as it does in ``elements.special_plus_certified``; it passed before.
 
+``candidates_n4`` is the n = 4 search's sweep of the conic over the search
+box, 21 points a branch, that the closed form (``elements._candidates_n4``)
+replaced.  It is kept as an oracle: both give the same element.
+
 ``_chart_n5`` and ``_chart_n6`` are the hand-derived pentagon and hexagon
 charts that the chart from the monodromy (``elements._chart``) replaced.
 They fix the same coordinates, c_0 ... c_{n-4}, and are kept as an oracle
@@ -65,6 +69,7 @@ from typing import Optional
 import numpy as np
 
 from outerlab.elements import (
+    GRID,
     INTEGRAL_TOL,
     IntegralElement,
     _alternating,
@@ -74,6 +79,7 @@ from outerlab.elements import (
     _null_residual,
     convexity_tol,
     monodromy_residuals,
+    search_box,
 )
 from outerlab.errors import (
     DegeneratePolygon,
@@ -227,6 +233,27 @@ def random_trapezoid(rng: np.random.Generator) -> OrbitPolygon:
         if poly.locally_convex and poly.winding == 1:
             return poly
     raise SamplerExhausted("trapezoid construction failed")
+
+
+def candidates_n4(poly: OrbitPolygon) -> list[np.ndarray]:
+    """Conic sweep c = (t, K/t, -t, -K/t) plus its degenerate branches."""
+    D = poly.delta
+    lo, d = search_box(poly)
+    K = D[0] * D[2] - D[1] * D[3]
+    sc2 = poly.scale**2
+    tiny = 1e-12 * sc2
+    cands = [d.copy()]
+    for t in np.linspace(lo[0], d[0], GRID):
+        if abs(t) > tiny:
+            cands.append(np.array([t, K / t, -t, -K / t]))
+    for t in np.linspace(lo[1], d[1], GRID):
+        if abs(t) > tiny:
+            cands.append(np.array([K / t, t, -K / t, -t]))
+    if abs(K) <= tiny * sc2:
+        # degenerate conic: the union of the two coordinate lines
+        cands.append(np.array([d[0], 0.0, -d[0], 0.0]))
+        cands.append(np.array([0.0, d[1], 0.0, -d[1]]))
+    return cands
 
 
 def _chart_n5(D, sc2, c1, c2):

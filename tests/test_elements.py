@@ -775,6 +775,33 @@ def test_batched_search_matches_single_searches():
     assert convex_element_search_batch([]) == []
 
 
+def test_n4_closed_form_gives_the_sweeps_element():
+    # the closed form keeps, in their order, the rows of the old sweep
+    # (reference.candidates_n4) that the convexity box can pass: d, the
+    # conic's points at c_0 = d_0 and at c_1 = d_1, and the degenerate lines;
+    # so the selection picks the same element from both, bit for bit.  On
+    # every polygon here that element is c = d.
+    polys = [derive_orbit_polygon(z) for z in (
+        [[-1, -1], [1, -1], [1, 1], [-1, 1]],       # square
+        [[0, 0], [2, 0], [3, 1], [1, 1]],           # parallelogram
+        [[-1, 0], [1, 0], [0.5, 1], [-0.5, 1]])]    # trapezoid
+    for seed in (1, 7, 11, 1729):
+        rngs = lab._spawned_rngs(seed, 250)
+        polys += lab.sample_orbit_polygons(4, 1, rngs[:200]) + lab._random_trapezoids(rngs[200:])
+    sweeps = [reference.candidates_n4(poly) for poly in polys]
+    for poly, sweep in zip(polys, sweeps):
+        rows, at = [c.tobytes() for c in sweep], -1
+        for c in _candidates_n4(poly):
+            at = rows.index(c.tobytes(), at + 1)  # a ValueError if it is not there
+    owner = np.repeat(np.arange(len(polys)), [len(sweep) for sweep in sweeps])
+    want = outerlab.elements._most_convex_each(polys, np.concatenate(sweeps), owner)
+    got = convex_element_search_batch(polys)
+    assert any(len(_candidates_n4(p)) >= 4 for p in polys)  # degenerate lines
+    for poly, w, g in zip(polys, want, got):
+        assert g.c.tobytes() == w.c.tobytes() == poly.dvec.tobytes()
+        assert (g.is_special_minus, g.is_special_plus) == (w.is_special_minus, w.is_special_plus)
+
+
 def _selection_sets(poly, rng):
     """Three candidate sets of one polygon for the selection, and a row
     that ties an integral element: the search's own rows behind an invalid
@@ -783,7 +810,7 @@ def _selection_sets(poly, rng):
     conic, or the chart at c_0 = d_0 + t and d elsewhere); then those of
     them below -eps."""
     n, d, D, eps = poly.n, poly.dvec, poly.delta, convexity_tol(poly)
-    own = (_candidates_n4(poly) if n == 4 else
+    own = (reference.candidates_n4(poly) if n == 4 else
            list(_candidates_chart([poly])[0]) + [-d] + ([d] if n == 6 else []))
     base = d if n % 2 == 0 else -d  # an integral element
     j = int(np.argmax(d - base))  # an entry off the argmin of the slack
@@ -914,7 +941,7 @@ def _oracle_cases():
             if n % 2 == 0:
                 yield poly, d.copy()
             if n == 4:
-                yield from ((poly, c) for c in _candidates_n4(poly))
+                yield from ((poly, c) for c in reference.candidates_n4(poly))
             if n in (5, 6):
                 yield from ((poly, c) for c in _candidates_chart([poly])[0])
             for j in range(n):

@@ -1,11 +1,14 @@
 """Derived-data invariants: half-edges, local areas, angles, winding."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from outerlab.errors import DegeneratePolygon, NotLocallyConvex
 from outerlab.geometry import (
+    MAX_COORDINATE,
     derive_orbit_polygon,
     derive_orbit_polygons,
     det2,
@@ -208,14 +211,31 @@ def test_stack_matches_sequential_derive():
                 star = regular_star(n, m, radius=rng.uniform(0.1, 10.0), phase=rng.uniform(0, 7))
                 stack += [star, star[::-1], star + 0.05 * rng.normal(size=(n, 2))]
         stack = np.array(stack)
-        for tol in (None, 1e-3):
-            derived = derive_orbit_polygons(stack, tol)
-            assert len(derived) == len(stack)
-            for poly, z in zip(derived, stack):
-                assert_same_polygon(poly, reference.derive_orbit_polygon(z, tol))
-                assert_same_polygon(derive_orbit_polygon(z, tol), poly)
-                assert not poly.vertices.flags.writeable and not poly.dvec.flags.writeable
+        derived = derive_orbit_polygons(stack)
+        assert len(derived) == len(stack)
+        for poly, z in zip(derived, stack):
+            assert_same_polygon(poly, reference.derive_orbit_polygon(z))
+            assert_same_polygon(derive_orbit_polygon(z), poly)
+            assert not poly.vertices.flags.writeable and not poly.dvec.flags.writeable
     assert derive_orbit_polygons(np.empty((0, 5, 2))) == []
+
+
+def test_vertices_whose_products_overflow_are_rejected():
+    # the half-edges of 1e308 overflowed to inf, with a RuntimeWarning, and
+    # read as "repeated consecutive vertices"
+    big = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for z in ([[1e308, 0], [-1e308, 0], [0, 1e308]], 1e155 * big,
+                  np.nextafter(MAX_COORDINATE, np.inf) * big):
+            with pytest.raises(DegeneratePolygon, match="too large: their edge products overflow"):
+                derive_orbit_polygon(z)
+        with pytest.raises(DegeneratePolygon, match="too large"):
+            derive_orbit_polygons(np.array([regular_star(3, 1), 1e200 * big]))
+        # the largest accepted coordinate derives with finite products
+        poly = derive_orbit_polygon(MAX_COORDINATE * big)
+        assert poly.locally_convex and np.isfinite(poly.delta).all() and np.isfinite(poly.dvec).all()
+        assert reference.derive_orbit_polygon(MAX_COORDINATE * big).delta.tobytes() == poly.delta.tobytes()
 
 
 def test_stack_with_one_degenerate_polygon_raises():

@@ -123,6 +123,42 @@ def test_verifier_reports_match_golden_bytes(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256
 
 
+# sha256 of the n3 and n4 reports at 100 trials, seeds 7 and 1729, in that
+# order (numpy 2.4, x86-64 Linux), taken when the verifiers' per-trial result
+# dicts became one list of margins and one list of failure bundles.
+N3_N4_REPORTS_SHA256 = "f7adb5bed500c6a7fb589023a9350f1cd8873dc70d9c04b7f8a3f36cbd36cb05"
+
+
+def test_n3_n4_reports_match_pinned_bytes():
+    text = "".join(dumps_canonical(report_to_dict(fn(trials=100, seed=seed)))
+                   for seed in (7, 1729) for fn in (verify_theorem_n3, verify_theorem_n4))
+    assert hashlib.sha256(text.encode()).hexdigest() == N3_N4_REPORTS_SHA256
+
+
+def test_failures_count_every_bundle_beyond_the_cap(monkeypatch):
+    # every trial fails, and the report keeps only the first MAX_BUNDLES
+    # bundles but counts all failures
+    monkeypatch.setattr(lab, "_sign_certificates",
+                        lambda polys: (np.zeros(len(polys), dtype=bool), np.zeros(len(polys))))
+    rep = verify_theorem_n52(trials=12, seed=5, controls=0)
+    assert rep.failures == 12
+    assert len(rep.failure_bundles) == lab.MAX_BUNDLES == 10
+    assert {b["label"] for b in rep.failure_bundles} == {"n52-nonneg-d"}
+
+
+@pytest.mark.parametrize("fn,kwargs,worst", [
+    (verify_theorem_n3, {}, 0.0),
+    (verify_theorem_n4, {}, 0.0),
+    (verify_theorem_n52, {"controls": 0}, 0.0),
+    # the missing interior control is a failure whose margin is -inf
+    (verify_theorem_n62, {"controls": 0}, -np.inf),
+])
+def test_worst_margin_of_an_empty_run(fn, kwargs, worst):
+    rep = fn(0, **kwargs)
+    assert rep.samples == 0 and rep.worst_margin == worst
+    assert rep.failures == (fn is verify_theorem_n62)
+
+
 def test_verifier_report_fields():
     rep = verify_theorem_n3(trials=10, seed=1)
     assert rep.theorem == "n3"
