@@ -65,7 +65,7 @@ INTEGRAL_TOL = 1e-13
 
 # Effort of the convex-element search on n = 5, 6.  GRID is the number of
 # samples per chart axis of the coarse sweep, which scores every shifted
-# chart on a tensor grid over the search box (search_box).  The best regular
+# chart on a tensor grid over the search box (_search_box).  The best regular
 # point of each chart is refined by ZOOM_ROUNDS rounds of a ZOOM_GRID-per-axis
 # local grid, starting one coarse cell wide and shrinking fourfold per round.
 # The search has no other stage and no random input.
@@ -652,14 +652,10 @@ def _most_convex_each(polys: list[OrbitPolygon], cands: np.ndarray,
     return found
 
 
-def search_box(poly: OrbitPolygon) -> tuple[np.ndarray, np.ndarray]:
-    """The box lo <= c <= d that the search samples.  Its lower side is a
-    heuristic bound, not a proved one."""
-    return _search_box(poly.dvec, poly.delta)
-
-
 def _search_box(d: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`search_box` of stacked d and delta, of shape (..., n)."""
+    """The box lo <= c <= d that the search samples, for stacked d and delta
+    of shape (..., n).  Its lower side is a heuristic bound, not a proved
+    one."""
     return -3.0 * np.abs(d) - 3.0 * np.mean(delta, axis=-1, keepdims=True), d
 
 

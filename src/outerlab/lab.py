@@ -14,7 +14,10 @@ one).  So an uncertified (5,2) trial is a failure and is not searched; the
 grid search runs only on uncertified (6,2) trials and on the controls.
 
 All verifier trials and scan samples are pure functions of per-draw seeds
-spawned from the master seed.  Every verifier draws the polygons of all its
+spawned from the master seed: draw k of a count gets the stream of numpy's
+``SeedSequence(seed).spawn(count)[k]``, with the words of all draws seeded
+in one pass (:func:`_spawned_rngs`).  Such a generator cannot ``.spawn()``
+(numpy raises TypeError).  Every verifier draws the polygons of all its
 trials in one lock-step batch (:func:`sample_orbit_polygons`), each from its
 own generator; the (6,2) verifier redraws its paradoxical trials a round at
 a time.  Certificates and searches each run once, on a stack.  The paradoxical
@@ -169,9 +172,86 @@ def _positive_closure(U: np.ndarray, rngs: list, tries: int = 4) -> np.ndarray:
     return s
 
 
+# numpy's SeedSequence hash and mix constants (numpy.random.bit_generator).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(const: int, mult: int):
+    """SeedSequence's running hash constant: (xor, multiplier) per hash."""
+    while True:
+        prev, const = const, const * mult & _MASK32
+        yield prev, const
+
+
+def _next_constants(hashes, count: int) -> np.ndarray:
+    """The next ``count`` hash constants as (xor, multiplier) columns."""
+    return np.array([next(hashes) for _ in range(count)], np.uint32).T[..., None]
+
+
+def _hashmix(value, constants):
+    xor, mult = constants
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = ((x * _MIX_L & _MASK32) - (y * _MIX_R & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _spawn_words(seed: int, count: int) -> np.ndarray:
+    """Row k is ``SeedSequence(seed).spawn(count)[k].generate_state(4,
+    np.uint64)``, the words that seed child k's PCG64.
+
+    A child's entropy is the seed's 32-bit words, zero-padded to the pool
+    size 4, then its spawn word k.  Every word but k is common to all
+    children, so numpy's pool mixing runs once on Python ints, then mixes k
+    into the pool in uint32 arithmetic, one child per column.
+    """
+    seed = int(seed)
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    hashes = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, next(hashes)) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(hashes)))
+    for w in words[4:]:
+        pool = [_mix(p, _hashmix(w, next(hashes))) for p in pool]
+    k = np.arange(count, dtype=np.uint32)
+    pool = _mix(np.array(pool, np.uint32)[:, None], _hashmix(k, _next_constants(hashes, 4)))
+    # generate_state hashes the pool, cycled, into 8 little-endian halves.
+    out = _hashmix(np.concatenate([pool, pool]), _next_constants(_hash_constants(_INIT_B, _MULT_B), 8))
+    return np.ascontiguousarray(out.T, "<u4").view("<u8").astype(np.uint64)
+
+
+class _SpawnedWords:
+    """A seed sequence that hands PCG64 one row of :func:`_spawn_words`.
+    It is registered as numpy's ``ISeedSequence`` on first use, so that
+    importing this module does not import ``numpy.random``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words  # PCG64 asks for exactly (4, np.uint64)
+
+
 def _spawned_rngs(seed: int, count: int, name: str = "trials") -> list[np.random.Generator]:
+    """One generator per draw: generator k has the stream of
+    ``default_rng(SeedSequence(seed).spawn(count)[k])``."""
     _require_non_negative(seed=seed, **{name: count})
-    return [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(count)]
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SpawnedWords)
+    return [Generator(PCG64(_SpawnedWords(row))) for row in _spawn_words(seed, count)]
 
 
 @dataclass(frozen=True)

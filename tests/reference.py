@@ -35,6 +35,7 @@ as it does in ``elements.special_plus_certified``; it passed before.
 ``candidates_n4`` is the n = 4 search's sweep of the conic over the search
 box, 21 points a branch, that the closed form (``elements._candidates_n4``)
 replaced.  It is kept as an oracle: both give the same element.
+``search_box`` is the one-polygon form of that box, lo <= c <= d.
 
 ``_chart_n5`` and ``_chart_n6`` are the hand-derived pentagon and hexagon
 charts that the chart from the monodromy (``elements._chart``) replaced.
@@ -79,7 +80,6 @@ from outerlab.elements import (
     _null_residual,
     convexity_tol,
     monodromy_residuals,
-    search_box,
 )
 from outerlab.errors import (
     DegeneratePolygon,
@@ -233,6 +233,12 @@ def random_trapezoid(rng: np.random.Generator) -> OrbitPolygon:
         if poly.locally_convex and poly.winding == 1:
             return poly
     raise SamplerExhausted("trapezoid construction failed")
+
+
+def search_box(poly: OrbitPolygon) -> tuple[np.ndarray, np.ndarray]:
+    """The box lo <= c <= d that the search samples; its lower side is a
+    heuristic bound, not a proved one."""
+    return -3.0 * np.abs(poly.dvec) - 3.0 * np.mean(poly.delta), poly.dvec
 
 
 def candidates_n4(poly: OrbitPolygon) -> list[np.ndarray]:

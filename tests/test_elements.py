@@ -36,7 +36,6 @@ from outerlab.elements import (
     numerical_rank,
     paradox_margin,
     paradox_margins,
-    search_box,
     special_element_minus,
     special_element_plus,
     special_plus_certified,
@@ -250,7 +249,7 @@ def test_chart_matches_the_hand_derived_charts(sampled, key):
     point = variety_point_n5 if key[0] == 5 else variety_point_n6
     for poly in sampled[key][:5]:
         n, sc2 = poly.n, poly.scale**2
-        lo, hi = search_box(poly)
+        lo, hi = reference.search_box(poly)
         for s in range(n):
             params = list(rng.uniform(np.roll(lo, -s)[:n - 3], np.roll(hi, -s)[:n - 3],
                                       size=(200, n - 3)).T)

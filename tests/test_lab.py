@@ -2,11 +2,15 @@
 
 import functools
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import outerlab
 from outerlab import cli, lab
 from outerlab.elements import classify_paradoxical, make_element, paradox_margin
 from outerlab.errors import InputError, SamplerExhausted, ValidationFailed
@@ -452,6 +456,48 @@ def test_batch_edge_cases():
     assert lab.sample_orbit_polygons(5, 2, []) == []
     with pytest.raises(InputError):
         lab.sample_orbit_polygons(6, 3, generators(0, 2))
+
+
+# ---------------------------------------------------------------------------
+# Per-draw generators: numpy's SeedSequence spawn (``generators``, the
+# oracle), with every child's seeding words computed in one pass.
+
+SPAWN_SEEDS = [0, 1, 7, 1729, 2**32 - 1, 2**32, 2**64 + 1, 2**127 + 9, 2**200 + 12345,
+               pytest.param(np.int64(4242), id="int64")]
+
+
+def _draws(rng) -> np.ndarray:
+    return np.concatenate([rng.uniform(0.15, 0.65, 2), rng.normal(0.0, 1.0, 3),
+                           rng.lognormal(0.0, 0.4, 3), rng.dirichlet(np.ones(4))])
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 1000])
+@pytest.mark.parametrize("seed", SPAWN_SEEDS)
+def test_spawned_rngs_are_numpys_spawned_streams(seed, count):
+    children = np.random.SeedSequence(seed).spawn(count)
+    want = np.array([c.generate_state(4, np.uint64) for c in children], np.uint64)
+    got = lab._spawn_words(seed, count)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want.reshape(count, 4))
+    rngs = lab._spawned_rngs(seed, count)
+    assert len(rngs) == count
+    for rng, ref in zip(rngs, generators(seed, count)):
+        assert np.array_equal(_draws(rng), _draws(ref))
+
+
+def test_spawned_rngs_cannot_spawn():
+    with pytest.raises(TypeError):
+        lab._spawned_rngs(7, 1)[0].spawn(1)
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy.random is imported on the first draw, so that commands that draw
+    # nothing (orbit, element) skip its import time
+    code = "import sys, outerlab.cli; print('numpy.random' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(outerlab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("call", [
