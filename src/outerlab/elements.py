@@ -748,6 +748,11 @@ class ChartSweep:
             c[redo] = self._columns(rows, p[redo])[0]
         return m, c, p
 
+    def coarse(self, rows: np.ndarray):
+        """:meth:`scan` of the rows over the coarse grid: GRID points per
+        axis of each row's search box."""
+        return self.scan(rows, _grid_params(np.linspace(self.lo[rows], self.hi[rows], GRID)))
+
     def _calls(self, rows: np.ndarray, params: list[np.ndarray], finite: bool):
         """:meth:`_best` over the rows, in calls of at most MAX_CHART_POINTS
         points."""
@@ -853,8 +858,36 @@ def _candidates_chart(polys: list[OrbitPolygon]) -> tuple[np.ndarray, np.ndarray
     each chart followed by its refinement, in chart order."""
     charts = ChartSweep(*polys)
     n = charts.n
-    coarse = charts.scan(np.arange(len(charts.lo)),
-                         _grid_params(np.linspace(charts.lo, charts.hi, GRID)))
-    c, keep = charts.refine(coarse, (charts.hi - charts.lo) / (GRID - 1))
+    c, keep = charts.refine(charts.coarse(np.arange(len(charts.lo))),
+                            (charts.hi - charts.lo) / (GRID - 1))
     keep = keep.ravel()
     return c.reshape(-1, n)[keep], np.repeat(np.arange(len(polys)), 2 * n)[keep]
+
+
+def convex_element_sweep(polys: Sequence[OrbitPolygon], slack: float) -> list[Optional[IntegralElement]]:
+    """Per pentagon or hexagon, the first coarse chart winner, charts in
+    order, that is a convex integral element with min(d - c) > slack
+    scale^2; None when no chart's winner is one.  Chart s is scanned only
+    for the polygons still without one.  Each winner and its classification
+    keep the bits they have in :func:`convex_element_search_batch`, of which
+    the winner is a candidate: that search finds an element, and its slack
+    is at least the winner's."""
+    for poly in polys:
+        poly.require_locally_convex()
+        if poly.n not in (5, 6):
+            raise UnsupportedPeriod("chart sweep implemented for n in {5, 6}")
+    found: list[Optional[IntegralElement]] = [None] * len(polys)
+    for n in {p.n for p in polys}:
+        group = [i for i, p in enumerate(polys) if p.n == n]
+        charts, todo = ChartSweep(*(polys[i] for i in group)), np.arange(len(group))
+        for s in range(n):
+            m, c, _ = charts.coarse(todo * n + s)
+            regular = np.flatnonzero(m > -np.inf)
+            for k, el in zip(todo, _most_convex_each([polys[group[k]] for k in todo],
+                                                     c[regular], regular)):
+                if el is not None and np.min(el.base.dvec - el.c) / el.base.scale**2 > slack:
+                    found[group[k]] = el
+            todo = todo[[found[group[k]] is None for k in todo]]
+            if not todo.size:
+                break
+    return found

@@ -11,7 +11,9 @@ trial is decided exactly by the sign certificate of its float vertices
 (:func:`_sign_certificates`, which proves that every admissible (5,2) star
 and, up to ties and the g condition, every non-paradoxical (6,2) star has
 one).  So an uncertified (5,2) trial is a failure and is not searched; the
-grid search runs only on uncertified (6,2) trials and on the controls.
+grid search runs only on uncertified (6,2) trials and on the controls.  A
+control is decided on the coarse chart sweep where a chart winner fixes the
+full search's outcome, and searched in full otherwise (:func:`_controls`).
 
 All verifier trials and scan samples are pure functions of per-draw seeds
 spawned from the master seed: draw k of a count gets the stream of numpy's
@@ -20,9 +22,9 @@ in one pass (:func:`_spawned_rngs`).  Such a generator cannot ``.spawn()``
 (numpy raises TypeError).  Every verifier draws the polygons of all its
 trials in one lock-step batch (:func:`sample_orbit_polygons`), each from its
 own generator; the (6,2) verifier redraws its paradoxical trials a round at
-a time.  Certificates and searches each run once, on a stack.  The paradoxical
-scan draws its plain and its spiked samples in one batch each.  The search
-draws nothing: it is a pure function of the polygon.
+a time.  Certificates and the trials' search each run once, on a stack.  The
+paradoxical scan draws its plain and its spiked samples in one batch each.
+The search draws nothing: it is a pure function of the polygon.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from .elements import (
     IntegralElement,
     convex_element_search_batch,
+    convex_element_sweep,
     gap_signs,
     make_element,
     paradox_margins,
@@ -301,9 +304,18 @@ def _off_d(poly: OrbitPolygon, c) -> float:
     return float(np.max(np.abs(c - poly.dvec)) / poly.scale**2)
 
 
-def _control_misses(polys: list[OrbitPolygon], found: list, label: str) -> list[dict]:
-    """A bundle per control whose search found no element."""
-    return [_bundle(poly, None, label) for poly, el in zip(polys, found) if el is None]
+def _controls(polys: list[OrbitPolygon], slack: float) -> list[Optional[bool]]:
+    """Per control, the outcome of :func:`convex_element_search_batch`:
+    None when it finds no element, else whether the element has
+    ``_off_d > slack``.  A chart winner of min(d - c) > slack scale^2
+    (:func:`convex_element_sweep`) fixes it as True, since the search's
+    element c* then has max|c* - d| >= min(d - c*) >= min(d - c); only the
+    other controls are searched."""
+    outcome = [True] * len(polys)
+    rest = [k for k, el in enumerate(convex_element_sweep(polys, slack)) if el is None]
+    for k, el in zip(rest, convex_element_search_batch([polys[k] for k in rest])):
+        outcome[k] = None if el is None else _off_d(polys[k], el.c) > slack
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +452,8 @@ def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     convex = sample_orbit_polygons(5, 1, _spawned_rngs(seed + 1, controls, "controls"))
     certified, margins = _sign_certificates(stars)
     bundles = [_bundle(poly, None, "n52-nonneg-d") for poly, ok in zip(stars, certified) if not ok]
-    bundles += _control_misses(convex, convex_element_search_batch(convex), "n51-control-miss")
+    bundles += [_bundle(poly, None, "n51-control-miss")
+                for poly, hit in zip(convex, _controls(convex, -np.inf)) if hit is None]
     uncertified = trials - int(certified.sum())
     return _report(
         "n52", seed, trials, margins.tolist() + [-np.inf] * controls, bundles,
@@ -476,9 +489,7 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     certified, cert_margins = _sign_certificates(kept)
     certs = iter(zip(certified, cert_margins))
     corner = iter(special_plus_certified([p for p, ok in zip(kept, certified) if ok]))
-    # Uncertified trials take the first search results, in order; the controls the rest.
-    found = iter(convex_element_search_batch(
-        [p for p, ok in zip(kept, certified) if not ok] + convex))
+    found = iter(convex_element_search_batch([p for p, ok in zip(kept, certified) if not ok]))
 
     margins, bundles = [], []
     for k, lost in enumerate(discarded):
@@ -500,11 +511,11 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             if not margins[-1] <= 1e-8:
                 bundles.append(_bundle(poly, el.c, "n62-off-d-element"))
     # The controls test the search, not the theorem: their margins are -inf.
-    found = list(found)
-    bundles += _control_misses(convex, found, "n61-control-miss")
+    interior = _controls(convex, 1e-3)
+    bundles += [_bundle(poly, None, "n61-control-miss")
+                for poly, hit in zip(convex, interior) if hit is None]
     margins += [-np.inf] * controls
-    interior_hits = sum(el is not None and _off_d(poly, el.c) > 1e-3
-                        for poly, el in zip(convex, found))
+    interior_hits = interior.count(True)
     if interior_hits == 0:
         margins.append(-np.inf)
         bundles.append({"label": "n61-no-interior-element", "vertices": [], "candidate_c": None})

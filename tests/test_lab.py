@@ -12,7 +12,13 @@ import pytest
 
 import outerlab
 from outerlab import cli, lab
-from outerlab.elements import classify_paradoxical, make_element, paradox_margin
+from outerlab.elements import (
+    classify_paradoxical,
+    convex_element_search_batch,
+    convex_element_sweep,
+    make_element,
+    paradox_margin,
+)
 from outerlab.errors import InputError, SamplerExhausted, ValidationFailed
 from outerlab.jsonio import dumps_canonical, report_to_dict
 from outerlab.lab import (
@@ -228,16 +234,17 @@ def _fail_signs(monkeypatch, entries):
     monkeypatch.setattr(lab, "skip_signs", signs)
 
 
-def _spy_search(monkeypatch) -> list:
-    batches = []
-    real = lab.convex_element_search_batch
+def _spy_search(monkeypatch) -> tuple[list, list]:
+    """The polygons of each call of the full search and of the controls'
+    chart sweep, in call order."""
+    searched, swept = [], []
+    for name, calls in (("convex_element_search_batch", searched), ("convex_element_sweep", swept)):
+        def spy(polys, *args, real=getattr(lab, name), calls=calls):
+            calls.append(list(polys))
+            return real(polys, *args)
 
-    def search(polys):
-        batches.append(list(polys))
-        return real(polys)
-
-    monkeypatch.setattr(lab, "convex_element_search_batch", search)
-    return batches
+        monkeypatch.setattr(lab, name, spy)
+    return searched, swept
 
 
 def test_n52_trial_without_certificate_is_a_failure_and_is_not_searched(monkeypatch):
@@ -245,10 +252,11 @@ def test_n52_trial_without_certificate_is_a_failure_and_is_not_searched(monkeypa
     # every d_i < 0 on an admissible star, so the trial is not searched
     clean = verify_theorem_n52(trials=6, controls=3, seed=5)
     _fail_signs(monkeypatch, [2])
-    batches = _spy_search(monkeypatch)
+    searched, swept = _spy_search(monkeypatch)
     rep = verify_theorem_n52(trials=6, controls=3, seed=5)
-    [batch] = batches
+    [batch] = swept
     assert [p.winding for p in batch] == [1, 1, 1]  # the controls alone
+    assert all(p.winding == 1 for b in searched for p in b)  # controls left open
     assert rep.failures == 1
     assert [b["label"] for b in rep.failure_bundles] == ["n52-nonneg-d"]
     assert rep.failure_bundles[0]["candidate_c"] is None
@@ -261,15 +269,16 @@ def test_n62_trial_without_certificate_is_searched_and_judged(monkeypatch, entri
     # one d_i >= 0 leaves one shift of the certificate; d_0, d_1 >= 0 leave
     # none, and the trial is searched and judged as without certificates
     _fail_signs(monkeypatch, entries)
-    batches = _spy_search(monkeypatch)
+    searched, swept = _spy_search(monkeypatch)
     rep = verify_theorem_n62(trials=6, controls=3, seed=5)
-    [batch] = batches
-    assert len(batch) == 6 - certified + 3
+    (batch, *rest), [controls] = searched, swept
+    assert len(batch) == 6 - certified and all(p.winding == 2 for p in batch)
+    assert [p.winding for p in controls] == [1, 1, 1]
+    assert all(p.winding == 1 for b in rest for p in b)  # controls left open
     assert rep.failures == 0 and f"{certified}/6 certified" in rep.notes
     if certified == 6:
         assert rep.worst_margin < 0
     else:
-        assert batch[0].winding == 2
         assert 0.0 <= rep.worst_margin <= 1e-8  # the search's |c - d| / scale^2
 
 
@@ -281,6 +290,72 @@ def test_n62_certified_trial_needs_the_corner_element(monkeypatch):
     rep = verify_theorem_n62(trials=3, controls=3, seed=5)
     assert rep.failures == 3
     assert [b["label"] for b in rep.failure_bundles] == ["n62-missing-corner-element"] * 3
+
+
+def _searched_outcomes(polys, found, slack):
+    """The controls' outcome from the full search's elements: None for no
+    element, else whether it lies more than slack scale^2 from c = d."""
+    return [None if el is None else lab._off_d(poly, el.c) > slack for poly, el in zip(polys, found)]
+
+
+def test_controls_have_the_full_searchs_outcome():
+    # a (5,1) or (6,1) control is found (n52) or interior (n62) on its first
+    # chart winner that shows it, and searched in full otherwise: the outcome
+    # is the search's, on pentagons and hexagons of several seeds in one
+    # batch; at slack 0.25 the outcomes of both kinds are mixed
+    draws = [lab.sample_orbit_polygons(n, 1, lab._spawned_rngs(seed, 130))
+             for seed in (1, 7, 11, 4242) for n in (5, 6)]
+    polys = [poly for row in zip(*draws) for poly in row]
+    found = convex_element_search_batch(polys)
+    for slack in (-np.inf, 1e-3, 0.25):
+        outcome = lab._controls(polys, slack)
+        assert outcome == _searched_outcomes(polys, found, slack)
+    for n in (5, 6):
+        assert {hit for poly, hit in zip(polys, outcome) if poly.n == n} == {True, False}
+    # stars without a convex element, and certified (6,2) hexagons whose one
+    # convex element is the corner c = d: no chart decides them, and the
+    # search gives each its outcome
+    stars = lab.sample_orbit_polygons(5, 2, lab._spawned_rngs(5, 60))
+    hexagons = lab.sample_orbit_polygons(6, 2, lab._spawned_rngs(5, 60))
+    hexagons = [p for p, ok in zip(hexagons, lab._sign_certificates(hexagons)[0]) if ok]
+    assert len(hexagons) >= 55
+    for polys, slack, want in ((stars, -np.inf, None), (hexagons, 1e-3, False)):
+        assert convex_element_sweep(polys, slack) == [None] * len(polys)
+        assert lab._controls(polys, slack) == [want] * len(polys)
+        assert _searched_outcomes(polys, convex_element_search_batch(polys), slack) == [want] * len(polys)
+
+
+def test_controls_need_an_integral_element(monkeypatch):
+    # with an integrality tolerance that no residual meets, no chart winner
+    # decides a control and the search finds no element
+    monkeypatch.setattr(outerlab.elements, "INTEGRAL_TOL", -1.0)
+    polys = [poly for n in (5, 6) for poly in lab.sample_orbit_polygons(n, 1, lab._spawned_rngs(3, 8))]
+    for slack in (-np.inf, 1e-3):
+        assert lab._controls(polys, slack) == [None] * 16
+
+
+# sha256 of the two reports of test_controls_without_elements_are_failures
+# (numpy 2.4, x86-64 Linux), taken when the controls began to be decided on
+# the coarse sweep; the full search of every control gives the same bytes.
+CONTROL_FAILURES_SHA256 = "b72e4a3ac65748b7107be3e2a71edd0ae261749eaf0c47754bf69d3530cdccb0"
+
+
+def test_controls_without_elements_are_failures(monkeypatch):
+    # drawn as (5,2) and (6,2) polygons, the n52 controls find no element
+    # and the n62 controls only the corner c = d
+    real = lab.sample_orbit_polygons
+    monkeypatch.setattr(lab, "sample_orbit_polygons",
+                        lambda n, m, rngs, attempts=10_000: real(n, 2, rngs, attempts))
+    n52 = verify_theorem_n52(trials=8, controls=6, seed=3)
+    n62 = verify_theorem_n62(trials=8, controls=6, seed=3)
+    assert n52.failures == 6
+    assert [b["label"] for b in n52.failure_bundles] == ["n51-control-miss"] * 6
+    assert all(len(b["vertices"]) == 5 and b["candidate_c"] is None for b in n52.failure_bundles)
+    assert n62.failures == 1
+    assert [b["label"] for b in n62.failure_bundles] == ["n61-no-interior-element"]
+    assert "; 0/6 convex-hexagon controls gave an interior element" in n62.notes
+    text = dumps_canonical(report_to_dict(n52)) + dumps_canonical(report_to_dict(n62))
+    assert hashlib.sha256(text.encode()).hexdigest() == CONTROL_FAILURES_SHA256
 
 
 def test_vertex_builder_matches_sequential_loop():
@@ -516,7 +591,8 @@ def test_negative_counts_and_seeds_are_input_errors(call):
 
 # The number of searched and of classified polygons that the four verifiers
 # draw at seed 7, and a sha256 over them, computed with the sequential sampler
-# the batch replaced.  Searches are stubbed out (they draw nothing), and the
+# the batch replaced.  Searches are stubbed out (they draw nothing; the
+# controls are recorded where they enter lab._controls), and the
 # (6,2) verifier sees a quarter of its draws as paradoxical, so that its
 # trials redraw over several rounds.  The sign certificates are stubbed as
 # well and record the trials they are given, so the (5,2) and (6,2) trials
@@ -540,13 +616,13 @@ def drawn_polygons_sha256(monkeypatch) -> str:
         searched.append(poly)
         return real_make(poly, c, *args, **kwargs)
 
-    def search_batch(polys):
+    def search_batch(polys, *args):
         searched.extend(polys)
         return [None] * len(polys)
 
     def certify(polys):
-        # every trial certified, so the search sees the controls alone and
-        # each star is recorded once, before the controls, as when searched
+        # every trial certified, so no trial is searched and each star is
+        # recorded once, before the controls, as when searched
         searched.extend(polys)
         return np.ones(len(polys), dtype=bool), np.zeros(len(polys))
 
@@ -556,6 +632,7 @@ def drawn_polygons_sha256(monkeypatch) -> str:
 
     monkeypatch.setattr(lab, "make_element", make)
     monkeypatch.setattr(lab, "convex_element_search_batch", search_batch)
+    monkeypatch.setattr(lab, "_controls", search_batch)
     monkeypatch.setattr(lab, "_sign_certificates", certify)
     monkeypatch.setattr(lab, "paradox_margins", paradoxical)
     verify_theorem_n3(trials=40, seed=7)
