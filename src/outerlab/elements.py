@@ -341,7 +341,6 @@ def is_convex_element(
 def special_element_minus(poly: OrbitPolygon, tol: float = INTEGRAL_TOL) -> IntegralElement:
     """The element c = -d, certified: integral and C r = 0 for both
     coordinate projections of the half-edge vectors."""
-    poly.require_locally_convex()
     el = make_element(poly, -poly.dvec, tol)
     _certify_null(poly, el, poly.r)
     return el
@@ -351,7 +350,6 @@ def special_element_plus(poly: OrbitPolygon, tol: float = INTEGRAL_TOL) -> Integ
     """The element c = +d for even n, with alternating-signed null vectors."""
     if poly.n % 2:
         raise OddPeriod("c = +d is an integral element only for even n")
-    poly.require_locally_convex()
     el = make_element(poly, poly.dvec, tol)
     _certify_null(poly, el, poly.r, alternate=True)
     return el
@@ -885,7 +883,9 @@ def convex_element_sweep(polys: Sequence[OrbitPolygon], slack: float) -> list[Op
             regular = np.flatnonzero(m > -np.inf)
             for k, el in zip(todo, _most_convex_each([polys[group[k]] for k in todo],
                                                      c[regular], regular)):
-                if el is not None and np.min(el.base.dvec - el.c) / el.base.scale**2 > slack:
+                # Plain floats: cands <= d + eps rejects NaN rows, so min is np.min.
+                if el is not None and min(map(sub, el.base.dvec.tolist(), el.c.tolist())) \
+                        / el.base.scale**2 > slack:
                     found[group[k]] = el
             todo = todo[[found[group[k]] is None for k in todo]]
             if not todo.size:

@@ -93,8 +93,8 @@ class OrbitPolygon:
 
     @cached_property
     def scale(self) -> float:
-        """Length scale of the polygon: the largest half-edge length (computed
-        once: the polygon is frozen and its arrays are read-only)."""
+        """Length scale of the polygon: the largest half-edge length, computed
+        once (frozen polygon), or filled in by :func:`derive_orbit_polygons`."""
         return float(self.s.max())
 
     def require_locally_convex(self) -> "OrbitPolygon":
@@ -169,8 +169,11 @@ def derive_orbit_polygons(vertices: Sequence) -> list[OrbitPolygon]:
     arrays = (z, r, rbar, s, delta, dvec, alpha, exterior)
     for a in arrays:
         a.setflags(write=False)
-    return [OrbitPolygon(*rows, winding=int(m), locally_convex=bool(c))
-            for *rows, m, c in zip(*arrays, winding, convex)]
+    polys = [OrbitPolygon(*rows, winding=int(m), locally_convex=bool(c))
+             for *rows, m, c in zip(*arrays, winding, convex)]
+    for poly, scale in zip(polys, smax[:, 0].tolist()):
+        vars(poly)["scale"] = scale  # the cached property's value: max is exact
+    return polys
 
 
 def polygon_area(vertices: Sequence) -> float:

@@ -47,10 +47,10 @@ def polygon_to_dict(poly: OrbitPolygon) -> dict:
 
 def polygon_from_dict(data: dict) -> OrbitPolygon:
     try:
-        vertices = data["vertices"]
-    except (TypeError, KeyError) as exc:
-        raise InputError("polygon JSON needs a 'vertices' key") from exc
-    return derive_orbit_polygon(np.asarray(vertices, dtype=float))
+        vertices = np.asarray(data["vertices"], dtype=float)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise InputError("polygon JSON needs 'vertices' as number rows") from exc
+    return derive_orbit_polygon(vertices)
 
 
 # -- curves -----------------------------------------------------------------
@@ -66,14 +66,11 @@ def curve_from_dict(data: dict) -> ConvexCurve:
     try:
         kind = data["kind"]
         points = np.asarray(data["points"], dtype=float)
-    except (TypeError, KeyError) as exc:
-        raise InputError("curve JSON needs 'kind' and 'points'") from exc
-    if kind == "polygon":
-        return ConvexCurve.polygon(points)
-    if kind == "smooth":
-        tangents = data.get("tangents")
-        return ConvexCurve.smooth(points, tangents)
-    raise InputError(f"unknown curve kind {kind!r}")
+        tangents = data.get("tangents") if kind == "smooth" else None
+        tangents = None if tangents is None else np.asarray(tangents, dtype=float)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise InputError("curve JSON needs 'kind', and 'points' (and 'tangents') as number rows") from exc
+    return ConvexCurve(kind, points, tangents)  # which rejects an unknown kind
 
 
 # -- elements and curvature ---------------------------------------------------

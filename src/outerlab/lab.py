@@ -99,10 +99,14 @@ def sample_orbit_polygons(n: int, m: int, rngs: list[np.random.Generator],
     The trials' attempt loops run in lock-step: the arithmetic runs once per
     round for the trials still drawing.  Each trial draws from its own
     generator in the order of a lone sampler, so its polygon does not depend
-    on the batch.  SamplerExhausted after ``attempts`` rounds.
-    """
+    on the batch.  SamplerExhausted after ``attempts`` rounds (at least 1).
+    A uniform draw is numpy's own lo + (hi - lo) * random(); a numpy build
+    that fuses it into one multiply-add (possible on aarch64) would change
+    the spread, but not the phase 2 pi u or the first vertex -1 + 2u."""
     if not 0 < 2 * m < n:
         raise InputError(f"need 0 < 2m < n, got (n, m) = ({n}, {m})")
+    if attempts < 1:
+        raise InputError(f"attempts must be >= 1, got {attempts}")
     xbar = 2.0 * m / n
     head = min(xbar, 1.0 - xbar)
     polys, todo = {}, list(range(len(rngs)))
@@ -111,9 +115,10 @@ def sample_orbit_polygons(n: int, m: int, rngs: list[np.random.Generator],
             break
         hi = 0.65 if attempt < attempts // 2 else 0.35
         gens = [rngs[k] for k in todo]
-        spread = np.array([r.uniform(0.15, hi) for r in gens])
-        g = np.array([r.normal(0.0, 1.0, n) for r in gens])
-        # g.sum / n is the bits of g.mean, without its Python-level wrapper.
+        # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), its normal(0, 1) standard_normal
+        # but for a zero's sign, which g - mean drops; g.sum / n is g.mean without its wrapper.
+        spread = 0.15 + (hi - 0.15) * np.array([r.random() for r in gens])
+        g = np.array([r.standard_normal(n) for r in gens])
         x = xbar + (spread * head)[:, None] * (g - g.sum(axis=1, keepdims=True) / n)
         clear = ((x > ANGLE_MARGIN) & (x < 1.0 - ANGLE_MARGIN)).all(axis=1)
         polys.update(zip(todo, _build(m, np.pi * x, clear, gens)))
@@ -134,19 +139,16 @@ def _build(m: int, delta: np.ndarray, clear: np.ndarray, rngs: list) -> list:
     rows = clear.nonzero()[0]
     if not rows.size:
         return built
-    phase = np.array([rngs[i].uniform(0.0, 2.0 * np.pi) for i in rows])
+    phase = 2.0 * np.pi * np.array([rngs[i].random() for i in rows])
     phi = phase[:, None] + delta[rows].cumsum(axis=1)
     U = np.empty((len(rows), 2, phi.shape[1]))
     np.cos(phi, out=U[:, 0])
     np.sin(phi, out=U[:, 1])
     s = _positive_closure(U, [rngs[i] for i in rows])
-    failed = np.isnan(s[:, 0])
-    if failed.any():
-        rows, s, U = rows[~failed], s[~failed], U[~failed]
-    z0 = np.empty((len(rows), 2))
-    for j, i in enumerate(rows):
-        s[j] *= rngs[i].lognormal(0.0, 0.25)
-        z0[j] = rngs[i].uniform(-1.0, 1.0, 2)
+    closed = ~np.isnan(s[:, 0])
+    rows, s, U = rows[closed], s[closed], U[closed]
+    s *= np.array([rngs[i].lognormal(0.0, 0.25) for i in rows])[:, None]
+    z0 = -1.0 + 2.0 * np.array([rngs[i].random(2) for i in rows]).reshape(-1, 2)
     polys = derive_orbit_polygons(_vertices(z0, s[..., None] * U.transpose(0, 2, 1)))
     for i, poly in zip(rows, polys):
         built[i] = poly if poly.locally_convex and poly.winding == m else "convexity or winding"
@@ -345,13 +347,11 @@ def verify_theorem_n3(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
 def _random_trapezoids(rngs: list[np.random.Generator]) -> list[OrbitPolygon]:
     """A turned trapezoid per generator.  With 0 < b < a and h > 0 it is a
     counterclockwise convex quadrilateral, so no draw is rejected."""
+    lo, hi = np.array([[0.8, 0.3, -0.3, 0.5, 0.0], [1.6, 0.95, 0.3, 1.5, 2.0 * np.pi]])
     z = np.empty((len(rngs), 4, 2))
     for k, rng in enumerate(rngs):
-        a = rng.uniform(0.8, 1.6)
-        b = rng.uniform(0.3, 0.95) * a
-        shift = rng.uniform(-0.3, 0.3)
-        h = rng.uniform(0.5, 1.5)
-        ang = rng.uniform(0.0, 2.0 * np.pi)
+        a, b, shift, h, ang = (lo + (hi - lo) * rng.random(5)).tolist()  # uniform(lo, hi)
+        b *= a
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         z[k] = np.array([[-a, 0.0], [a, 0.0], [shift + b, h], [shift - b, h]]) @ rot.T
     polys = derive_orbit_polygons(z)
@@ -557,8 +557,8 @@ def _spiked_62(rngs: list[np.random.Generator]) -> list[Optional[OrbitPolygon]]:
     make vertex 1 paradoxical, or None where the draw was rejected."""
     a = np.empty((len(rngs), 6))
     for k, rng in enumerate(rngs):
-        e1 = rng.uniform(0.02, 0.5)
-        g0, g2 = rng.uniform(0.05, 0.6, 2)
+        e1 = 0.02 + (0.5 - 0.02) * rng.random()  # numpy's uniform(0.02, 0.5)
+        g0, g2 = (0.05 + (0.6 - 0.05) * rng.random(2)).tolist()
         a[k, :3] = e1 + g0, np.pi - e1, e1 + g2
         # The rest is at least pi - 1.7, so every draw leaves room for three angles.
         a[k, 3:] = rng.dirichlet(np.ones(3)) * (2.0 * np.pi - a[k, 0] - a[k, 1] - a[k, 2])

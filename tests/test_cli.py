@@ -246,6 +246,25 @@ def test_element_reports_the_special_flags(tmp_path):
                                   "is_valid", "rank_margin"]
 
 
+@pytest.mark.parametrize("command, payload", [
+    (["element", "--special-minus"], {"vertices": [[0, 0], [1, "x"], [0, 1]]}),
+    (["element", "--special-minus"], {"vertices": [[0, 0], [1, 0, 3], [0, 1]]}),
+    (["orbit", "--start", "2,0.5"], {"kind": "polygon", "points": [[1, 0], [0, "y"], [-1, 0]]}),
+    (["orbit", "--start", "2,0.5"], {"kind": "smooth", "points": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                     "tangents": [[0, 1], [-1, "x"], [0, -1], [1, 0]]}),
+    (["orbit", "--start", "2,0.5"], {"kind": "smooth", "points": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                                     "tangents": [[0, 1], [-1], [0, -1], [1, 0]]}),
+])
+def test_json_input_with_bad_numbers_exit_2(tmp_path, command, payload, capsys):
+    # a string or a ragged row raised ValueError: exit 1 with a traceback
+    # instead of an input error
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_json(tmp_path, [command[0], str(path), *command[1:]])
+    assert code == 2 and out is None
+    assert "number rows" in capsys.readouterr().err
+
+
 def test_element_wrong_length_exit_2(tmp_path, square_poly_file):
     assert main(["element", square_poly_file, "--c", "1,2,3"]) == 2
 

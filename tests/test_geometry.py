@@ -220,6 +220,21 @@ def test_stack_matches_sequential_derive():
     assert derive_orbit_polygons(np.empty((0, 5, 2))) == []
 
 
+def test_derive_fills_in_the_scale():
+    # derive_orbit_polygons fills the cached scale from its own maximum: the
+    # bits of float(s.max()), a Python float; a polygon built by hand still
+    # computes it on first read
+    rng = np.random.default_rng(29)
+    stack = [regular_star(n, m, radius=rng.uniform(0.1, 10.0), phase=rng.uniform(0, 7))
+             + 0.05 * rng.normal(size=(n, 2)) for n, m in [(5, 1), (5, 2)] * 25]
+    for poly in derive_orbit_polygons(np.array(stack)) + [derive_orbit_polygon(stack[0])]:
+        filled = vars(poly)["scale"]
+        assert type(filled) is float and filled == float(poly.s.max())
+    by_hand = reference.derive_orbit_polygon(stack[0])
+    assert "scale" not in vars(by_hand)
+    assert by_hand.scale == float(by_hand.s.max()) and vars(by_hand)["scale"] == by_hand.scale
+
+
 def test_vertices_whose_products_overflow_are_rejected():
     # the half-edges of 1e308 overflowed to inf, with a RuntimeWarning, and
     # read as "repeated consecutive vertices"

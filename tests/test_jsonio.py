@@ -51,7 +51,7 @@ def test_curve_round_trip():
     back = jsonio.curve_from_dict(jsonio.curve_to_dict(circ))
     assert back.kind == "smooth"
     assert np.allclose(back.tangents, circ.tangents)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="unknown curve kind"):
         jsonio.curve_from_dict({"kind": "spline", "points": [[0, 0]]})
 
 

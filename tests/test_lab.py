@@ -58,10 +58,52 @@ def test_sampler_rejects_bad_pairs():
         OrbitSampler(4, 2, seed=0)
 
 
-def test_sampler_exhaustion_is_reported():
-    sampler = OrbitSampler(5, 2, seed=0, attempts=0)
-    with pytest.raises(SamplerExhausted):
+def test_sampler_exhaustion_is_reported(monkeypatch):
+    # no turning angle lies strictly between the walls, so every attempt fails
+    monkeypatch.setattr(lab, "ANGLE_MARGIN", 0.5)
+    sampler = OrbitSampler(5, 2, seed=0, attempts=3)
+    with pytest.raises(SamplerExhausted, match="within 3 attempts"):
         sample_orbit_polygon(sampler)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lab.sample_orbit_polygons(5, 2, lab._spawned_rngs(1, 3), attempts=0),
+    lambda: lab.sample_orbit_polygons(5, 2, [], attempts=0),
+    lambda: sample_orbit_polygon(OrbitSampler(5, 2, seed=0, attempts=-3)),
+])
+def test_attempts_below_one_is_an_input_error(call):
+    # it raised SamplerExhausted("... within -3 attempts"), or returned []
+    with pytest.raises(InputError, match="attempts must be >= 1"):
+        call()
+
+
+def test_sampler_draws_are_numpys_uniform_and_normal():
+    # The sampler's draws, as it writes them, against numpy's uniform(lo, hi)
+    # and normal(0, 1) on a second copy of each of 200 spawned generators:
+    # equal bit for bit, the normals up to the sign of a zero, and both
+    # copies end in the same state.
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
+    for new, old in zip(lab._spawned_rngs(29, 200), lab._spawned_rngs(29, 200)):
+        for hi in (0.65, 0.35):
+            spread = 0.15 + (hi - 0.15) * np.array([new.random()])
+            assert bits(spread) == bits(old.uniform(0.15, hi))
+        for n in (5, 6):
+            g, want = new.standard_normal(n), old.normal(0.0, 1.0, n)
+            assert np.array_equal(g, want)
+            assert ((bits(g) == bits(want)) | (g == 0.0)).all()
+        phase = 2.0 * np.pi * np.array([new.random()])
+        assert bits(phase) == bits(old.uniform(0.0, 2.0 * np.pi))
+        z0 = -1.0 + 2.0 * np.array([new.random(2)]).reshape(-1, 2)
+        assert np.array_equal(bits(z0[0]), bits(old.uniform(-1.0, 1.0, 2)))
+        # the n = 4 trapezoids' parameters and the scan's spiked angles
+        lo, hi = np.array([[0.8, 0.3, -0.3, 0.5, 0.0], [1.6, 0.95, 0.3, 1.5, 2.0 * np.pi]])
+        trapezoid = lo + (hi - lo) * new.random(5)
+        assert np.array_equal(bits(trapezoid), bits([old.uniform(a, b) for a, b in zip(lo, hi)]))
+        spiked = [0.02 + (0.5 - 0.02) * new.random(), *(0.05 + (0.6 - 0.05) * new.random(2))]
+        assert np.array_equal(bits(spiked), bits([old.uniform(0.02, 0.5), *old.uniform(0.05, 0.6, 2)]))
+        assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_sampler_is_deterministic():
@@ -503,8 +545,9 @@ def test_scan_finds_are_the_draws_of_their_own_generators():
 
 
 def test_scan_sampler_exhaustion_propagates(monkeypatch):
-    exhausted = functools.partial(lab.sample_orbit_polygons, attempts=0)
+    exhausted = functools.partial(lab.sample_orbit_polygons, attempts=2)
     monkeypatch.setattr(lab, "sample_orbit_polygons", exhausted)
+    monkeypatch.setattr(lab, "ANGLE_MARGIN", 0.5)  # every plain draw hits a wall
     with pytest.raises(SamplerExhausted):
         search_paradoxical(samples=4, seed=1)
 
