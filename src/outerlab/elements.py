@@ -863,31 +863,40 @@ def _candidates_chart(polys: list[OrbitPolygon]) -> tuple[np.ndarray, np.ndarray
 
 
 def convex_element_sweep(polys: Sequence[OrbitPolygon], slack: float) -> list[Optional[IntegralElement]]:
-    """Per pentagon or hexagon, the first coarse chart winner, charts in
-    order, that is a convex integral element with min(d - c) > slack
-    scale^2; None when no chart's winner is one.  Chart s is scanned only
-    for the polygons still without one.  Each winner and its classification
-    keep the bits they have in :func:`convex_element_search_batch`, of which
-    the winner is a candidate: that search finds an element, and its slack
-    is at least the winner's."""
+    """Per pentagon or hexagon, the first of its candidates, c = -d and
+    then each chart's coarse winner, charts in order, that is a convex
+    integral element with min(d - c) > slack scale^2; None when none is
+    one.  The charts are built only for the polygons that -d leaves open,
+    and chart s is scanned only for those still without one.  Each candidate
+    and its classification keep the bits they have in
+    :func:`convex_element_search_batch`, of which it is a candidate: that
+    search finds an element, and its slack is at least the candidate's."""
     for poly in polys:
         poly.require_locally_convex()
         if poly.n not in (5, 6):
             raise UnsupportedPeriod("chart sweep implemented for n in {5, 6}")
     found: list[Optional[IntegralElement]] = [None] * len(polys)
+
+    def settle(idx: np.ndarray, cands: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Settle polys[i], i in idx, on the candidate rows that it owns
+        (owner indexes idx); which of them are left open."""
+        for i, el in zip(idx, _most_convex_each([polys[i] for i in idx], cands, owner)):
+            # Plain floats: cands <= d + eps rejects NaN rows, so min is np.min.
+            if el is not None and min(map(sub, el.base.dvec.tolist(), el.c.tolist())) \
+                    / el.base.scale**2 > slack:
+                found[i] = el
+        return np.array([found[i] is None for i in idx], dtype=bool)
+
     for n in {p.n for p in polys}:
-        group = [i for i, p in enumerate(polys) if p.n == n]
+        group = np.array([i for i, p in enumerate(polys) if p.n == n])
+        group = group[settle(group, -np.stack([polys[i].dvec for i in group]), np.arange(len(group)))]
+        if not group.size:
+            continue
         charts, todo = ChartSweep(*(polys[i] for i in group)), np.arange(len(group))
         for s in range(n):
             m, c, _ = charts.coarse(todo * n + s)
             regular = np.flatnonzero(m > -np.inf)
-            for k, el in zip(todo, _most_convex_each([polys[group[k]] for k in todo],
-                                                     c[regular], regular)):
-                # Plain floats: cands <= d + eps rejects NaN rows, so min is np.min.
-                if el is not None and min(map(sub, el.base.dvec.tolist(), el.c.tolist())) \
-                        / el.base.scale**2 > slack:
-                    found[group[k]] = el
-            todo = todo[[found[group[k]] is None for k in todo]]
+            todo = todo[settle(group[todo], c[regular], regular)]
             if not todo.size:
                 break
     return found

@@ -12,8 +12,9 @@ trial is decided exactly by the sign certificate of its float vertices
 and, up to ties and the g condition, every non-paradoxical (6,2) star has
 one).  So an uncertified (5,2) trial is a failure and is not searched; the
 grid search runs only on uncertified (6,2) trials and on the controls.  A
-control is decided on the coarse chart sweep where a chart winner fixes the
-full search's outcome, and searched in full otherwise (:func:`_controls`).
+control is decided by c = -d, else by the charts' coarse winners in order,
+where one fixes the full search's outcome, and searched in full otherwise
+(:func:`_controls`).
 
 All verifier trials and scan samples are pure functions of per-draw seeds
 spawned from the master seed: draw k of a count gets the stream of numpy's
@@ -309,10 +310,11 @@ def _off_d(poly: OrbitPolygon, c) -> float:
 def _controls(polys: list[OrbitPolygon], slack: float) -> list[Optional[bool]]:
     """Per control, the outcome of :func:`convex_element_search_batch`:
     None when it finds no element, else whether the element has
-    ``_off_d > slack``.  A chart winner of min(d - c) > slack scale^2
-    (:func:`convex_element_sweep`) fixes it as True, since the search's
-    element c* then has max|c* - d| >= min(d - c*) >= min(d - c); only the
-    other controls are searched."""
+    ``_off_d > slack``.  A candidate c of min(d - c) > slack scale^2, -d
+    first and then each chart's coarse winner (:func:`convex_element_sweep`),
+    fixes it as True, since the search's element c* then has max|c* - d| >=
+    min(d - c*) >= min(d - c); only the other controls are searched.  -d
+    decides 57 % of (5,1) and 89 % of (6,1) controls, chart 0 most others."""
     outcome = [True] * len(polys)
     rest = [k for k, el in enumerate(convex_element_sweep(polys, slack)) if el is None]
     for k, el in zip(rest, convex_element_search_batch([polys[k] for k in rest])):

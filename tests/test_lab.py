@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from operator import sub
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import outerlab
 from outerlab import cli, lab
 from outerlab.elements import (
+    ChartSweep,
     classify_paradoxical,
     convex_element_search_batch,
     convex_element_sweep,
@@ -340,31 +342,109 @@ def _searched_outcomes(polys, found, slack):
     return [None if el is None else lab._off_d(poly, el.c) > slack for poly, el in zip(polys, found)]
 
 
-def test_controls_have_the_full_searchs_outcome():
-    # a (5,1) or (6,1) control is found (n52) or interior (n62) on its first
-    # chart winner that shows it, and searched in full otherwise: the outcome
-    # is the search's, on pentagons and hexagons of several seeds in one
-    # batch; at slack 0.25 the outcomes of both kinds are mixed
+def _spy_coarse(monkeypatch) -> list:
+    """(sweep, rows) of each call of ChartSweep.coarse, in call order."""
+    calls = []
+
+    def spy(self, rows, real=ChartSweep.coarse):
+        calls.append((self, rows.copy()))
+        return real(self, rows)
+
+    monkeypatch.setattr(ChartSweep, "coarse", spy)
+    return calls
+
+
+def _sweep_slack(el) -> float:
+    """min(d - c) / scale^2 in the sweep's plain floats."""
+    return min(map(sub, el.base.dvec.tolist(), el.c.tolist())) / el.base.scale**2
+
+
+def _is_minus_d(el) -> bool:
+    return el is not None and np.array_equal(el.c, -el.base.dvec)
+
+
+def test_controls_have_the_full_searchs_outcome(monkeypatch):
+    # a control is decided by c = -d, else by its first chart winner that
+    # shows it, else searched in full: the outcome is the search's, on
+    # (5,1) and (6,1) polygons of several seeds in one batch, with stars
+    # that have no convex element and certified (6,2) hexagons whose one
+    # convex element is the corner c = d; at slack 0.25 the outcomes of
+    # both convex kinds are mixed
     draws = [lab.sample_orbit_polygons(n, 1, lab._spawned_rngs(seed, 130))
              for seed in (1, 7, 11, 4242) for n in (5, 6)]
-    polys = [poly for row in zip(*draws) for poly in row]
-    found = convex_element_search_batch(polys)
-    for slack in (-np.inf, 1e-3, 0.25):
-        outcome = lab._controls(polys, slack)
-        assert outcome == _searched_outcomes(polys, found, slack)
-    for n in (5, 6):
-        assert {hit for poly, hit in zip(polys, outcome) if poly.n == n} == {True, False}
-    # stars without a convex element, and certified (6,2) hexagons whose one
-    # convex element is the corner c = d: no chart decides them, and the
-    # search gives each its outcome
+    convex = [poly for row in zip(*draws) for poly in row]
     stars = lab.sample_orbit_polygons(5, 2, lab._spawned_rngs(5, 60))
     hexagons = lab.sample_orbit_polygons(6, 2, lab._spawned_rngs(5, 60))
     hexagons = [p for p, ok in zip(hexagons, lab._sign_certificates(hexagons)[0]) if ok]
     assert len(hexagons) >= 55
-    for polys, slack, want in ((stars, -np.inf, None), (hexagons, 1e-3, False)):
-        assert convex_element_sweep(polys, slack) == [None] * len(polys)
-        assert lab._controls(polys, slack) == [want] * len(polys)
-        assert _searched_outcomes(polys, convex_element_search_batch(polys), slack) == [want] * len(polys)
+    polys = convex + stars + hexagons
+    found = convex_element_search_batch(polys)
+    calls = _spy_coarse(monkeypatch)
+    minus_d = {}
+    for slack in (-np.inf, 1e-3, 0.25):
+        calls.clear()
+        swept = convex_element_sweep(polys, slack)
+        # each sweep is built over the polygons that -d left open, scans
+        # chart 0 of all of them, then chart s for those still open
+        sweeps = {id(charts): charts for charts, _ in calls}.values()
+        for charts in sweeps:
+            rows = [r for c, r in calls if c is charts]
+            held = len(charts.lo) // charts.n
+            assert np.array_equal(rows[0], np.arange(held) * charts.n)
+            assert all((r % charts.n == s).all() for s, r in enumerate(rows))
+            assert all(np.isin(b // charts.n, a // charts.n).all() for a, b in zip(rows, rows[1:]))
+        opened = sum(len(charts.lo) // charts.n for charts in sweeps)
+        by_minus_d = [el for el in swept if _is_minus_d(el)]
+        assert all(_sweep_slack(el) > slack for el in by_minus_d)
+        minus_d[slack] = len(by_minus_d)
+        sent_on = swept.count(None)
+        assert len(polys) - opened == len(by_minus_d)
+        if slack < 0.25:
+            assert len(by_minus_d) > 0 and opened - sent_on > 0 and sent_on > 0
+        calls.clear()
+        outcome = lab._controls(polys, slack)
+        assert outcome == _searched_outcomes(polys, found, slack)
+    assert minus_d[-np.inf] > minus_d[0.25] > 0
+    for n in (5, 6):
+        assert {hit for poly, hit in zip(convex, outcome) if poly.n == n} == {True, False}
+    for part, slack, want in ((stars, -np.inf, None), (hexagons, 1e-3, False)):
+        assert convex_element_sweep(part, slack) == [None] * len(part)
+        assert lab._controls(part, slack) == [want] * len(part)
+        assert _searched_outcomes(part, convex_element_search_batch(part), slack) == [want] * len(part)
+
+
+def test_sweep_scans_no_chart_when_minus_d_decides(monkeypatch):
+    # pentagons and hexagons whose c = -d is a convex integral element of
+    # slack above 1e-3 are settled on it, and no chart is built; at exactly
+    # a polygon's own -d slack, -d does not decide it
+    draws = [lab.sample_orbit_polygons(n, 1, lab._spawned_rngs(3, 40)) for n in (5, 6)]
+    polys = [el.base for el in convex_element_sweep(draws[0] + draws[1], 1e-3) if _is_minus_d(el)]
+    assert {p.n for p in polys} == {5, 6}
+    calls = _spy_coarse(monkeypatch)
+    assert all(_is_minus_d(el) for el in convex_element_sweep(polys, 1e-3))
+    assert calls == []
+    poly = polys[0]
+    at = _sweep_slack(convex_element_sweep([poly], -np.inf)[0])
+    assert _is_minus_d(convex_element_sweep([poly], np.nextafter(at, -np.inf))[0])
+    assert calls == []
+    assert not _is_minus_d(convex_element_sweep([poly], at)[0])
+    assert len(calls) >= 1 and all(len(charts.lo) == poly.n for charts, _ in calls)
+
+
+@pytest.mark.parametrize("n,slack,floor", [(5, -np.inf, 0.99), (6, -np.inf, 0.99), (6, 1e-3, 0.99),
+                                           (5, 1e-3, 0.95)])
+def test_chart_zero_alone_decides_nearly_every_control(n, slack, floor):
+    # the chart's own power, whatever -d decides: chart 0's coarse winner
+    # settles nearly every (5,1) control at n52's slack -inf and (6,1)
+    # control at n62's 1e-3 (no verifier asks pentagons for 1e-3; there
+    # chart 0 settles 96-97 % of them, the later charts the rest)
+    polys = [p for seed in (1, 2) for p in lab.sample_orbit_polygons(n, 1, lab._spawned_rngs(seed, 1000))]
+    charts = ChartSweep(*polys)
+    m, c, _ = charts.coarse(np.arange(len(polys)) * n)
+    regular = np.flatnonzero(m > -np.inf)
+    els = outerlab.elements._most_convex_each(polys, c[regular], regular)
+    decided = sum(el is not None and _sweep_slack(el) > slack for el in els)
+    assert decided >= floor * len(polys)
 
 
 def test_controls_need_an_integral_element(monkeypatch):
