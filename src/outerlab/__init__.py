@@ -25,8 +25,6 @@ from .elements import (
     convex_element_search,
     curvature_from_element,
     element_from_curvature,
-    is_convex_element,
-    is_integral_element,
     make_element,
     numerical_rank,
     paradox_margin,
@@ -67,7 +65,6 @@ __all__ = [
     "CyclicMatrixC", "IntegralElement", "CurvatureProfile",
     "build_matrix_C", "numerical_rank", "make_element",
     "special_element_minus", "special_element_plus",
-    "is_integral_element", "is_convex_element",
     "variety_point_n5", "variety_point_n6",
     "curvature_from_element", "element_from_curvature",
     "convex_element_search", "classify_paradoxical", "paradox_margin",

@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import (
     NotConvexElement,
-    NotIntegralElement,
     OddPeriod,
     UnsupportedPeriod,
     ValidationFailed,
@@ -320,22 +319,6 @@ def make_element(
         is_special_minus=_max_abs(map(add, cl, d)) <= special_tol,
         is_special_plus=poly.n % 2 == 0 and _max_abs(map(sub, cl, d)) <= special_tol,
     )
-
-
-def is_integral_element(poly: OrbitPolygon, c, tol: float = INTEGRAL_TOL) -> bool:
-    return make_element(poly, c, tol).is_valid
-
-
-def is_convex_element(
-    poly: OrbitPolygon,
-    c,
-    tol: float = INTEGRAL_TOL,
-    convex_tol: float | None = None,
-) -> bool:
-    el = make_element(poly, c, tol, convex_tol)
-    if not el.is_valid:
-        raise NotIntegralElement("coefficient vector is not an integral element")
-    return el.is_convex
 
 
 def special_element_minus(poly: OrbitPolygon, tol: float = INTEGRAL_TOL) -> IntegralElement:

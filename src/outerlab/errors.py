@@ -41,10 +41,6 @@ class UnsupportedPeriod(InputError):
     """Search is implemented only for n in {3, 4, 5, 6}."""
 
 
-class NotIntegralElement(OuterLabError):
-    """Coefficient vector fails the rank / variety membership test."""
-
-
 class NotConvexElement(OuterLabError):
     """Coefficient vector violates the componentwise convexity bound."""
 

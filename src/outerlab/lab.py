@@ -11,7 +11,9 @@ trial is decided exactly by the sign certificate of its float vertices
 (:func:`_sign_certificates`, which proves that every admissible (5,2) star
 and, up to ties and the g condition, every non-paradoxical (6,2) star has
 one).  So an uncertified (5,2) trial is a failure and is not searched; the
-grid search runs only on uncertified (6,2) trials and on the controls.  A
+grid search runs only on uncertified (6,2) trials and on the controls.  The
+paradoxical scan searches nothing: it certifies the corner c = d of all its
+finds in one stack (:func:`search_paradoxical`).  A
 control is decided by c = -d, else by the charts' coarse winners in order,
 where one fixes the full search's outcome, and searched in full otherwise
 (:func:`_controls`).
@@ -378,7 +380,7 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
             bundles.append(_bundle(poly, el.c, "n4-off-d-element"))
     return _report(
         "n4", seed, trials, margins, bundles,
-        "every convex element found by the conic sweep coincides with d "
+        "every convex element found by the closed form coincides with d "
         "(margin = worst |c - d| / scale^2); every fifth sample is a "
         "trapezoid to exercise the degenerate branch",
     )
@@ -575,9 +577,12 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
     even samples are plain sampler output, drawn in one batch, and the odd
     ones spiked constructions with one angle near pi, built in one stack;
     a plain sample that exhausts the sampler raises SamplerExhausted, as in
-    the verifiers.  Whatever is found is reported descriptively: existence
-    for an actual convex curve is an open question, so neither an empty nor
-    a non-empty find list is a failure.
+    the verifiers.  A find's element is the corner c = d, certified for all
+    finds in one :func:`special_plus_certified` call, or None where the
+    corner is not certified; the find's vertices replay it.  No other
+    convex element is searched for.  Whatever is found is reported
+    descriptively: existence for an actual convex curve is an open
+    question, so neither an empty nor a non-empty find list is a failure.
     """
     rngs = _spawned_rngs(seed, samples, "samples")
     plain, spiked = sample_orbit_polygons(6, 2, rngs[0::2]), _spiked_62(rngs[1::2])
@@ -585,16 +590,20 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
              if (poly := (spiked if k % 2 else plain)[k // 2]) is not None]
     margins = paradox_margins([poly for _, poly in drawn])
     hits = [(k, poly, float(margin)) for (k, poly), margin in zip(drawn, margins) if margin > 0.0]
-    found = convex_element_search_batch([poly for _, poly, _ in hits])
-    finds = tuple(ParadoxicalFind(polygon=poly, margin=margin, element=el)
-                  for (_, poly, margin), el in zip(hits, found))
+    certified = special_plus_certified([poly for _, poly, _ in hits])
+    finds = tuple(ParadoxicalFind(polygon=poly, margin=margin,
+                                  element=make_element(poly, poly.dvec) if ok else None)
+                  for (_, poly, margin), ok in zip(hits, certified))
     spiked_hits = sum(k % 2 for k, _, _ in hits)
     return ParadoxicalScan(
         samples=samples,
         best_margin=float(margins.max(initial=-np.inf)),
         finds=finds,
         notes=(f"{len(finds)} paradoxical polygons ({spiked_hits} from spiked "
-               "angles); existence for a convex curve remains open, results "
-               "are descriptive only"),
+               f"angles); the element of each find is the corner c = d, certified "
+               f"by its null vectors; {len(finds) - int(certified.sum())} finds "
+               f"uncertified (element null); no other convex element is searched "
+               f"for, so whether the corner is the only one stays open; existence "
+               f"for a convex curve remains open, results are descriptive only"),
         seed=seed,
     )

@@ -28,8 +28,6 @@ from outerlab.elements import (
     convexity_tol,
     curvature_from_element,
     element_from_curvature,
-    is_convex_element,
-    is_integral_element,
     make_element,
     monodromy_residual,
     monodromy_residuals,
@@ -45,7 +43,6 @@ from outerlab.elements import (
 from outerlab.dynamics import ConvexCurve, iterate
 from outerlab.errors import (
     NotConvexElement,
-    NotIntegralElement,
     NotLocallyConvex,
     OddPeriod,
     OuterLabError,
@@ -129,7 +126,7 @@ def test_triangle_unique_element(triangle):
     # all rows proportional for the equilateral case
     assert np.allclose(M[0], M[1]) and np.allclose(M[1], M[2])
     # any perturbation off the element restores full rank
-    assert not is_integral_element(triangle, cstar * np.array([1.0, 1.0, 1.01]))
+    assert not make_element(triangle, cstar * np.array([1.0, 1.0, 1.01])).is_valid
 
 
 def test_special_minus_across_periods(sampled):
@@ -195,7 +192,7 @@ def test_variety_residual_detects_perturbation(sampled):
     c = -poly.dvec.copy()
     c[0] += 1e-3 * poly.scale**2
     assert variety_residual_rel(poly, c) > 1e-5
-    assert not is_integral_element(poly, c)
+    assert not make_element(poly, c).is_valid
 
 
 def test_chart_reconstructs_specials_n5(sampled):
@@ -237,7 +234,7 @@ def test_chart_points_are_integral(sampled):
                 c, ok = _variety_point(poly, list(params.T), shift)
             assert ok.any()
             for cc in c[ok]:
-                assert is_integral_element(poly, cc)
+                assert make_element(poly, cc).is_valid
 
 
 @pytest.mark.parametrize("key", [(5, 1), (5, 2), (6, 1), (6, 2)])
@@ -549,14 +546,16 @@ def test_variety_point_singular_nodes_are_quiet(sampled):
                 assert not ok.any()
 
 
-def test_is_convex_element_gate(square, sampled):
-    assert is_convex_element(square, square.dvec.copy())  # c = d corner
+def test_convexity_box_gate(square, sampled):
+    assert make_element(square, square.dvec.copy()).is_convex  # c = d corner
     poly = sampled[(4, 1)][0]
     # -d is integral but infeasible once some d_i < 0 (generic quadrilateral)
     if np.any(poly.dvec < -convexity_tol(poly)):
-        assert not is_convex_element(poly, -poly.dvec)
-    with pytest.raises(NotIntegralElement):
-        is_convex_element(poly, poly.dvec + np.array([0.3, 0.0, 0.0, 0.0]) * poly.scale**2)
+        el = make_element(poly, -poly.dvec)
+        assert el.is_valid and not el.is_convex
+    # off the variety: not integral, so not convex although it meets c <= d
+    el = make_element(poly, poly.dvec - np.array([0.3, 0.0, 0.0, 0.0]) * poly.scale**2)
+    assert not el.is_valid and not el.is_convex
 
 
 def test_quadrilateral_skip_sum_is_zero(sampled):
@@ -576,8 +575,8 @@ def test_curvature_unit_square(square):
     assert np.allclose(back, c, rtol=1e-14)
     # an integral element off the corner exists but is never convex
     c = np.array([-2.0, 0.0, 2.0, 0.0])
-    assert is_integral_element(square, c)
-    assert not is_convex_element(square, c)
+    el = make_element(square, c)
+    assert el.is_valid and not el.is_convex
 
 
 def test_curvature_corner_is_infinite(square, sampled):

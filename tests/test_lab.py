@@ -163,7 +163,11 @@ def test_verifier_thread_determinism(theorem, kwargs, monkeypatch, tmp_path):
 # when each scan sample got its own spawned generator: the two verifier
 # reports are the same, and every scan byte moved; the scan found 21
 # paradoxical polygons (20 spiked) against 20 (20 spiked), all at c = d.
-GOLDEN_REPORTS_SHA256 = "279f2f8cfb79245d7d9eb125eb80c5caa636a56d234b2acbbddefe235c674271"
+# Re-pinned again (from 279f2f8c...) when the scan stopped searching and
+# certified the corner c = d of every find: the two verifier reports are the
+# same, and in the scan only the notes, and element.c and element.rank_margin
+# on the finds whose searched element was not already d bit for bit, moved.
+GOLDEN_REPORTS_SHA256 = "bae25394b5400ab9886d4e275bfefea4e243f6efe27c80dfe07e7c7b8e0ea328"
 
 
 def test_verifier_reports_match_golden_bytes(capsys):
@@ -173,14 +177,17 @@ def test_verifier_reports_match_golden_bytes(capsys):
     assert cli.main(["search-paradoxical", "--trials", "40", "--seed", "7"]) == 0
     text = (dumps_canonical(report_to_dict(n52)) + dumps_canonical(report_to_dict(n62))
             + capsys.readouterr().out)
-    assert '"element": {' in text  # the scan's finds carry searched elements
+    assert '"element": {' in text  # the scan's finds carry certified corner elements
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256
 
 
 # sha256 of the n3 and n4 reports at 100 trials, seeds 7 and 1729, in that
 # order (numpy 2.4, x86-64 Linux), taken when the verifiers' per-trial result
 # dicts became one list of margins and one list of failure bundles.
-N3_N4_REPORTS_SHA256 = "f7adb5bed500c6a7fb589023a9350f1cd8873dc70d9c04b7f8a3f36cbd36cb05"
+# Re-pinned (from f7adb5be...) when the n4 notes began to name the closed
+# form instead of the conic sweep: the n3 reports are the same, and the n4
+# reports differ only in their notes.
+N3_N4_REPORTS_SHA256 = "56ca573a169713ae764d5bbba42130f76be78a8d5491a6876c66c38a94ef6030"
 
 
 def test_n3_n4_reports_match_pinned_bytes():
@@ -239,6 +246,27 @@ def test_paradoxical_scan_spiked_half_hits():
     # must surface at least one paradoxical example
     scan = search_paradoxical(samples=40, seed=12)
     assert len(scan.finds) > 0
+
+
+def test_scan_certifies_the_corner_without_a_search(monkeypatch):
+    # the scan runs no grid search: each find's element is the corner c = d,
+    # certified for all finds in one stack; where the certificate fails the
+    # element is None and the notes count the find
+    def no_search(polys):
+        raise AssertionError("the scan ran the grid search")
+
+    monkeypatch.setattr(lab, "convex_element_search_batch", no_search)
+    scan = search_paradoxical(samples=200, seed=11)
+    assert scan.finds
+    for find in scan.finds:
+        assert find.element.c.tobytes() == find.polygon.dvec.tobytes()
+        assert find.element.is_valid and find.element.is_convex
+    assert "; 0 finds uncertified (element null);" in scan.notes
+    monkeypatch.setattr(lab, "special_plus_certified", lambda polys: np.zeros(len(polys), dtype=bool))
+    blind = search_paradoxical(samples=200, seed=11)
+    assert len(blind.finds) == len(scan.finds)
+    assert all(find.element is None for find in blind.finds)
+    assert f"; {len(scan.finds)} finds uncertified (element null);" in blind.notes
 
 
 def test_n62_paradoxical_cap_records_failure(monkeypatch):
@@ -429,6 +457,35 @@ def test_sweep_scans_no_chart_when_minus_d_decides(monkeypatch):
     assert calls == []
     assert not _is_minus_d(convex_element_sweep([poly], at)[0])
     assert len(calls) >= 1 and all(len(charts.lo) == poly.n for charts, _ in calls)
+
+
+def test_sweep_settles_no_chart_row_without_a_regular_point(monkeypatch):
+    # two pentagons that -d leaves open and chart 0 decides; chart 0 of the
+    # first is made to read slack -inf, with its winner, a convex element,
+    # kept: the sweep settles the second on chart 0 and leaves the first
+    # open for chart 1
+    calls = _spy_coarse(monkeypatch)
+    decided = []
+    for poly in lab.sample_orbit_polygons(5, 1, lab._spawned_rngs(3, 40)):
+        calls.clear()
+        el = convex_element_sweep([poly], -np.inf)[0]
+        if el is not None and not _is_minus_d(el) and len(calls) == 1:
+            decided.append(el)
+    assert len(decided) >= 2
+    a, b = decided[:2]
+    rows = []
+
+    def blind(self, r, real=ChartSweep.coarse):
+        rows.append(r.copy())
+        m, c, p = real(self, r)
+        assert r[0] != 0 or np.array_equal(c[0], a.c)  # chart 0's winner of the first
+        return np.where(r == 0, -np.inf, m), c, p
+
+    monkeypatch.setattr(ChartSweep, "coarse", blind)
+    first, second = convex_element_sweep([a.base, b.base], -np.inf)
+    assert np.array_equal(second.c, b.c)
+    assert [r.tolist() for r in rows[:2]] == [[0, 5], [1]]
+    assert first is None or not np.array_equal(first.c, a.c)
 
 
 @pytest.mark.parametrize("n,slack,floor", [(5, -np.inf, 0.99), (6, -np.inf, 0.99), (6, 1e-3, 0.99),
