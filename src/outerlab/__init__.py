@@ -8,6 +8,7 @@ scarcity of convex integral elements.
 
 from .geometry import (
     OrbitPolygon,
+    PolygonStack,
     derive_orbit_polygon,
     derive_orbit_polygons,
     det2,
@@ -60,7 +61,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "OrbitPolygon", "derive_orbit_polygon", "derive_orbit_polygons", "det2", "inner2",
+    "OrbitPolygon", "PolygonStack", "derive_orbit_polygon", "derive_orbit_polygons", "det2", "inner2",
     "polygon_area", "regular_star", "diameter",
     "CyclicMatrixC", "IntegralElement", "CurvatureProfile",
     "build_matrix_C", "numerical_rank", "make_element",

@@ -47,7 +47,7 @@ from .errors import (
     WrongPeriod,
     WrongPeriodOrWinding,
 )
-from .geometry import OrbitPolygon
+from .geometry import OrbitPolygon, PolygonStack, stack_polygons
 
 RANK_REL_DEFAULT = 1e-9
 
@@ -103,9 +103,16 @@ class IntegralElement:
 
     @cached_property
     def rank_margin(self) -> float:
-        sv = np.linalg.svd(build_matrix_C(self.base, self.c).entries, compute_uv=False)
-        n = self.base.n
-        return 0.0 if sv[0] == 0.0 else float((sv[n - 3] - sv[n - 2]) / sv[0])
+        return rank_margins(self.base.delta[None], self.c[None]).item()
+
+
+def rank_margins(delta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """:attr:`IntegralElement.rank_margin` of a stack, delta and c of shape
+    (K, n): one SVD call for all the matrices C(c); 0.0 where sigma_0 is 0."""
+    n = c.shape[1]
+    sv = np.linalg.svd(_matrices_C(delta, c), compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sv[:, 0] == 0.0, 0.0, (sv[:, n - 3] - sv[:, n - 2]) / sv[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,14 +145,19 @@ def build_matrix_C(poly: OrbitPolygon, c) -> CyclicMatrixC:
     and delta_{j+1} to its left (cyclically), so that row j of C v = 0 is the
     three-term recurrence attached to edge j."""
     c = _coefficients(poly, c)
-    n = poly.n
-    d = poly.delta
-    M = np.zeros((n, n))
+    M = _matrices_C(poly.delta[None], c[None])[0]
+    return CyclicMatrixC(n=poly.n, entries=M, c=c, delta=poly.delta.copy())
+
+
+def _matrices_C(delta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """C(c) of :func:`build_matrix_C` per row of the (K, n) stacks delta and c."""
+    k, n = c.shape
+    M = np.zeros((k, n, n))
     j = np.arange(n)
-    M[j, j] = c
-    M[j, (j + 1) % n] = d
-    M[j, (j - 1) % n] = np.roll(d, -1)
-    return CyclicMatrixC(n=n, entries=M, c=c, delta=d.copy())
+    M[:, j, j] = c
+    M[:, j, (j + 1) % n] = delta
+    M[:, j, (j - 1) % n] = np.roll(delta, -1, axis=1)
+    return M
 
 
 def numerical_rank(M, tol: float = RANK_REL_DEFAULT) -> int:
@@ -342,17 +354,21 @@ def special_plus_certified(polys: Sequence[OrbitPolygon], tol: float = INTEGRAL_
     """Per polygon of one even n, whether :func:`special_element_plus`
     certifies c = +d, without raising ValidationFailed: one monodromy
     residual and one null residual over the whole stack."""
-    for poly in polys:
-        if poly.n % 2:
-            raise OddPeriod("c = +d is an integral element only for even n")
-        poly.require_locally_convex()
-    if not polys:
+    if not len(polys):
         return np.zeros(0, dtype=bool)
-    d = np.stack([p.dvec for p in polys])
-    delta = np.stack([p.delta for p in polys])
-    vecs = _alternating(np.stack([p.r for p in polys]))
+    polys = stack_polygons(polys)
+    if polys.n % 2:
+        raise OddPeriod("c = +d is an integral element only for even n")
+    _require_locally_convex(polys)
+    d, delta, vecs = polys.dvec, polys.delta, _alternating(polys.r)
     return (monodromy_residuals(delta, d) <= tol) & (
         _null_residual(delta, d, vecs) <= _null_bound(delta, d, vecs))
+
+
+def _require_locally_convex(polys: PolygonStack) -> None:
+    """NotLocallyConvex, from the first polygon of the stack that is not."""
+    if not polys.locally_convex.all():
+        polys[int(np.argmin(polys.locally_convex))].require_locally_convex()
 
 
 def _alternating(r: np.ndarray) -> np.ndarray:
@@ -449,11 +465,12 @@ def paradox_margins(polys: Sequence[OrbitPolygon]) -> np.ndarray:
     Positive exactly when some vertex has both adjacent angle-pair sums
     above pi.
     """
-    if any(p.n != 6 or p.winding != 2 for p in polys):
-        raise WrongPeriodOrWinding("defined for hexagons with winding 2")
-    if not polys:
+    if not len(polys):
         return np.zeros(0)
-    a = np.stack([p.alpha for p in polys])
+    polys = stack_polygons(polys)
+    if polys.n != 6 or (polys.winding != 2).any():
+        raise WrongPeriodOrWinding("defined for hexagons with winding 2")
+    a = polys.alpha
     left = np.roll(a, 1, axis=1) + a - np.pi
     right = a + np.roll(a, -1, axis=1) - np.pi
     return np.max(np.minimum(left, right), axis=1)
@@ -519,7 +536,8 @@ def _signs(value: np.ndarray, bound: np.ndarray, exact) -> np.ndarray:
 def skip_signs(polys: Sequence[OrbitPolygon]) -> np.ndarray:
     """Exact signs (-1, 0 or 1) of the skip determinants d_i of the
     polygons' float vertices, one row per polygon (all of one n)."""
-    d, mag = _dets(np.stack([p.r for p in polys]), -1, 1)
+    polys = stack_polygons(polys)
+    d, mag = _dets(polys.r, -1, 1)
     return _signs(d, DET_ERROR * mag, lambda k: _exact_dets(polys[k], -1, 1))
 
 
@@ -527,8 +545,8 @@ def gap_signs(polys: Sequence[OrbitPolygon]) -> np.ndarray:
     """Exact signs of g_i = d_i d_{i+1} - delta_i delta_{i+2}, one row per
     polygon: delta_i delta_{i+1} times the (2, 2) entry of T_{i+1} T_i at
     c = d."""
-    r = np.stack([p.r for p in polys])
-    (d, md), (D, mD) = _dets(r, -1, 1), _dets(r, -1, 0)
+    polys = stack_polygons(polys)
+    (d, md), (D, mD) = _dets(polys.r, -1, 1), _dets(polys.r, -1, 0)
     d1, md1, D2, mD2 = (np.roll(x, -j, axis=1) for x, j in ((d, 1), (md, 1), (D, 2), (mD, 2)))
 
     def exact(k):
@@ -582,14 +600,14 @@ def convex_element_search_batch(
     a row."""
     groups: dict[int, list[int]] = {}
     for i, poly in enumerate(polys):
-        poly.require_locally_convex()
-        if poly.n not in (3, 4, 5, 6):
-            raise UnsupportedPeriod("search implemented for n in {3, 4, 5, 6}")
         groups.setdefault(poly.n, []).append(i)
 
     found: list[Optional[IntegralElement]] = [None] * len(polys)
     for n, idx in groups.items():
-        group = [polys[i] for i in idx]
+        group = stack_polygons([polys[i] for i in idx])
+        _require_locally_convex(group)
+        if n not in (3, 4, 5, 6):
+            raise UnsupportedPeriod("search implemented for n in {3, 4, 5, 6}")
         if n == 3:
             els = [make_element(p, np.roll(p.delta, 1)) for p in group]
             els = [el if (el.is_valid and el.is_convex) else None for el in els]
@@ -599,7 +617,7 @@ def convex_element_search_batch(
                                     np.repeat(np.arange(len(group)), [len(c) for c in cands]))
         else:
             cands, owner = _candidates_chart(group)
-            d, each = np.stack([p.dvec for p in group]), np.arange(len(group))
+            d, each = group.dvec, np.arange(len(group))
             extra = [-d, d] if n == 6 else [-d]
             els = _most_convex_each(group, np.concatenate([cands, *extra]),
                                     np.concatenate([owner] + [each] * len(extra)))
@@ -608,28 +626,45 @@ def convex_element_search_batch(
     return found
 
 
-def _most_convex_each(polys: list[OrbitPolygon], cands: np.ndarray,
-                      owner: np.ndarray) -> list[Optional[IntegralElement]]:
-    """Per polygon, the convex integral element of largest slack min(d - c)
-    among the candidate rows that it owns (``owner`` holds its index), ties
-    to its first such row; None when no row is one.  All rows are classified
-    at once, each with the bits that :func:`make_element` gives it."""
-    d = np.stack([p.dvec for p in polys])[owner]
-    eps = np.array([convexity_tol(p) for p in polys])[owner]
+def _scale2(polys: PolygonStack) -> np.ndarray:
+    """scale^2 per polygon, with the bits of each polygon's Python float
+    ``scale**2`` (which the one-polygon code takes)."""
+    return np.array([x**2 for x in polys.scale.tolist()])
+
+
+def _most_convex(polys: PolygonStack, sc2: np.ndarray, cands: np.ndarray,
+                 owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per polygon that owns one (``owner`` holds each candidate row's row of
+    the stack, ``sc2`` its :func:`_scale2`), the candidate row that is the
+    convex integral element of largest slack min(d - c), ties to its first
+    such row, in polygon order; and that slack.  All rows are classified at
+    once, each with the bits that :func:`make_element` gives it."""
+    d = polys.dvec[owner]
+    eps = 1e-12 * sc2[owner]  # convexity_tol
     margins = np.min(d - cands, axis=1)
     ok = (~(margins < -eps) & np.all(cands <= d + eps[:, None], axis=1)
-          & (monodromy_residuals(np.stack([p.delta for p in polys])[owner], cands) <= INTEGRAL_TOL))
+          & (monodromy_residuals(polys.delta[owner], cands) <= INTEGRAL_TOL))
     order = np.argsort(-margins, kind="stable")
     order = order[ok[order]]
     win = order[np.unique(owner[order], return_index=True)[1]]
-    c, d = cands[win], d[win]
-    tol = np.array([1e-9 * p.scale**2 for p in polys])[owner[win]]
+    return win, margins[win]
+
+
+def _most_convex_each(polys: Sequence[OrbitPolygon], cands: np.ndarray,
+                      owner: np.ndarray) -> list[Optional[IntegralElement]]:
+    """Per polygon, the element of :func:`_most_convex`, or None when none
+    of its rows is a convex integral element."""
+    polys = stack_polygons(polys)
+    sc2 = _scale2(polys)
+    win = _most_convex(polys, sc2, cands, owner)[0]
+    k, c = owner[win], cands[win]
+    d, tol = polys.dvec[k], 1e-9 * sc2[k]
     minus = np.max(np.abs(c + d), axis=1) <= tol
-    plus = (polys[0].n % 2 == 0) & (np.max(np.abs(c - d), axis=1) <= tol)
+    plus = (polys.n % 2 == 0) & (np.max(np.abs(c - d), axis=1) <= tol)
     found: list[Optional[IntegralElement]] = [None] * len(polys)
-    for k, ck, mk, pk in zip(owner[win], c, minus, plus):
-        found[k] = IntegralElement(base=polys[k], c=ck.copy(), is_valid=True, is_convex=True,
-                                   is_special_minus=bool(mk), is_special_plus=bool(pk))
+    for i, ci, mi, pi in zip(k.tolist(), c, minus, plus):
+        found[i] = IntegralElement(base=polys[i], c=ci.copy(), is_valid=True, is_convex=True,
+                                   is_special_minus=bool(mi), is_special_plus=bool(pi))
     return found
 
 
@@ -681,8 +716,9 @@ class ChartSweep:
     areas and skip determinants, its search box per chart coordinate and the
     polygon's scale^2.  The scorer's work arrays are kept between calls."""
 
-    def __init__(self, *polys: OrbitPolygon):
-        n = polys[0].n
+    def __init__(self, polys: Sequence[OrbitPolygon]):
+        polys = stack_polygons(polys)
+        n = polys.n
         self.n, self.dim = n, n - 3
         roll = (np.arange(n)[:, None] + np.arange(n)) % n  # row s: roll by -s
         self.roll = np.tile(roll, (len(polys), 1))
@@ -691,9 +727,9 @@ class ChartSweep:
             """Row p n + s: vectors[p] rolled by -s, its first k entries."""
             return vectors[:, roll[:, :k]].reshape(-1, k)
 
-        delta, dvec = np.stack([p.delta for p in polys]), np.stack([p.dvec for p in polys])
+        delta, dvec = polys.delta, polys.dvec
         self.delta, self.dvec = rolled(delta), rolled(dvec)
-        self.sc2 = np.repeat([p.scale**2 for p in polys], n)
+        self.sc2 = np.repeat(_scale2(polys), n)
         self.lo, self.hi = (rolled(x, self.dim) for x in _search_box(dvec, delta))
         # For the scorer, one row each: the local areas, the skip
         # determinants and scale^2; a call's columns of it come out C-ordered.
@@ -833,11 +869,11 @@ class ChartSweep:
         return np.stack([c, zoom_c], axis=1), np.stack([m > -np.inf, zoom_found], axis=1)
 
 
-def _candidates_chart(polys: list[OrbitPolygon]) -> tuple[np.ndarray, np.ndarray]:
+def _candidates_chart(polys: PolygonStack) -> tuple[np.ndarray, np.ndarray]:
     """Chart candidates of pentagons, or of hexagons, and the index of the
     polygon of each: per polygon, the coarse sweep's best regular point of
     each chart followed by its refinement, in chart order."""
-    charts = ChartSweep(*polys)
+    charts = ChartSweep(polys)
     n = charts.n
     c, keep = charts.refine(charts.coarse(np.arange(len(charts.lo))),
                             (charts.hi - charts.lo) / (GRID - 1))
@@ -845,41 +881,44 @@ def _candidates_chart(polys: list[OrbitPolygon]) -> tuple[np.ndarray, np.ndarray
     return c.reshape(-1, n)[keep], np.repeat(np.arange(len(polys)), 2 * n)[keep]
 
 
-def convex_element_sweep(polys: Sequence[OrbitPolygon], slack: float) -> list[Optional[IntegralElement]]:
-    """Per pentagon or hexagon, the first of its candidates, c = -d and
-    then each chart's coarse winner, charts in order, that is a convex
-    integral element with min(d - c) > slack scale^2; None when none is
-    one.  The charts are built only for the polygons that -d leaves open,
-    and chart s is scanned only for those still without one.  Each candidate
-    and its classification keep the bits they have in
+def convex_element_sweep(polys: Sequence[OrbitPolygon], slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per polygon of one n, 5 or 6, whether one of its candidates, c = -d
+    and then each chart's coarse winner, charts in order, is a convex
+    integral element with min(d - c) > slack scale^2; and the first such c,
+    a row of NaN where none is.  The charts are built only for the polygons
+    that -d leaves open, and chart s is scanned only for those still open.
+    Each candidate and its classification keep the bits they have in
     :func:`convex_element_search_batch`, of which it is a candidate: that
-    search finds an element, and its slack is at least the candidate's."""
-    for poly in polys:
-        poly.require_locally_convex()
-        if poly.n not in (5, 6):
-            raise UnsupportedPeriod("chart sweep implemented for n in {5, 6}")
-    found: list[Optional[IntegralElement]] = [None] * len(polys)
+    search finds an element, and its slack is at least the candidate's.
+    The sweep decides on the stack's columns and makes no polygon or
+    element object."""
+    if not len(polys):
+        return np.zeros(0, dtype=bool), np.zeros((0, 0))
+    polys = stack_polygons(polys)
+    _require_locally_convex(polys)
+    if polys.n not in (5, 6):
+        raise UnsupportedPeriod("chart sweep implemented for n in {5, 6}")
+    n, sc2 = polys.n, _scale2(polys)
+    decided, found = np.zeros(len(polys), dtype=bool), np.full((len(polys), n), np.nan)
 
-    def settle(idx: np.ndarray, cands: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        """Settle polys[i], i in idx, on the candidate rows that it owns
-        (owner indexes idx); which of them are left open."""
-        for i, el in zip(idx, _most_convex_each([polys[i] for i in idx], cands, owner)):
-            # Plain floats: cands <= d + eps rejects NaN rows, so min is np.min.
-            if el is not None and min(map(sub, el.base.dvec.tolist(), el.c.tolist())) \
-                    / el.base.scale**2 > slack:
-                found[i] = el
-        return np.array([found[i] is None for i in idx], dtype=bool)
+    def settle(cands: np.ndarray, owner: np.ndarray) -> None:
+        """Decide the polygons ``owner`` (rows of the stack) whose most
+        convex candidate row clears the slack."""
+        win, margin = _most_convex(polys, sc2, cands, owner)
+        # cands <= d + eps rejects NaN rows, so the margins are not NaN.
+        hit = win[margin / sc2[owner[win]] > slack]
+        decided[owner[hit]] = True
+        found[owner[hit]] = cands[hit]
 
-    for n in {p.n for p in polys}:
-        group = np.array([i for i, p in enumerate(polys) if p.n == n])
-        group = group[settle(group, -np.stack([polys[i].dvec for i in group]), np.arange(len(group)))]
-        if not group.size:
-            continue
-        charts, todo = ChartSweep(*(polys[i] for i in group)), np.arange(len(group))
+    settle(-polys.dvec, np.arange(len(polys)))
+    group = np.flatnonzero(~decided)
+    if group.size:
+        charts, todo = ChartSweep(polys.take(group)), np.arange(len(group))
         for s in range(n):
             m, c, _ = charts.coarse(todo * n + s)
             regular = np.flatnonzero(m > -np.inf)
-            todo = todo[settle(group[todo], c[regular], regular)]
+            settle(c[regular], group[todo[regular]])
+            todo = todo[~decided[group[todo]]]
             if not todo.size:
                 break
-    return found
+    return decided, found

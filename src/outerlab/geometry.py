@@ -13,20 +13,22 @@ Index convention: all arrays are 0-based and cyclic, aligned so that entry
 The bundle is derived in numpy for a stack of polygons, a single polygon
 included (``derive_orbit_polygons``): its cost is the number of array calls,
 not their size, so the neighbours are cyclic slices and the determinants are
-written on x and y columns.  Code that reads a few entries of one polygon,
-such as the one-polygon classification in ``elements``, converts the arrays
-to Python floats first.
+written on x and y columns.  The result stays a stack (``PolygonStack``),
+whose consumers read its columns; a polygon object is made only for a row
+that a caller reads.  Code that reads a few entries of one polygon, such as
+the one-polygon classification in ``elements``, converts the arrays to
+Python floats first.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneratePolygon, NotLocallyConvex
+from .errors import DegeneratePolygon, NotLocallyConvex, WrongPeriod
 
 # Accept a turning sum as a winding number only this close to an integer.
 WINDING_TOL = 1e-9
@@ -111,14 +113,77 @@ class OrbitPolygon:
         return self.locally_convex and 0 < 2 * self.winding < self.n
 
 
+class PolygonStack(Sequence):
+    """k derived polygons of one n: the array fields of :class:`OrbitPolygon`
+    stacked as read-only (k, n, ...) arrays, with ``winding``,
+    ``locally_convex`` and ``scale`` columns.
+
+    It is a sequence of OrbitPolygon.  Row i's polygon holds views of row i
+    of each array, so it has the stack's bits; it is made when first indexed
+    and kept.  Consumers that read the columns make none."""
+
+    FIELDS = ("vertices", "r", "rbar", "s", "delta", "dvec", "alpha", "exterior",
+              "winding", "locally_convex", "scale")
+
+    def __init__(self, *columns: np.ndarray):
+        for a in columns:
+            a.setflags(write=False)
+        vars(self).update(zip(self.FIELDS, columns))
+        self.columns = columns
+        self._rows: dict[int, OrbitPolygon] = {}
+
+    @property
+    def n(self) -> int:
+        return self.vertices.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.scale)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
+        i = range(len(self))[i]
+        if (poly := self._rows.get(i)) is None:
+            z, r, rbar, s, delta, dvec, alpha, exterior, m, convex, scale = self.columns
+            poly = self._rows[i] = OrbitPolygon(
+                z[i], r[i], rbar[i], s[i], delta[i], dvec[i], alpha[i], exterior[i],
+                winding=int(m[i]), locally_convex=bool(convex[i]))
+            vars(poly)["scale"] = float(scale[i])  # the cached property's value
+        return poly
+
+    def take(self, rows) -> "PolygonStack":
+        """The stack of the given rows, in their order."""
+        return PolygonStack(*(a[rows] for a in self.columns))
+
+    @staticmethod
+    def concatenate(parts: Sequence["PolygonStack"]) -> "PolygonStack":
+        """The rows of the stacks ``parts``, all of one n, in order."""
+        return PolygonStack(*map(np.concatenate, zip(*(p.columns for p in parts))))
+
+
+def stack_polygons(polys: Sequence[OrbitPolygon]) -> PolygonStack:
+    """``polys`` as a stack: a PolygonStack as it is, else the fields of the
+    polygons, at least one and all of one n, stacked; the stack's rows are
+    the given polygons."""
+    if isinstance(polys, PolygonStack):
+        return polys
+    if len({p.n for p in polys}) != 1:
+        raise WrongPeriod("need at least one polygon, all of one n")
+    stack = PolygonStack(*(np.array([getattr(p, name) for p in polys])
+                           for name in PolygonStack.FIELDS))
+    stack._rows.update(enumerate(polys))
+    return stack
+
+
 def derive_orbit_polygon(vertices: Sequence) -> OrbitPolygon:
-    """The derived bundle of one closed polygon: the one-polygon case of
+    """The derived bundle of one closed polygon: row 0 of
     :func:`derive_orbit_polygons`."""
     return derive_orbit_polygons([vertices])[0]
 
 
-def derive_orbit_polygons(vertices: Sequence) -> list[OrbitPolygon]:
-    """Build the full derived bundle for each polygon of a (k, n, 2) stack.
+def derive_orbit_polygons(vertices: Sequence) -> PolygonStack:
+    """Build the full derived bundle for each polygon of a (k, n, 2) stack,
+    as a PolygonStack: no polygon object is made until a row is indexed.
 
     A polygon is flagged as not locally convex unless every local area
     exceeds 1e-12 * (its max half-edge length)^2.
@@ -166,14 +231,8 @@ def derive_orbit_polygons(vertices: Sequence) -> list[OrbitPolygon]:
 
     convex = (delta > 1e-12 * smax * smax).all(axis=1)
 
-    arrays = (z, r, rbar, s, delta, dvec, alpha, exterior)
-    for a in arrays:
-        a.setflags(write=False)
-    polys = [OrbitPolygon(*rows, winding=int(m), locally_convex=bool(c))
-             for *rows, m, c in zip(*arrays, winding, convex)]
-    for poly, scale in zip(polys, smax[:, 0].tolist()):
-        vars(poly)["scale"] = scale  # the cached property's value: max is exact
-    return polys
+    return PolygonStack(z, r, rbar, s, delta, dvec, alpha, exterior,
+                        winding.astype(int), convex, smax[:, 0])
 
 
 def polygon_area(vertices: Sequence) -> float:

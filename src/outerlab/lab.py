@@ -33,9 +33,10 @@ The search draws nothing: it is a pure function of the polygon.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .elements import (
     IntegralElement,
@@ -44,11 +45,18 @@ from .elements import (
     gap_signs,
     make_element,
     paradox_margins,
+    rank_margins,
     skip_signs,
     special_plus_certified,
 )
 from .errors import InputError, SamplerExhausted, ValidationFailed
-from .geometry import OrbitPolygon, derive_orbit_polygons, polygon_area
+from .geometry import (
+    OrbitPolygon,
+    PolygonStack,
+    derive_orbit_polygons,
+    polygon_area,
+    stack_polygons,
+)
 
 DEFAULT_SEED = 1729
 DEFAULT_TRIALS = 1000
@@ -90,8 +98,9 @@ def sample_orbit_polygon(sampler: OrbitSampler) -> OrbitPolygon:
 
 
 def sample_orbit_polygons(n: int, m: int, rngs: list[np.random.Generator],
-                          attempts: int = 10_000) -> list[OrbitPolygon]:
-    """One locally convex (n, m) orbit polygon per generator.
+                          attempts: int = 10_000) -> PolygonStack:
+    """One locally convex (n, m) orbit polygon per generator, as a stack in
+    generator order (no polygon object is made until a row is indexed).
 
     Turning angles delta_i are a projected-Gaussian perturbation of the
     regular star's angle vector (the flat Dirichlet dies for 2m near n), the
@@ -100,7 +109,8 @@ def sample_orbit_polygons(n: int, m: int, rngs: list[np.random.Generator],
     space, rejected unless strictly positive.
 
     The trials' attempt loops run in lock-step: the arithmetic runs once per
-    round for the trials still drawing.  Each trial draws from its own
+    round for the trials still drawing, and each round's accepted rows are
+    gathered into one stack at the end.  Each trial draws from its own
     generator in the order of a lone sampler, so its polygon does not depend
     on the batch.  SamplerExhausted after ``attempts`` rounds (at least 1).
     A uniform draw is numpy's own lo + (hi - lo) * random(); a numpy build
@@ -112,7 +122,7 @@ def sample_orbit_polygons(n: int, m: int, rngs: list[np.random.Generator],
         raise InputError(f"attempts must be >= 1, got {attempts}")
     xbar = 2.0 * m / n
     head = min(xbar, 1.0 - xbar)
-    polys, todo = {}, list(range(len(rngs)))
+    parts, owners, todo = [], [], list(range(len(rngs)))
     for attempt in range(attempts):
         if not todo:
             break
@@ -124,24 +134,37 @@ def sample_orbit_polygons(n: int, m: int, rngs: list[np.random.Generator],
         g = np.array([r.standard_normal(n) for r in gens])
         x = xbar + (spread * head)[:, None] * (g - g.sum(axis=1, keepdims=True) / n)
         clear = ((x > ANGLE_MARGIN) & (x < 1.0 - ANGLE_MARGIN)).all(axis=1)
-        polys.update(zip(todo, _build(m, np.pi * x, clear, gens)))
-        todo = [k for k in todo if isinstance(polys[k], str)]
+        stack, why = _build(m, np.pi * x, clear, gens)
+        if stack is not None:
+            parts.append(stack)
+            owners += [k for k, reason in zip(todo, why) if reason is None]
+        todo = [k for k, reason in zip(todo, why) if reason is not None]
     if todo:
         raise SamplerExhausted(f"no ({n},{m}) polygon within {attempts} attempts")
-    return [polys[k] for k in range(len(rngs))]
+    return _gather(parts, owners) if parts else derive_orbit_polygons(np.empty((0, n, 2)))
 
 
-def _build(m: int, delta: np.ndarray, clear: np.ndarray, rngs: list) -> list:
-    """A closed polygon per row of turning angles ``delta`` (k, n), or why
-    it was rejected: "angle wall" (row not ``clear``; draws nothing),
-    "non-positive closure", or "convexity or winding" (winding not ``m``).
-    A row draws a phase and closure weights, then a length scale and a
-    first vertex."""
+def _gather(parts: list[PolygonStack], owners: list[int]) -> PolygonStack:
+    """The rows of ``parts`` in the order of their distinct ``owners``, which
+    list the owner of each row, part by part; one part is taken as it is,
+    since the callers list its rows in owner order."""
+    if len(parts) == 1:
+        return parts[0]
+    return PolygonStack.concatenate(parts).take(np.argsort(owners))
+
+
+def _build(m: int, delta: np.ndarray, clear: np.ndarray, rngs: list):
+    """The polygons of the rows of turning angles ``delta`` (k, n) that are
+    accepted, as a stack in row order (None if there is none), and per row
+    None if accepted, else why it was rejected: "angle wall" (row not
+    ``clear``; draws nothing), "non-positive closure", or "convexity or
+    winding" (winding not ``m``).  A row draws a phase and closure weights,
+    then a length scale and a first vertex."""
     # A clear row keeps the closure reason unless it closes into a polygon.
-    built: list = ["non-positive closure" if c else "angle wall" for c in clear]
+    why: list = ["non-positive closure" if c else "angle wall" for c in clear]
     rows = clear.nonzero()[0]
     if not rows.size:
-        return built
+        return None, why
     phase = 2.0 * np.pi * np.array([rngs[i].random() for i in rows])
     phi = phase[:, None] + delta[rows].cumsum(axis=1)
     U = np.empty((len(rows), 2, phi.shape[1]))
@@ -150,18 +173,36 @@ def _build(m: int, delta: np.ndarray, clear: np.ndarray, rngs: list) -> list:
     s = _positive_closure(U, [rngs[i] for i in rows])
     closed = ~np.isnan(s[:, 0])
     rows, s, U = rows[closed], s[closed], U[closed]
+    if not rows.size:
+        return None, why
     s *= np.array([rngs[i].lognormal(0.0, 0.25) for i in rows])[:, None]
     z0 = -1.0 + 2.0 * np.array([rngs[i].random(2) for i in rows]).reshape(-1, 2)
-    polys = derive_orbit_polygons(_vertices(z0, s[..., None] * U.transpose(0, 2, 1)))
-    for i, poly in zip(rows, polys):
-        built[i] = poly if poly.locally_convex and poly.winding == m else "convexity or winding"
-    return built
+    stack = derive_orbit_polygons(_vertices(z0, s[..., None] * U.transpose(0, 2, 1)))
+    # Plain floats: a draw is mostly one row, where numpy's per-call cost dominates.
+    ok = [c and w == m for c, w in zip(stack.locally_convex.tolist(), stack.winding.tolist())]
+    for i, accepted in zip(rows.tolist(), ok):
+        why[i] = None if accepted else "convexity or winding"
+    if all(ok):
+        return stack, why
+    return (stack.take([j for j, a in enumerate(ok) if a]) if any(ok) else None), why
 
 
 def _vertices(z0: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Vertices z_k = z_{k-1} - 2 r_{k-1} from z_0 and the half-edge vectors,
     accumulated in order; stacks of both broadcast."""
     return np.concatenate([z0[..., None, :], -2.0 * r[..., :-1, :]], axis=-2).cumsum(axis=-2)
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of stacked systems a x = b, with b of shape (..., M,
+    K), without its Python wrapper: its gufunc, and its LinAlgError for a
+    singular matrix."""
+    with np.errstate(call=_singular, invalid="call"):
+        return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def _positive_closure(U: np.ndarray, rngs: list, tries: int = 4) -> np.ndarray:
@@ -171,7 +212,7 @@ def _positive_closure(U: np.ndarray, rngs: list, tries: int = 4) -> np.ndarray:
     NaN after ``tries`` failures."""
     w = np.array([g.lognormal(0.0, 0.4, U.shape[2]) for g in rngs])
     Ut = U.transpose(0, 2, 1)
-    s = w - (Ut @ np.linalg.solve(U @ Ut, U @ w[..., None]))[..., 0]
+    s = w - (Ut @ _solve(U @ Ut, U @ w[..., None]))[..., 0]
     np.negative(s, out=s, where=(s < 0).all(axis=1, keepdims=True))
     bad = s.min(axis=1) <= LENGTH_FLOOR * abs(s).max(axis=1)
     if bad.any():
@@ -309,18 +350,19 @@ def _off_d(poly: OrbitPolygon, c) -> float:
     return float(np.max(np.abs(c - poly.dvec)) / poly.scale**2)
 
 
-def _controls(polys: list[OrbitPolygon], slack: float) -> list[Optional[bool]]:
+def _controls(polys: Sequence[OrbitPolygon], slack: float) -> list[Optional[bool]]:
     """Per control, the outcome of :func:`convex_element_search_batch`:
     None when it finds no element, else whether the element has
     ``_off_d > slack``.  A candidate c of min(d - c) > slack scale^2, -d
     first and then each chart's coarse winner (:func:`convex_element_sweep`),
     fixes it as True, since the search's element c* then has max|c* - d| >=
     min(d - c*) >= min(d - c); only the other controls are searched.  -d
-    decides 57 % of (5,1) and 89 % of (6,1) controls, chart 0 most others."""
+    decides 57 % of (5,1) and 89 % of (6,1) controls, chart 0 most others.
+    Polygon objects are made only for the controls searched in full."""
     outcome = [True] * len(polys)
-    rest = [k for k, el in enumerate(convex_element_sweep(polys, slack)) if el is None]
+    rest = np.flatnonzero(~convex_element_sweep(polys, slack)[0]).tolist()
     for k, el in zip(rest, convex_element_search_batch([polys[k] for k in rest])):
-        outcome[k] = None if el is None else _off_d(polys[k], el.c) > slack
+        outcome[k] = None if el is None else _off_d(el.base, el.c) > slack
     return outcome
 
 
@@ -348,7 +390,7 @@ def verify_theorem_n3(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
 # ---------------------------------------------------------------------------
 # Theorem n = 4: the only convex element is the corner c = d.
 
-def _random_trapezoids(rngs: list[np.random.Generator]) -> list[OrbitPolygon]:
+def _random_trapezoids(rngs: list[np.random.Generator]) -> PolygonStack:
     """A turned trapezoid per generator.  With 0 < b < a and h > 0 it is a
     counterclockwise convex quadrilateral, so no draw is rejected."""
     lo, hi = np.array([[0.8, 0.3, -0.3, 0.5, 0.0], [1.6, 0.95, 0.3, 1.5, 2.0 * np.pi]])
@@ -359,17 +401,17 @@ def _random_trapezoids(rngs: list[np.random.Generator]) -> list[OrbitPolygon]:
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         z[k] = np.array([[-a, 0.0], [a, 0.0], [shift + b, h], [shift - b, h]]) @ rot.T
     polys = derive_orbit_polygons(z)
-    if not all(p.locally_convex and p.winding == 1 for p in polys):
+    if not (polys.locally_convex & (polys.winding == 1)).all():
         raise ValidationFailed("a trapezoid is not a convex quadrilateral")
     return polys
 
 
 def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> VerifierReport:
     rngs = _spawned_rngs(seed, trials)
-    sampled = iter(sample_orbit_polygons(4, 1, [g for k, g in enumerate(rngs) if k % 5 != 4]))
     # Every fifth trial is a trapezoid, to exercise the degenerate conic.
-    trapezoids = iter(_random_trapezoids(rngs[4::5]))
-    polys = [next(trapezoids if k % 5 == 4 else sampled) for k in range(trials)]
+    sampled = [k for k in range(trials) if k % 5 != 4]
+    polys = _gather([sample_orbit_polygons(4, 1, [rngs[k] for k in sampled]),
+                     _random_trapezoids(rngs[4::5])], sampled + list(range(4, trials, 5)))
 
     margins, bundles = [], []
     for poly, el in zip(polys, convex_element_search_batch(polys)):
@@ -394,7 +436,7 @@ def verify_theorem_n4(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
 _PINNED = np.array([[k, k + 1, k + 3, (k + 4) % 6] for k in range(3)])
 
 
-def _sign_certificates(polys: list[OrbitPolygon]) -> tuple[np.ndarray, np.ndarray]:
+def _sign_certificates(polys: Sequence[OrbitPolygon]) -> tuple[np.ndarray, np.ndarray]:
     """Per (5,2), or per (6,2) polygon: whether its sign certificate holds,
     exactly on its float vertices, and its margin, the largest
     d_i / (s_{i-1} s_{i+1}) = -sin(alpha_i + alpha_{i+1}) over the entries
@@ -435,12 +477,13 @@ def _sign_certificates(polys: list[OrbitPolygon]) -> tuple[np.ndarray, np.ndarra
     :func:`paradox_margin` >= 0.  Hence a (6,2) star is certified exactly
     when it is not paradoxical, up to ties p_i = pi (a margin of 0) and
     shifts whose g_k and g_{k+3} both vanish."""
-    if not polys:
+    if not len(polys):
         return np.zeros(0, dtype=bool), np.zeros(0)
+    polys = stack_polygons(polys)
     signs = skip_signs(polys)
-    s = np.stack([p.s for p in polys])
-    ratio = np.stack([p.dvec for p in polys]) / (np.roll(s, 1, axis=1) * np.roll(s, -1, axis=1))
-    if polys[0].n == 5:
+    s = polys.s
+    ratio = polys.dvec / (np.roll(s, 1, axis=1) * np.roll(s, -1, axis=1))
+    if polys.n == 5:
         return (signs < 0).all(axis=1), ratio.max(axis=1)
     g = gap_signs(polys) != 0
     ok = (signs[:, _PINNED] < 0).all(axis=2) & (g[:, :3] | g[:, 3:])
@@ -455,9 +498,9 @@ def verify_theorem_n52(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     stars = sample_orbit_polygons(5, 2, _spawned_rngs(seed, trials))
     convex = sample_orbit_polygons(5, 1, _spawned_rngs(seed + 1, controls, "controls"))
     certified, margins = _sign_certificates(stars)
-    bundles = [_bundle(poly, None, "n52-nonneg-d") for poly, ok in zip(stars, certified) if not ok]
-    bundles += [_bundle(poly, None, "n51-control-miss")
-                for poly, hit in zip(convex, _controls(convex, -np.inf)) if hit is None]
+    bundles = [_bundle(stars[k], None, "n52-nonneg-d") for k in np.flatnonzero(~certified)]
+    bundles += [_bundle(convex[k], None, "n51-control-miss")
+                for k, hit in enumerate(_controls(convex, -np.inf)) if hit is None]
     uncertified = trials - int(certified.sum())
     return _report(
         "n52", seed, trials, margins.tolist() + [-np.inf] * controls, bundles,
@@ -478,46 +521,50 @@ def verify_theorem_n62(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                        controls: int = 100) -> VerifierReport:
     # Trials whose polygon is paradoxical draw again, all in one batch per
     # round; at the cap a trial keeps its last paradoxical draw, unchecked.
+    # A trial's polygon is kept from the round that settles it.
     rngs = _spawned_rngs(seed, trials)
-    polys, discarded, todo = {}, [0] * trials, list(range(trials))
+    parts, owners = [], []
+    discarded, todo = np.zeros(trials, dtype=int), np.arange(trials)
     for _ in range(MAX_PARADOXICAL_DRAWS):
-        if not todo:
+        if not todo.size:
             break
         drawn = sample_orbit_polygons(6, 2, [rngs[k] for k in todo])
-        polys.update(zip(todo, drawn))
-        todo = [k for k, bad in zip(todo, paradox_margins(drawn) > 0.0) if bad]
-        for k in todo:
-            discarded[k] += 1
+        bad = paradox_margins(drawn) > 0.0
+        discarded[todo[bad]] += 1
+        done = ~bad | (discarded[todo] == MAX_PARADOXICAL_DRAWS)
+        parts.append(drawn.take(done.nonzero()[0]))
+        owners += todo[done].tolist()
+        todo = todo[~done]
+    polys = _gather(parts, owners) if parts else sample_orbit_polygons(6, 2, [])
     convex = sample_orbit_polygons(6, 1, _spawned_rngs(seed + 1, controls, "controls"))
-    kept = [polys[k] for k, lost in enumerate(discarded) if lost < MAX_PARADOXICAL_DRAWS]
-    certified, cert_margins = _sign_certificates(kept)
-    certs = iter(zip(certified, cert_margins))
-    corner = iter(special_plus_certified([p for p, ok in zip(kept, certified) if ok]))
-    found = iter(convex_element_search_batch([p for p, ok in zip(kept, certified) if not ok]))
+    kept = np.flatnonzero(discarded < MAX_PARADOXICAL_DRAWS)
+    certified, cert_margins = _sign_certificates(polys.take(kept))
+    certs = iter(zip(certified.tolist(), cert_margins.tolist()))
+    corner = iter(special_plus_certified(polys.take(kept[certified])))
+    found = iter(convex_element_search_batch([polys[k] for k in kept[~certified]]))
 
     margins, bundles = [], []
-    for k, lost in enumerate(discarded):
-        poly = polys[k]
+    for k, lost in enumerate(discarded.tolist()):
         if lost == MAX_PARADOXICAL_DRAWS:
             margins.append(0.0)
-            bundles.append(_bundle(poly, None, "n62-paradoxical-cap"))
+            bundles.append(_bundle(polys[k], None, "n62-paradoxical-cap"))
             continue
         ok, margin = next(certs)
         if ok:
-            margins.append(float(margin))
+            margins.append(margin)
             if not next(corner):
-                bundles.append(_bundle(poly, None, "n62-missing-corner-element"))
+                bundles.append(_bundle(polys[k], None, "n62-missing-corner-element"))
         elif (el := next(found)) is None:
             margins.append(np.inf)
-            bundles.append(_bundle(poly, None, "n62-missing-corner-element"))
+            bundles.append(_bundle(polys[k], None, "n62-missing-corner-element"))
         else:
-            margins.append(_off_d(poly, el.c))
+            margins.append(_off_d(el.base, el.c))
             if not margins[-1] <= 1e-8:
-                bundles.append(_bundle(poly, el.c, "n62-off-d-element"))
+                bundles.append(_bundle(el.base, el.c, "n62-off-d-element"))
     # The controls test the search, not the theorem: their margins are -inf.
     interior = _controls(convex, 1e-3)
-    bundles += [_bundle(poly, None, "n61-control-miss")
-                for poly, hit in zip(convex, interior) if hit is None]
+    bundles += [_bundle(convex[k], None, "n61-control-miss")
+                for k, hit in enumerate(interior) if hit is None]
     margins += [-np.inf] * controls
     interior_hits = interior.count(True)
     if interior_hits == 0:
@@ -556,9 +603,11 @@ class ParadoxicalScan:
     seed: int
 
 
-def _spiked_62(rngs: list[np.random.Generator]) -> list[Optional[OrbitPolygon]]:
-    """Per generator, a (6,2) polygon whose angle vector is engineered to
-    make vertex 1 paradoxical, or None where the draw was rejected."""
+def _spiked_62(rngs: list[np.random.Generator]):
+    """(6,2) polygons whose angle vectors are engineered to make vertex 1
+    paradoxical, one draw per generator, as :func:`_build` returns them: the
+    stack of the accepted draws, and per generator None or why its draw was
+    rejected."""
     a = np.empty((len(rngs), 6))
     for k, rng in enumerate(rngs):
         e1 = 0.02 + (0.5 - 0.02) * rng.random()  # numpy's uniform(0.02, 0.5)
@@ -567,7 +616,7 @@ def _spiked_62(rngs: list[np.random.Generator]) -> list[Optional[OrbitPolygon]]:
         # The rest is at least pi - 1.7, so every draw leaves room for three angles.
         a[k, 3:] = rng.dirichlet(np.ones(3)) * (2.0 * np.pi - a[k, 0] - a[k, 1] - a[k, 2])
     clear = ((a > ANGLE_MARGIN) & (a < np.pi - ANGLE_MARGIN)).all(axis=1)
-    return [None if isinstance(p, str) else p for p in _build(2, np.pi - a, clear, rngs)]
+    return _build(2, np.pi - a, clear, rngs)
 
 
 def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> ParadoxicalScan:
@@ -585,16 +634,22 @@ def search_paradoxical(samples: int = 200, seed: int = DEFAULT_SEED) -> Paradoxi
     question, so neither an empty nor a non-empty find list is a failure.
     """
     rngs = _spawned_rngs(seed, samples, "samples")
-    plain, spiked = sample_orbit_polygons(6, 2, rngs[0::2]), _spiked_62(rngs[1::2])
-    drawn = [(k, poly) for k in range(samples)
-             if (poly := (spiked if k % 2 else plain)[k // 2]) is not None]
-    margins = paradox_margins([poly for _, poly in drawn])
-    hits = [(k, poly, float(margin)) for (k, poly), margin in zip(drawn, margins) if margin > 0.0]
-    certified = special_plus_certified([poly for _, poly, _ in hits])
+    plain, (spiked, why) = sample_orbit_polygons(6, 2, rngs[0::2]), _spiked_62(rngs[1::2])
+    ids = list(range(0, samples, 2)) + [2 * i + 1 for i, reason in enumerate(why) if reason is None]
+    drawn = _gather([p for p in (plain, spiked) if p is not None], ids)
+    ids.sort()
+    margins = paradox_margins(drawn)
+    hit = np.flatnonzero(margins > 0.0)
+    hits = drawn.take(hit)
+    certified = special_plus_certified(hits)
     finds = tuple(ParadoxicalFind(polygon=poly, margin=margin,
                                   element=make_element(poly, poly.dvec) if ok else None)
-                  for (_, poly, margin), ok in zip(hits, certified))
-    spiked_hits = sum(k % 2 for k, _, _ in hits)
+                  for poly, margin, ok in zip(hits, margins[hit].tolist(), certified))
+    # Each element's cached rank margin, c = d, from one stacked SVD.
+    els = [find.element for find in finds if find.element is not None]
+    for el, margin in zip(els, rank_margins(hits.delta[certified], hits.dvec[certified]).tolist()):
+        vars(el)["rank_margin"] = margin
+    spiked_hits = sum(ids[k] % 2 for k in hit.tolist())
     return ParadoxicalScan(
         samples=samples,
         best_margin=float(margins.max(initial=-np.inf)),

@@ -270,7 +270,9 @@ def test_a_star_pentagon_at_the_angle_walls_is_certified():
     # margin is the worst that any sampled star can have, -sin(2 pi ANGLE_MARGIN)
     m = lab.ANGLE_MARGIN
     x = np.array([1 - m, 1 - m, 1 - m, 1 - m, 4 * m])
-    poly = lab._build(2, np.pi * x[None], np.array([True]), [np.random.default_rng(0)])[0]
+    stack, why = lab._build(2, np.pi * x[None], np.array([True]), [np.random.default_rng(0)])
+    assert why == [None]
+    poly = stack[0]
     assert poly.winding == 2 and poly.is_admissible
     assert np.allclose(poly.alpha, np.pi * np.array([m, m, m, m, 1 - 4 * m]), rtol=1e-9)
     assert all(v < 0 for v in elements._exact_dets(poly, -1, 1))

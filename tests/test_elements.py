@@ -28,14 +28,17 @@ from outerlab.elements import (
     convexity_tol,
     curvature_from_element,
     element_from_curvature,
+    gap_signs,
     make_element,
     monodromy_residual,
     monodromy_residuals,
     numerical_rank,
     paradox_margin,
     paradox_margins,
+    rank_margins,
     special_element_minus,
     special_element_plus,
+    skip_signs,
     special_plus_certified,
     variety_point_n5,
     variety_point_n6,
@@ -51,7 +54,7 @@ from outerlab.errors import (
     WrongPeriod,
     WrongPeriodOrWinding,
 )
-from outerlab.geometry import derive_orbit_polygon, regular_star
+from outerlab.geometry import PolygonStack, derive_orbit_polygon, regular_star
 from outerlab import lab
 from outerlab.lab import ANGLE_MARGIN, LENGTH_FLOOR, OrbitSampler, sample_orbit_polygon
 
@@ -325,7 +328,7 @@ def _check_chart_scorer(polys, rng):
     for poly in polys:
         n, dim = poly.n, poly.n - 3
         point = variety_point_n5 if n == 5 else variety_point_n6
-        charts = ChartSweep(poly)
+        charts = ChartSweep([poly])
         shifts = np.arange(n)
         batches = {}
         for name, axes in _chart_axes(poly, charts, rng).items():
@@ -366,7 +369,7 @@ def test_chart_scorer_matches_stacked_reference(sampled, key):
     rng = np.random.default_rng(37)
     polys = sampled[key][3:6]
     n, dim = key[0], key[0] - 3
-    charts = ChartSweep(*polys)
+    charts = ChartSweep(polys)
     rows = np.arange(n * len(polys))
     passes = []
     scorer = charts._best
@@ -376,7 +379,7 @@ def test_chart_scorer_matches_stacked_reference(sampled, key):
         return scorer(rows, params, finite)
 
     charts._best = spy
-    per_poly = [_chart_axes(p, ChartSweep(p), rng) for p in polys]
+    per_poly = [_chart_axes(p, ChartSweep([p]), rng) for p in polys]
     batches = {name: (_grid_params(axes), reference.grid_params(axes))
                for name in per_poly[0]
                for axes in [np.concatenate([a[name] for a in per_poly], axis=1)]}
@@ -407,7 +410,7 @@ def test_chart_scan_results_do_not_depend_on_the_call_size(sampled, monkeypatch,
     polys = sampled[key][6:9]
     n = key[0]
     rows = np.arange(n * len(polys))
-    per_poly = [_chart_axes(p, ChartSweep(p), rng) for p in polys]
+    per_poly = [_chart_axes(p, ChartSweep([p]), rng) for p in polys]
     batches = {name: _grid_params(np.concatenate([a[name] for a in per_poly], axis=1))
                for name in per_poly[0]}
     points = {name: np.prod(np.broadcast_shapes(*(x.shape[1:] for x in params)))
@@ -418,7 +421,7 @@ def test_chart_scan_results_do_not_depend_on_the_call_size(sampled, monkeypatch,
     results, rescored = {}, set()
     for budget, size in budgets.items():
         monkeypatch.setattr(outerlab.elements, "MAX_CHART_POINTS", size)
-        charts = ChartSweep(*polys)
+        charts = ChartSweep(polys)
         calls = []
         scorer = charts._best
 
@@ -457,7 +460,7 @@ def test_chart_scorer_ties_go_to_first_point():
     # such c1, so both planes tie at the grid's best, and the winner must be
     # the first of those points in C order over (c1, c2, c3)
     poly = derive_orbit_polygon(regular_star(6, 1))
-    charts = ChartSweep(poly)
+    charts = ChartSweep([poly])
     d, D = poly.dvec, poly.delta
     sc2 = poly.scale**2
     r = np.sqrt(D[1] * D[3])  # c2 c3 = D2 D4 takes c1 out of c5
@@ -490,7 +493,7 @@ def test_chart_scan_rescores_a_singular_winner():
     poly = derive_orbit_polygon(np.array([[2, 0], [1, 2], [-1, 2], [-2, 0], [-1, -2], [1, -2]],
                                          dtype=float))
     assert np.all(poly.delta == 1.0) and np.all(poly.dvec == 1.0)
-    charts = ChartSweep(poly)
+    charts = ChartSweep([poly])
     poles, regular = [-0.0, -1e-13, -0.0, -1e-13], [0.5, 0.5, -0.5, -0.5]
     axes = np.array([[[-0.0, -0.5, pole] for pole in poles],
                      [[-0.0, -0.5, reg] for reg in regular]])
@@ -656,8 +659,7 @@ def test_stacked_paradox_margins_keep_the_bits_of_one_polygon(sampled):
     # on spiked hexagons, of which about half are paradoxical
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(11).spawn(300)]
     polys = lab.sample_orbit_polygons(6, 2, rngs)
-    spiked = lab._spiked_62([np.random.default_rng(s) for s in range(300)])
-    polys += [p for p in spiked if p is not None]
+    polys = [*polys, *lab._spiked_62([np.random.default_rng(s) for s in range(300)])[0]]
     want = []
     for p in polys:
         a = p.alpha
@@ -785,7 +787,7 @@ def test_n4_closed_form_gives_the_sweeps_element():
         [[-1, 0], [1, 0], [0.5, 1], [-0.5, 1]])]    # trapezoid
     for seed in (1, 7, 11, 1729):
         rngs = lab._spawned_rngs(seed, 250)
-        polys += lab.sample_orbit_polygons(4, 1, rngs[:200]) + lab._random_trapezoids(rngs[200:])
+        polys += [*lab.sample_orbit_polygons(4, 1, rngs[:200]), *lab._random_trapezoids(rngs[200:])]
     sweeps = [reference.candidates_n4(poly) for poly in polys]
     for poly, sweep in zip(polys, sweeps):
         rows, at = [c.tobytes() for c in sweep], -1
@@ -1132,6 +1134,39 @@ def _plus_certifies(poly, tol):
     except ValidationFailed:
         return False
     return True
+
+
+def test_stack_readers_give_the_same_arrays_on_a_list():
+    # the sign, paradox and corner readers take a stack's columns; a plain
+    # list of the same polygons, each derived alone, gives the same arrays
+    spiked = lab._spiked_62(lab._spawned_rngs(8, 60))[0]
+    for n, m in ((5, 2), (6, 1), (6, 2), (8, 3)):
+        stack = lab.sample_orbit_polygons(n, m, lab._spawned_rngs(8, 60))
+        if (n, m) == (6, 2):
+            stack = PolygonStack.concatenate([stack, spiked])
+        polys = [derive_orbit_polygon(z) for z in stack.vertices]
+        readers = [skip_signs, gap_signs]
+        if n % 2 == 0:
+            readers.append(special_plus_certified)
+        if (n, m) == (6, 2):
+            readers.append(paradox_margins)
+            assert (paradox_margins(stack) > 0).any() and (paradox_margins(stack) < 0).any()
+        for reader in readers:
+            a, b = reader(stack), reader(polys)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), reader.__name__
+
+
+def test_rank_margin_is_the_gap_of_its_own_svd(sampled):
+    # rank_margins stacks the matrices C(c) into one SVD call; each margin
+    # has the bits of the SVD of its own build_matrix_C
+    for n in range(3, 9):
+        polys = [p for m in range(1, (n + 1) // 2) for p in sampled[(n, m)]]
+        els = [make_element(p, c) for p in polys for c in (-p.dvec, p.dvec, 0.5 * p.dvec)]
+        for el in els:
+            sv = np.linalg.svd(build_matrix_C(el.base, el.c).entries, compute_uv=False)
+            assert el.rank_margin == float((sv[n - 3] - sv[n - 2]) / sv[0])
+        stacked = rank_margins(np.array([el.base.delta for el in els]), np.array([el.c for el in els]))
+        assert stacked.tolist() == [el.rank_margin for el in els]
 
 
 def test_stacked_corner_check_matches_special_element_plus(sampled):

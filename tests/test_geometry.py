@@ -1,14 +1,16 @@
 """Derived-data invariants: half-edges, local areas, angles, winding."""
 
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from outerlab.errors import DegeneratePolygon, NotLocallyConvex
+from outerlab.errors import DegeneratePolygon, NotLocallyConvex, WrongPeriod
 from outerlab.geometry import (
     MAX_COORDINATE,
+    PolygonStack,
     derive_orbit_polygon,
     derive_orbit_polygons,
     det2,
@@ -16,6 +18,7 @@ from outerlab.geometry import (
     inner2,
     polygon_area,
     regular_star,
+    stack_polygons,
 )
 
 import reference
@@ -217,7 +220,8 @@ def test_stack_matches_sequential_derive():
             assert_same_polygon(poly, reference.derive_orbit_polygon(z))
             assert_same_polygon(derive_orbit_polygon(z), poly)
             assert not poly.vertices.flags.writeable and not poly.dvec.flags.writeable
-    assert derive_orbit_polygons(np.empty((0, 5, 2))) == []
+    empty = derive_orbit_polygons(np.empty((0, 5, 2)))
+    assert len(empty) == 0 and list(empty) == [] and empty.n == 5
 
 
 def test_derive_fills_in_the_scale():
@@ -227,7 +231,7 @@ def test_derive_fills_in_the_scale():
     rng = np.random.default_rng(29)
     stack = [regular_star(n, m, radius=rng.uniform(0.1, 10.0), phase=rng.uniform(0, 7))
              + 0.05 * rng.normal(size=(n, 2)) for n, m in [(5, 1), (5, 2)] * 25]
-    for poly in derive_orbit_polygons(np.array(stack)) + [derive_orbit_polygon(stack[0])]:
+    for poly in [*derive_orbit_polygons(np.array(stack)), derive_orbit_polygon(stack[0])]:
         filled = vars(poly)["scale"]
         assert type(filled) is float and filled == float(poly.s.max())
     by_hand = reference.derive_orbit_polygon(stack[0])
@@ -251,6 +255,46 @@ def test_vertices_whose_products_overflow_are_rejected():
         poly = derive_orbit_polygon(MAX_COORDINATE * big)
         assert poly.locally_convex and np.isfinite(poly.delta).all() and np.isfinite(poly.dvec).all()
         assert reference.derive_orbit_polygon(MAX_COORDINATE * big).delta.tobytes() == poly.delta.tobytes()
+
+
+def test_stack_rows_are_the_derive_of_each_polygon_alone():
+    # a stack is a sequence of polygons: each row, made on first access and
+    # kept, holds views of the stack's rows and has the bits of its polygon
+    # derived alone, scale included; slices and takes are stacks again
+    rng = np.random.default_rng(33)
+    z = np.array([regular_star(7, 3, radius=rng.uniform(0.5, 2.0), phase=rng.uniform(0, 7))
+                  + 0.3 * rng.normal(size=(7, 2)) for _ in range(12)])
+    stack = derive_orbit_polygons(z)
+    assert isinstance(stack, PolygonStack) and isinstance(stack, Sequence)
+    assert (len(stack), stack.n) == (12, 7)
+    for k, poly in enumerate(stack):
+        alone = derive_orbit_polygon(z[k])
+        assert_same_polygon(poly, alone)
+        assert vars(poly)["scale"] == vars(alone)["scale"] == stack.scale[k]
+        assert stack[k] is poly and stack[k - 12] is poly
+        assert np.shares_memory(poly.vertices, stack.vertices)
+        assert (poly.winding, poly.locally_convex) == (stack.winding[k], stack.locally_convex[k])
+    assert not all(stack.locally_convex)  # raw polygons are rows too
+    with pytest.raises(IndexError):
+        stack[12]
+    part = stack[2:8:3]
+    assert isinstance(part, PolygonStack) and len(part) == 2
+    assert_same_polygon(part[1], stack[5])
+    joined = PolygonStack.concatenate([stack.take([3, 1]), part])
+    for a, b in zip(joined, [stack[3], stack[1], stack[2], stack[5]], strict=True):
+        assert_same_polygon(a, b)
+        assert vars(a)["scale"] == vars(b)["scale"]
+    assert not any(column.flags.writeable for column in joined.columns)
+    # a list of polygons of one n is stacked with the given polygons as rows
+    polys = [stack[4], derive_orbit_polygon(z[0])]
+    listed = stack_polygons(polys)
+    assert listed[0] is polys[0] and listed[1] is polys[1]
+    for name in PolygonStack.FIELDS:
+        assert np.array_equal(getattr(listed, name), getattr(stack.take([4, 0]), name)), name
+    assert stack_polygons(stack) is stack
+    for bad in ([], [stack[0], derive_orbit_polygon(regular_star(5, 2))]):
+        with pytest.raises(WrongPeriod):
+            stack_polygons(bad)
 
 
 def test_stack_with_one_degenerate_polygon_raises():

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from operator import sub
 
@@ -15,6 +16,7 @@ import outerlab
 from outerlab import cli, lab
 from outerlab.elements import (
     ChartSweep,
+    build_matrix_C,
     classify_paradoxical,
     convex_element_search_batch,
     convex_element_sweep,
@@ -22,6 +24,7 @@ from outerlab.elements import (
     paradox_margin,
 )
 from outerlab.errors import InputError, SamplerExhausted, ValidationFailed
+from outerlab.geometry import OrbitPolygon
 from outerlab.jsonio import dumps_canonical, report_to_dict
 from outerlab.lab import (
     OrbitSampler,
@@ -269,6 +272,24 @@ def test_scan_certifies_the_corner_without_a_search(monkeypatch):
     assert f"; {len(scan.finds)} finds uncertified (element null);" in blind.notes
 
 
+def test_scan_rank_margins_come_from_one_stacked_svd(monkeypatch):
+    # every find's rank margin is filled in from one SVD call over the
+    # stacked matrices C(c), each with the bits of its own matrix's SVD
+    real, shapes = np.linalg.svd, []
+
+    def svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    scan = search_paradoxical(samples=400, seed=11)
+    els = [find.element for find in scan.finds]
+    assert len(els) > 100 and shapes == [(len(els), 6, 6)]
+    for el in els:
+        sv = real(build_matrix_C(el.base, el.c).entries, compute_uv=False)
+        assert vars(el)["rank_margin"] == float((sv[3] - sv[4]) / sv[0])
+
+
 def test_n62_paradoxical_cap_records_failure(monkeypatch):
     # a sampler that only ever yields paradoxical hexagons must end each
     # trial at the cap with a replay bundle instead of looping forever
@@ -382,13 +403,21 @@ def _spy_coarse(monkeypatch) -> list:
     return calls
 
 
-def _sweep_slack(el) -> float:
-    """min(d - c) / scale^2 in the sweep's plain floats."""
-    return min(map(sub, el.base.dvec.tolist(), el.c.tolist())) / el.base.scale**2
+def _sweep_slack(poly, c) -> float:
+    """min(d - c) / scale^2 in the old sweep's plain floats."""
+    return min(map(sub, poly.dvec.tolist(), c.tolist())) / poly.scale**2
 
 
-def _is_minus_d(el) -> bool:
-    return el is not None and np.array_equal(el.c, -el.base.dvec)
+def _is_minus_d(poly, c) -> bool:
+    """Whether the sweep's row c for poly is c = -d (a NaN row, undecided, is not)."""
+    return np.array_equal(c, -poly.dvec)
+
+
+def _swept(polys, slack) -> list:
+    """(polygon, c) per polygon that :func:`convex_element_sweep` decides."""
+    decided, c = convex_element_sweep(polys, slack)
+    assert np.isfinite(c[decided]).all() and np.isnan(c[~decided]).all()
+    return [(poly, ci) for poly, ok, ci in zip(polys, decided, c) if ok]
 
 
 def test_controls_have_the_full_searchs_outcome(monkeypatch):
@@ -398,20 +427,22 @@ def test_controls_have_the_full_searchs_outcome(monkeypatch):
     # that have no convex element and certified (6,2) hexagons whose one
     # convex element is the corner c = d; at slack 0.25 the outcomes of
     # both convex kinds are mixed
+    # (the sweep takes polygons of one n: one batch per n)
     draws = [lab.sample_orbit_polygons(n, 1, lab._spawned_rngs(seed, 130))
              for seed in (1, 7, 11, 4242) for n in (5, 6)]
     convex = [poly for row in zip(*draws) for poly in row]
-    stars = lab.sample_orbit_polygons(5, 2, lab._spawned_rngs(5, 60))
+    stars = list(lab.sample_orbit_polygons(5, 2, lab._spawned_rngs(5, 60)))
     hexagons = lab.sample_orbit_polygons(6, 2, lab._spawned_rngs(5, 60))
     hexagons = [p for p, ok in zip(hexagons, lab._sign_certificates(hexagons)[0]) if ok]
     assert len(hexagons) >= 55
-    polys = convex + stars + hexagons
+    batches = [[p for p in convex if p.n == 5] + stars, [p for p in convex if p.n == 6] + hexagons]
+    polys = batches[0] + batches[1]
     found = convex_element_search_batch(polys)
     calls = _spy_coarse(monkeypatch)
     minus_d = {}
     for slack in (-np.inf, 1e-3, 0.25):
         calls.clear()
-        swept = convex_element_sweep(polys, slack)
+        swept = [hit for batch in batches for hit in _swept(batch, slack)]
         # each sweep is built over the polygons that -d left open, scans
         # chart 0 of all of them, then chart s for those still open
         sweeps = {id(charts): charts for charts, _ in calls}.values()
@@ -422,21 +453,22 @@ def test_controls_have_the_full_searchs_outcome(monkeypatch):
             assert all((r % charts.n == s).all() for s, r in enumerate(rows))
             assert all(np.isin(b // charts.n, a // charts.n).all() for a, b in zip(rows, rows[1:]))
         opened = sum(len(charts.lo) // charts.n for charts in sweeps)
-        by_minus_d = [el for el in swept if _is_minus_d(el)]
-        assert all(_sweep_slack(el) > slack for el in by_minus_d)
+        by_minus_d = [(p, c) for p, c in swept if _is_minus_d(p, c)]
+        assert all(_sweep_slack(p, c) > slack for p, c in swept)
         minus_d[slack] = len(by_minus_d)
-        sent_on = swept.count(None)
+        sent_on = len(polys) - len(swept)
         assert len(polys) - opened == len(by_minus_d)
         if slack < 0.25:
             assert len(by_minus_d) > 0 and opened - sent_on > 0 and sent_on > 0
         calls.clear()
-        outcome = lab._controls(polys, slack)
+        outcome = [hit for batch in batches for hit in lab._controls(batch, slack)]
         assert outcome == _searched_outcomes(polys, found, slack)
     assert minus_d[-np.inf] > minus_d[0.25] > 0
     for n in (5, 6):
-        assert {hit for poly, hit in zip(convex, outcome) if poly.n == n} == {True, False}
+        assert {hit for poly, hit in zip(polys, outcome) if poly.n == n and poly.winding == 1} \
+            == {True, False}
     for part, slack, want in ((stars, -np.inf, None), (hexagons, 1e-3, False)):
-        assert convex_element_sweep(part, slack) == [None] * len(part)
+        assert _swept(part, slack) == []
         assert lab._controls(part, slack) == [want] * len(part)
         assert _searched_outcomes(part, convex_element_search_batch(part), slack) == [want] * len(part)
 
@@ -446,16 +478,22 @@ def test_sweep_scans_no_chart_when_minus_d_decides(monkeypatch):
     # slack above 1e-3 are settled on it, and no chart is built; at exactly
     # a polygon's own -d slack, -d does not decide it
     draws = [lab.sample_orbit_polygons(n, 1, lab._spawned_rngs(3, 40)) for n in (5, 6)]
-    polys = [el.base for el in convex_element_sweep(draws[0] + draws[1], 1e-3) if _is_minus_d(el)]
-    assert {p.n for p in polys} == {5, 6}
+    parts = [[p for p, c in _swept(draw, 1e-3) if _is_minus_d(p, c)] for draw in draws]
+    assert all(parts)
     calls = _spy_coarse(monkeypatch)
-    assert all(_is_minus_d(el) for el in convex_element_sweep(polys, 1e-3))
+    for part in parts:
+        swept = _swept(part, 1e-3)
+        assert len(swept) == len(part) and all(_is_minus_d(p, c) for p, c in swept)
     assert calls == []
-    poly = polys[0]
-    at = _sweep_slack(convex_element_sweep([poly], -np.inf)[0])
-    assert _is_minus_d(convex_element_sweep([poly], np.nextafter(at, -np.inf))[0])
+    poly = parts[0][0]
+
+    def row(slack):
+        return convex_element_sweep([poly], slack)[1][0]
+
+    at = _sweep_slack(poly, row(-np.inf))
+    assert _is_minus_d(poly, row(np.nextafter(at, -np.inf)))
     assert calls == []
-    assert not _is_minus_d(convex_element_sweep([poly], at)[0])
+    assert not _is_minus_d(poly, row(at))
     assert len(calls) >= 1 and all(len(charts.lo) == poly.n for charts, _ in calls)
 
 
@@ -468,24 +506,24 @@ def test_sweep_settles_no_chart_row_without_a_regular_point(monkeypatch):
     decided = []
     for poly in lab.sample_orbit_polygons(5, 1, lab._spawned_rngs(3, 40)):
         calls.clear()
-        el = convex_element_sweep([poly], -np.inf)[0]
-        if el is not None and not _is_minus_d(el) and len(calls) == 1:
-            decided.append(el)
+        swept = _swept([poly], -np.inf)
+        if swept and not _is_minus_d(*swept[0]) and len(calls) == 1:
+            decided.append(swept[0])
     assert len(decided) >= 2
-    a, b = decided[:2]
+    (a, ca), (b, cb) = decided[:2]
     rows = []
 
     def blind(self, r, real=ChartSweep.coarse):
         rows.append(r.copy())
         m, c, p = real(self, r)
-        assert r[0] != 0 or np.array_equal(c[0], a.c)  # chart 0's winner of the first
+        assert r[0] != 0 or np.array_equal(c[0], ca)  # chart 0's winner of the first
         return np.where(r == 0, -np.inf, m), c, p
 
     monkeypatch.setattr(ChartSweep, "coarse", blind)
-    first, second = convex_element_sweep([a.base, b.base], -np.inf)
-    assert np.array_equal(second.c, b.c)
+    decided, (first, second) = convex_element_sweep([a, b], -np.inf)
+    assert decided[1] and np.array_equal(second, cb)
     assert [r.tolist() for r in rows[:2]] == [[0, 5], [1]]
-    assert first is None or not np.array_equal(first.c, a.c)
+    assert not np.array_equal(first, ca)  # a NaN row where the first is left open
 
 
 @pytest.mark.parametrize("n,slack,floor", [(5, -np.inf, 0.99), (6, -np.inf, 0.99), (6, 1e-3, 0.99),
@@ -496,11 +534,11 @@ def test_chart_zero_alone_decides_nearly_every_control(n, slack, floor):
     # control at n62's 1e-3 (no verifier asks pentagons for 1e-3; there
     # chart 0 settles 96-97 % of them, the later charts the rest)
     polys = [p for seed in (1, 2) for p in lab.sample_orbit_polygons(n, 1, lab._spawned_rngs(seed, 1000))]
-    charts = ChartSweep(*polys)
+    charts = ChartSweep(polys)
     m, c, _ = charts.coarse(np.arange(len(polys)) * n)
     regular = np.flatnonzero(m > -np.inf)
     els = outerlab.elements._most_convex_each(polys, c[regular], regular)
-    decided = sum(el is not None and _sweep_slack(el) > slack for el in els)
+    decided = sum(el is not None and _sweep_slack(el.base, el.c) > slack for el in els)
     assert decided >= floor * len(polys)
 
 
@@ -508,9 +546,10 @@ def test_controls_need_an_integral_element(monkeypatch):
     # with an integrality tolerance that no residual meets, no chart winner
     # decides a control and the search finds no element
     monkeypatch.setattr(outerlab.elements, "INTEGRAL_TOL", -1.0)
-    polys = [poly for n in (5, 6) for poly in lab.sample_orbit_polygons(n, 1, lab._spawned_rngs(3, 8))]
-    for slack in (-np.inf, 1e-3):
-        assert lab._controls(polys, slack) == [None] * 16
+    for n in (5, 6):
+        polys = lab.sample_orbit_polygons(n, 1, lab._spawned_rngs(3, 8))
+        for slack in (-np.inf, 1e-3):
+            assert lab._controls(polys, slack) == [None] * 8
 
 
 # sha256 of the two reports of test_controls_without_elements_are_failures
@@ -535,6 +574,60 @@ def test_controls_without_elements_are_failures(monkeypatch):
     assert "; 0/6 convex-hexagon controls gave an interior element" in n62.notes
     text = dumps_canonical(report_to_dict(n52)) + dumps_canonical(report_to_dict(n62))
     assert hashlib.sha256(text.encode()).hexdigest() == CONTROL_FAILURES_SHA256
+
+
+def test_closure_solve_is_numpys_solve():
+    # the closure's 2 x 2 systems go to numpy's solve gufunc without its
+    # Python wrapper: np.linalg.solve's bits on random closure systems, and
+    # its LinAlgError on a singular Gram matrix
+    rng = np.random.default_rng(41)
+    for n in range(3, 13):
+        phi = rng.uniform(0.0, 2.0 * np.pi, (1000, 1)) + rng.uniform(0.1, 3.0, (1000, n)).cumsum(axis=1)
+        U = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        w = rng.lognormal(0.0, 0.4, (1000, n, 1))
+        gram, b = U @ U.transpose(0, 2, 1), U @ w
+        assert lab._solve(gram, b).tobytes() == np.linalg.solve(gram, b).tobytes()
+    flat = np.zeros((1, 2, 5))
+    flat[0, 0] = 1.0  # every direction along the x axis: the Gram matrix is diag(5, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            lab._positive_closure(flat, [np.random.default_rng(0)])
+
+
+def _count_polygons(monkeypatch) -> list:
+    """Every OrbitPolygon made from now on, in order."""
+    made, real = [], OrbitPolygon.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrbitPolygon, "__init__", counting)
+    return made
+
+
+def test_n52_builds_polygons_only_for_failures_and_the_full_search(monkeypatch):
+    # the trials and controls stay rows of their stacks from the sampler to
+    # the verdict: a certified trial, and a control decided by -d or by a
+    # chart, get no polygon object; a failing trial gets one, for its bundle
+    calls = _spy_coarse(monkeypatch)
+    searched = []
+
+    def search(polys, real=lab.convex_element_search_batch):
+        searched.append(len(polys))
+        return real(polys)
+
+    monkeypatch.setattr(lab, "convex_element_search_batch", search)
+    made = _count_polygons(monkeypatch)
+    rep = verify_theorem_n52(trials=50, seed=11)
+    assert rep.failures == 0 and "50/50 certified" in rep.notes
+    assert calls and searched == [0]  # charts decided some controls, none was searched
+    assert made == []
+    _fail_signs(monkeypatch, [2])
+    rep = verify_theorem_n52(trials=50, seed=11)
+    assert [b["label"] for b in rep.failure_bundles] == ["n52-nonneg-d"]
+    assert len(made) == 1 and made[0].vertices.tolist() == rep.failure_bundles[0]["vertices"]
 
 
 def test_vertex_builder_matches_sequential_loop():
@@ -614,14 +707,15 @@ def test_builder_reports_each_rejection():
     ])
     clear = np.array([True, False, True, True])
     rngs, again = generators(3, 4), generators(3, 4)
-    built = lab._build(m, rows, clear, rngs)
-    assert built[1:] == ["angle wall", "non-positive closure", "convexity or winding"]
+    stack, why = lab._build(m, rows, clear, rngs)
+    assert why == [None, "angle wall", "non-positive closure", "convexity or winding"]
+    assert len(stack) == 1  # the accepted star alone
     # the accepted row went through the sequential closure, scale and placement
     phi = again[0].uniform(0.0, 2.0 * np.pi) + np.cumsum(rows[0])
     U = np.stack([np.cos(phi), np.sin(phi)])
     s = reference.positive_closure(U, again[0]) * again[0].lognormal(0.0, 0.25)
     z = reference.vertices(again[0].uniform(-1.0, 1.0, 2), s[:, None] * U.T)
-    assert_same_polygon(built[0], reference.derive_orbit_polygon(z))
+    assert_same_polygon(stack[0], reference.derive_orbit_polygon(z))
     # a row off the walls drew nothing
     assert rngs[1].integers(2**62) == again[1].integers(2**62)
 
@@ -633,15 +727,17 @@ def test_spiked_hexagons_match_sequential():
     seeds = [*range(150), 845, *range(150, 300), 1333]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     again = [np.random.default_rng(seed) for seed in seeds]
-    stacked = lab._spiked_62(rngs)
-    assert stacked[150] is None and stacked[-1] is None
-    for a, rng in zip(stacked, again):
-        b = reference.spiked_62(rng)
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert_same_polygon(a, b)
+    stack, why = lab._spiked_62(rngs)
+    assert why[150] is not None and why[-1] is not None
+    rows = iter(stack)
+    for reason, rng in zip(why, again, strict=True):
+        want = reference.spiked_62(rng)
+        assert (reason is None) == (want is not None)
+        if want is not None:
+            assert_same_polygon(next(rows), want)
+    assert next(rows, None) is None  # the stack holds the accepted draws alone
     assert [g.integers(2**62) for g in rngs] == [g.integers(2**62) for g in again]
-    assert lab._spiked_62([]) == []
+    assert lab._spiked_62([]) == (None, [])
 
 
 def test_trapezoids_match_the_retry_loop():
@@ -651,7 +747,7 @@ def test_trapezoids_match_the_retry_loop():
     for poly, rng in zip(lab._random_trapezoids(rngs), again):
         assert_same_polygon(poly, reference.random_trapezoid(rng))
     assert [g.integers(2**62) for g in rngs] == [g.integers(2**62) for g in again]
-    assert lab._random_trapezoids([]) == []
+    assert len(lab._random_trapezoids([])) == 0
 
 
 def test_trapezoid_that_is_not_convex_is_an_error(monkeypatch):
@@ -708,7 +804,8 @@ def test_batch_exhaustion_in_one_trial():
 
 
 def test_batch_edge_cases():
-    assert lab.sample_orbit_polygons(5, 2, []) == []
+    empty = lab.sample_orbit_polygons(5, 2, [])
+    assert len(empty) == 0 and list(empty) == [] and empty.vertices.shape == (0, 5, 2)
     with pytest.raises(InputError):
         lab.sample_orbit_polygons(6, 3, generators(0, 2))
 
